@@ -8,14 +8,7 @@ degeneration assembly, all cross-checking one another.
 """
 
 from .errors import CrossCheckError, DomainError, IntegralityError
-from .exactmath import (
-    WeightVector,
-    as_integer,
-    binomial,
-    catalan,
-    syt_count,
-    weight,
-)
+from .exactmath import as_integer, binomial, catalan, syt_count
 from .grassmann import (
     SchubertClass,
     fourfold_integral,
@@ -28,7 +21,7 @@ from .grassmann import (
     unit,
     zero,
 )
-from .laurent import LaurentPolynomial, constant_term, lp_mul, p_poly
+from .laurent import LaurentPolynomial, constant_term, p_poly
 from .qseries import (
     TruncatedSeries,
     catalan_power_series,
@@ -73,12 +66,10 @@ __all__ = [
     "CrossCheckError",
     "DomainError",
     "IntegralityError",
-    "WeightVector",
     "as_integer",
     "binomial",
     "catalan",
     "syt_count",
-    "weight",
     "SchubertClass",
     "fourfold_integral",
     "integrate",
@@ -91,7 +82,6 @@ __all__ = [
     "zero",
     "LaurentPolynomial",
     "constant_term",
-    "lp_mul",
     "p_poly",
     "TruncatedSeries",
     "catalan_power_series",

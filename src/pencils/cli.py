@@ -18,7 +18,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 from .degeneration import RamificationProblem, count_with_padding, genus0_count
 from .errors import CrossCheckError, DomainError, IntegralityError
@@ -31,6 +30,7 @@ from .genus1 import (
     weighted_count,
     weighted_fixed_first,
 )
+from .parallel import map_jobs
 from .verify import SUITES, run_suite
 
 __all__ = ["main", "build_parser", "argv_from_query"]
@@ -239,11 +239,7 @@ def _cmd_table(args) -> tuple[dict, int]:
     if args.genus != 1:
         raise DomainError(f"only genus 1 tables are implemented, got genus {args.genus}")
     quads = on_shell_tuples(args.degree, ordered=args.ordered)
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            counts = list(pool.map(_table_row, quads))
-    else:
-        counts = [_table_row(q) for q in quads]
+    counts = map_jobs(_table_row, quads, args.jobs)
     rows = [
         {"ram": list(q), "count": str(c)} for q, c in sorted(zip(quads, counts))
     ]
@@ -362,9 +358,7 @@ def _emit_text(record: dict, subcommand: str, method: str | None) -> None:
             print(f"padded count {record['padded']} divided by {record['factor']}")
 
 
-def _emit_csv(record: dict, subcommand: str) -> None:
-    if subcommand != "table":
-        raise DomainError("csv output is only available for the table subcommand")
+def _emit_csv(record: dict) -> None:
     print("d1,d2,d3,d4,count")
     for row in record["rows"]:
         print(",".join(str(x) for x in row["ram"]) + "," + row["count"])
@@ -374,13 +368,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.format == "csv" and args.subcommand != "table":
+            raise DomainError("csv output is only available for the table subcommand")
         start = time.perf_counter()
         record, code = _COMMANDS[args.subcommand](args)
         record["elapsed_ms"] = int(1000 * (time.perf_counter() - start))
         if args.format == "json":
             print(json.dumps(record, indent=2))
         elif args.format == "csv":
-            _emit_csv(record, args.subcommand)
+            _emit_csv(record)
         else:
             _emit_text(record, args.subcommand, getattr(args, "method", None))
         if code == 2:

@@ -6,7 +6,9 @@ Grassmannian integral.  For g >= 1 the count degenerates onto a rational
 spine carrying g elliptic tails: each distribution of the 3g moving
 labels into ordered triples, together with a vanishing sequence
 0 <= a_j < b_j <= d at each node, contributes a genus-0 integral against
-the node classes times a genus-1 factor per tail.  The weighted variant
+the node classes times a genus-1 factor per tail.  By multilinearity
+each triple's node choices fold into one tail class, and distributions
+with the same triples share one integral.  The weighted variant
 replaces each fixed class by a power of the hyperplane class and each
 tail factor by the exact-vanishing weighted count.
 
@@ -18,16 +20,18 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import CrossCheckError, DomainError
 from .exactmath import catalan
 from .genus1 import Genus1Tuple, count_laurent, weighted_fixed_first
-from .grassmann import integrate, mul, sigma, sigma1_power, unit
+from .grassmann import SchubertClass, integrate, mul, sigma, sigma1_power, unit, zero
 
 __all__ = [
     "RamificationProblem",
     "Distribution",
+    "MAX_GENUS",
     "genus0_count",
     "genus0_weighted",
     "pad_moving",
@@ -39,6 +43,8 @@ __all__ = [
 ]
 
 Distribution = tuple[tuple[int, int, int], ...]
+
+MAX_GENUS = 4  # genus 5 would list 168,168,000 distributions
 
 
 @dataclass(frozen=True)
@@ -159,8 +165,14 @@ def distributions(labels, g: int) -> list[Distribution]:
 
     The tails are attached at distinct points, so component order is
     significant: there are (3g)!/6^g assignments (by position; repeated
-    label values are enumerated with multiplicity).
+    label values are enumerated with multiplicity).  Genus 4 already
+    gives 369,600 of them, so the genus is bounded by MAX_GENUS.
     """
+    if g > MAX_GENUS:
+        raise DomainError(
+            f"distributions: genus {g} exceeds the bound {MAX_GENUS} on the "
+            f"(3*genus)!/6^genus enumeration"
+        )
     labels = tuple(labels)
     if len(labels) != 3 * g:
         raise DomainError(
@@ -179,12 +191,19 @@ def distributions(labels, g: int) -> list[Distribution]:
     return list(rec(tuple(range(3 * g))))
 
 
-def _unweighted_factor(node_order: int, triple: tuple[int, int, int]) -> int:
-    return count_laurent(Genus1Tuple(node_order, *triple))
+def _tail_class(factor, triple: tuple[int, int, int], d: int) -> SchubertClass:
+    """One tail's node classes weighted by its genus-1 factors.
 
-
-def _weighted_factor(node_order: int, triple: tuple[int, int, int]) -> int:
-    return weighted_fixed_first(Genus1Tuple(node_order, *triple))
+    The sum runs over the node vanishing sequences 0 <= a < b <= d with
+    a + b = s; a <= d-2 keeps the tail's pencil degree d-a at least 2,
+    below that the factor is 0.
+    """
+    s, ambient = 2 * d + 4 - sum(triple), d + 1
+    cls = zero(ambient)
+    for a in range(max(0, s - d), min((s - 1) // 2, d - 2) + 1):
+        f = factor(Genus1Tuple(s - 2 * a, *triple))
+        cls = cls + f * sigma(d - a - 1, d - s + a, ambient)
+    return cls
 
 
 def _assemble(p: RamificationProblem, weighted: bool) -> int:
@@ -197,36 +216,23 @@ def _assemble(p: RamificationProblem, weighted: bool) -> int:
             fixed_part = mul(fixed_part, sigma(o - 1, 0, ambient))
     if fixed_part.is_zero():
         return 0
-    factor_fn = _weighted_factor if weighted else _unweighted_factor
+    factor = weighted_fixed_first if weighted else count_laurent
+    # the product and the integral are multilinear and the tail factors
+    # symmetric in a triple, so each triple is one class and ordered
+    # distributions with the same triples integrate alike
+    multisets = Counter(
+        tuple(sorted(tuple(sorted(triple)) for triple in dist))
+        for dist in distributions(p.moving, p.g)
+    )
+    tails: dict[tuple[int, int, int], SchubertClass] = {}
     total = 0
-    integral_cache: dict[tuple, int] = {}
-    for dist in distributions(p.moving, p.g):
-        per_component = []
-        for triple in dist:
-            s = 2 * d + 4 - sum(triple)
-            opts = []
-            # 0 <= a < b <= d with a+b = s; a <= d-2 keeps the tail's
-            # pencil degree d-a at least 2, below that the factor is 0
-            for a in range(max(0, s - d), min((s - 1) // 2, d - 2) + 1):
-                f = factor_fn(s - 2 * a, triple)
-                if f:
-                    opts.append(((a, s - a), f))
-            per_component.append(opts)
-        for choice in itertools.product(*per_component):
-            key = tuple(sorted(ab for ab, _ in choice))
-            val = integral_cache.get(key)
-            if val is None:
-                cls = fixed_part
-                for a, b in key:
-                    cls = mul(cls, sigma(d - a - 1, d - b, ambient))
-                val = integrate(cls)
-                integral_cache[key] = val
-            if val == 0:
-                continue
-            term = val
-            for _, f in choice:
-                term *= f
-            total += term
+    for key, multiplicity in multisets.items():
+        cls = fixed_part
+        for triple in key:
+            if triple not in tails:
+                tails[triple] = _tail_class(factor, triple, d)
+            cls = mul(cls, tails[triple])
+        total += multiplicity * integrate(cls)
     return total
 
 

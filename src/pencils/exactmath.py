@@ -7,7 +7,6 @@ handed back as integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
@@ -18,8 +17,6 @@ __all__ = [
     "binomial",
     "catalan",
     "syt_count",
-    "WeightVector",
-    "weight",
 ]
 
 
@@ -63,29 +60,3 @@ def syt_count(a: int, b: int) -> int:
     return as_integer(
         Fraction(binomial(a + b, a) * (a - b + 1), a + 1), "syt_count"
     )
-
-
-@dataclass(frozen=True)
-class WeightVector:
-    """Per-point pairs (d_i, k_i): total vanishing d_i, base-point order k_i."""
-
-    pairs: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        if not self.pairs:
-            raise DomainError("WeightVector: at least one (d, k) pair required")
-        for d, k in self.pairs:
-            if k < 0:
-                raise DomainError(f"WeightVector: base-point order k={k} < 0")
-            if d - 2 * k < 1:
-                raise DomainError(
-                    f"WeightVector: pair (d={d}, k={k}) leaves d - 2k = {d - 2 * k} < 1"
-                )
-
-
-def weight(w: WeightVector) -> int:
-    """Multiplicity of a base-point configuration: product of tableau counts."""
-    out = 1
-    for d, k in w.pairs:
-        out *= syt_count(d - k - 1, k)
-    return out

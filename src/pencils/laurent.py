@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from .errors import DomainError
 
-__all__ = ["LaurentPolynomial", "p_poly", "lp_mul", "constant_term"]
+__all__ = ["LaurentPolynomial", "p_poly", "constant_term"]
 
 
 class LaurentPolynomial:
@@ -96,11 +96,6 @@ def p_poly(r: int) -> LaurentPolynomial:
     if r < 0:
         raise DomainError(f"p_poly: index must be >= 0, got {r}")
     return LaurentPolynomial({e: e for e in range(-r, r + 1, 2)})
-
-
-def lp_mul(p1: LaurentPolynomial, p2: LaurentPolynomial) -> LaurentPolynomial:
-    """Exact convolution product."""
-    return p1 * p2
 
 
 def constant_term(p: LaurentPolynomial) -> int:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,7 +19,6 @@ from .degeneration import (
     RamificationProblem,
     consolidate_fixed,
     count_with_padding,
-    distributions,
     genus_g_count,
     genus_g_weighted,
 )
@@ -48,6 +46,7 @@ from .grassmann import (
     unit,
 )
 from .laurent import constant_term, p_poly
+from .parallel import map_jobs
 from .qseries import TruncatedSeries, catalan_power_series, power_3_2, schur_q, sqrt_one_minus_4q
 
 __all__ = ["PropertyResult", "SUITES", "run_property", "run_suite"]
@@ -486,9 +485,4 @@ def run_suite(suite: str = "all", level: int = 7, jobs: int = 1) -> list[Propert
         for name, (_, group) in _REGISTRY.items()
         if suite == "all" or group == suite
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_pair, [(name, level) for name in names]))
-    else:
-        results = [run_property(name, level) for name in names]
-    return results
+    return map_jobs(_run_pair, [(name, level) for name in names], jobs)

@@ -1,10 +1,15 @@
 """End-to-end CLI tests driving main() in-process."""
 
+import concurrent.futures
 import json
+import os
 
 import pytest
 
+from pencils import cli
 from pencils.cli import argv_from_query, build_parser, main
+from pencils.parallel import map_jobs
+from pencils.verify import run_suite
 
 from oracles import ordered_on_shell
 
@@ -203,6 +208,8 @@ def test_query_round_trip(argv, capsys):
          "off-shell"),
         (["table", "--degree", "1"], ""),
         (["verify", "--suite", "nope"], ""),
+        (["table", "--degree", "3", "--jobs", "0"], "jobs must be >= 1"),
+        (["verify", "--suite", "schubert", "--jobs", "-3"], "jobs must be >= 1"),
     ],
 )
 def test_domain_errors_exit_one(argv, fragment, capsys):
@@ -218,3 +225,56 @@ def test_parser_builds_and_rejects_bad_query():
     assert args.subcommand == "genus1"
     with pytest.raises(Exception):
         argv_from_query({"subcommand": "nope"})
+
+
+def test_csv_rejected_before_the_command_runs(monkeypatch, capsys):
+    def never(args):
+        raise AssertionError("the verify gate ran before the format check")
+
+    monkeypatch.setitem(cli._COMMANDS, "verify", never)
+    code, out, err = run(["verify", "--format", "csv"], capsys)
+    assert (code, out) == (1, "")
+    assert "csv output is only available for the table subcommand" in err
+
+
+class _NoPool:
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+
+class _SerialPool:
+    """Stands in for a process pool: records its size, maps in-process."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_jobs_clamped_to_cpu_count(monkeypatch, capsys):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _NoPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    code, serial, _ = run(["table", "--degree", "3"], capsys)
+    assert code == 0
+    code, clamped, _ = run(["table", "--degree", "3", "--jobs", "64"], capsys)
+    assert (code, clamped) == (0, serial)
+    code, _, _ = run(["verify", "--suite", "schubert", "--max-degree", "2",
+                      "--jobs", "64"], capsys)
+    assert code == 0
+    assert all(r.passed for r in run_suite("schubert", level=2, jobs=64))
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    _SerialPool.sizes.clear()
+    assert map_jobs(abs, [-1, 2, -3], 64) == [1, 2, 3]
+    assert map_jobs(abs, [-1, 2, -3], 2) == [1, 2, 3]
+    assert _SerialPool.sizes == [3, 2]

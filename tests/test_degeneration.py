@@ -2,9 +2,12 @@
 distributions, and the genus-g assembly against the genus-1 pipelines."""
 
 import itertools
+import math
+from collections import Counter
 
 import pytest
 
+from pencils import degeneration
 from pencils.degeneration import (
     RamificationProblem,
     consolidate_fixed,
@@ -18,7 +21,14 @@ from pencils.degeneration import (
 )
 from pencils.errors import DomainError
 from pencils.exactmath import catalan
-from pencils.genus1 import Genus1Tuple, count_laurent, on_shell_tuples, weighted_count
+from pencils.genus1 import (
+    Genus1Tuple,
+    count_laurent,
+    on_shell_tuples,
+    weighted_count,
+    weighted_fixed_first,
+)
+from pencils.grassmann import integrate, mul, sigma, sigma1_power, unit
 
 
 def test_problem_validation():
@@ -94,6 +104,14 @@ def test_distributions():
     assert len(distributions((2,) * 9, 3)) == 1680
     with pytest.raises(DomainError, match="labels"):
         distributions((2, 2), 1)
+
+
+def test_distributions_genus_bound():
+    # genus 5 would list 168,168,000 distributions; the bound is checked first
+    with pytest.raises(DomainError, match="bound 4"):
+        distributions((2,) * 15, 5)
+    with pytest.raises(DomainError, match="bound 4"):
+        count_with_padding(RamificationProblem(5, 4, (2,)))
 
 
 def test_worked_example():
@@ -243,3 +261,109 @@ def test_node_codimension_balances():
             ):
                 node_codim = sum(2 * d - 1 - a - b for a, b in triples)
                 assert fixed_codim + node_codim == 2 * d - 2
+
+
+def _enumerated(p, weighted):
+    """The degeneration sum term by term: every ordered distribution times
+    every choice of node vanishing sequences, with no multilinear collapse."""
+    d, ambient = p.d, p.d + 1
+    if weighted:
+        fixed_part = sigma1_power(sum(o - 1 for o in p.fixed), ambient)
+    else:
+        fixed_part = unit(ambient)
+        for o in p.fixed:
+            fixed_part = mul(fixed_part, sigma(o - 1, 0, ambient))
+    factor = weighted_fixed_first if weighted else count_laurent
+    total = 0
+    for dist in distributions(p.moving, p.g):
+        per_component = []
+        for triple in dist:
+            s = 2 * d + 4 - sum(triple)
+            per_component.append(
+                [
+                    ((a, s - a), factor(Genus1Tuple(s - 2 * a, *triple)))
+                    for a in range(max(0, s - d), min((s - 1) // 2, d - 2) + 1)
+                ]
+            )
+        for choice in itertools.product(*per_component):
+            cls = fixed_part
+            term = 1
+            for (a, b), f in choice:
+                cls = mul(cls, sigma(d - a - 1, d - b, ambient))
+                term *= f
+            total += term * integrate(cls)
+    return total
+
+
+_MIXED_GENUS3 = (
+    RamificationProblem(3, 5, (3,), (2, 4, 2, 3, 2, 2, 2, 2, 2)),
+    RamificationProblem(3, 6, (4,), (2, 3, 2, 4, 2, 2, 3, 2, 2)),
+    RamificationProblem(3, 7, (3, 2), (2, 4, 2, 3, 2, 2, 3, 2, 4)),
+)
+
+
+def test_assembly_matches_enumeration():
+    checked = 0
+    problems = [p for g in (1, 2) for d in range(2, 6) for p in _problems(g, d)]
+    for p in problems + list(_MIXED_GENUS3):
+        assert genus_g_count(p) == _enumerated(p, weighted=False), p
+        if max(p.moving) <= max(2, 2 * p.d - p.g - 1):  # the weighted domain
+            assert genus_g_weighted(p) == _enumerated(p, weighted=True), p
+        checked += 1
+    assert checked > 40
+    assert all(genus_g_count(p) > 0 for p in _MIXED_GENUS3)
+
+
+def test_assembly_calls_once_per_triple_and_multiset(monkeypatch):
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(degeneration, name, wrapper)
+
+    counted("count_laurent", count_laurent)
+    counted("integrate", integrate)
+    p = _MIXED_GENUS3[2]
+    multisets = {
+        tuple(sorted(tuple(sorted(t)) for t in dist))
+        for dist in distributions(p.moving, p.g)
+    }
+    triples = {t for key in multisets for t in key}
+    node_choices = 0
+    for triple in triples:
+        s = 2 * p.d + 4 - sum(triple)
+        node_choices += len(range(max(0, s - p.d), min((s - 1) // 2, p.d - 2) + 1))
+    genus_g_count(p)
+    assert calls == {"count_laurent": node_choices, "integrate": len(multisets)}
+    assert len(multisets) < len(distributions(p.moving, p.g)) == 1680
+
+
+def test_brill_noether_oracle():
+    # with 3g simple moving points each elliptic tail imposes a cusp, so the
+    # count is (3g)! times a Grassmannian integral against sigma_1^g
+    checked = 0
+    for g in (1, 2, 3):
+        for d in range(2, 8):
+            cost = 2 * d - g - 2
+            if cost < 0:
+                continue
+            for parts in _partitions(cost):
+                fixed = tuple(x + 1 for x in parts)
+                if max(fixed, default=0) > d or 2 * g - 2 + len(fixed) <= 0:
+                    continue
+                cls = sigma1_power(g, d + 1)
+                for o in fixed:
+                    cls = mul(cls, sigma(o - 1, 0, d + 1))
+                p = RamificationProblem(g, d, fixed, (2,) * (3 * g))
+                assert genus_g_count(p) == math.factorial(3 * g) * integrate(cls), p
+                checked += 1
+    assert checked == 204
+
+
+def test_castelnuovo_genus4():
+    # a general genus-4 curve carries Catalan(2) = 2 trigonal pencils
+    factor = math.factorial(12)
+    assert count_with_padding(RamificationProblem(4, 3)) == (2, 2 * factor, factor)

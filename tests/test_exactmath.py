@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pencils.errors import DomainError, IntegralityError
-from pencils.exactmath import WeightVector, as_integer, binomial, catalan, syt_count, weight
+from pencils.exactmath import as_integer, binomial, catalan, syt_count
 
 from oracles import pascal_triangle, syt_brute
 
@@ -78,17 +78,3 @@ def test_as_integer():
     assert as_integer(Fraction(12, 4), "x") == 3
     with pytest.raises(IntegralityError):
         as_integer(Fraction(1, 3), "x")
-
-
-def test_weight_vector():
-    w = WeightVector(((4, 1), (3, 0)))
-    assert weight(w) == syt_count(2, 1) * syt_count(2, 0) == 2
-    with pytest.raises(DomainError):
-        WeightVector(((3, 2),))  # d - 2k = -1, no section survives
-    with pytest.raises(DomainError):
-        WeightVector(((3, -1),))
-
-
-def test_weight_vector_rejects_empty():
-    with pytest.raises(DomainError):
-        WeightVector(())
