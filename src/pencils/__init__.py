@@ -58,7 +58,6 @@ from .degeneration import (
     genus_g_weighted,
     pad_moving,
 )
-from .verify import PropertyResult, SUITES, run_suite
 
 __version__ = "0.1.0"
 
@@ -118,3 +117,12 @@ __all__ = [
     "run_suite",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    # the verify suites load on first use, keeping them off `import pencils`
+    if name in ("PropertyResult", "SUITES", "run_suite"):
+        from . import verify
+
+        return getattr(verify, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from .errors import CrossCheckError, DomainError
 from .exactmath import catalan
 from .genus1 import Genus1Tuple, count_laurent, weighted_fixed_first
-from .grassmann import SchubertClass, integrate, mul, sigma, sigma1_power, unit, zero
+from .grassmann import SchubertClass, integrate, mul, sigma, sigma1_power, unit
 
 __all__ = [
     "RamificationProblem",
@@ -198,12 +198,11 @@ def _tail_class(factor, triple: tuple[int, int, int], d: int) -> SchubertClass:
     a + b = s; a <= d-2 keeps the tail's pencil degree d-a at least 2,
     below that the factor is 0.
     """
-    s, ambient = 2 * d + 4 - sum(triple), d + 1
-    cls = zero(ambient)
-    for a in range(max(0, s - d), min((s - 1) // 2, d - 2) + 1):
-        f = factor(Genus1Tuple(s - 2 * a, *triple))
-        cls = cls + f * sigma(d - a - 1, d - s + a, ambient)
-    return cls
+    s = 2 * d + 4 - sum(triple)
+    return SchubertClass(d + 1, {
+        (d - a - 1, d - s + a): factor(Genus1Tuple(s - 2 * a, *triple))
+        for a in range(max(0, s - d), min((s - 1) // 2, d - 2) + 1)
+    })
 
 
 def _assemble(p: RamificationProblem, weighted: bool) -> int:

@@ -1,8 +1,6 @@
-"""Exact integer and rational helpers for ramification weights.
-
-Counts are plain Python ``int`` (arbitrary precision); divisions pass
-through ``fractions.Fraction`` and are asserted integral before being
-handed back as integers.
+"""Exact integer helpers for ramification weights: binomials, tableau
+and Catalan numbers as ballot differences of binomials, and ``exact_div``,
+the one checked division, which refuses a remainder.
 """
 
 from __future__ import annotations
@@ -14,6 +12,7 @@ from .errors import DomainError, IntegralityError
 
 __all__ = [
     "as_integer",
+    "exact_div",
     "binomial",
     "catalan",
     "syt_count",
@@ -23,9 +22,15 @@ __all__ = [
 def as_integer(x: Fraction | int, context: str) -> int:
     """Collapse an exact rational known to be integral, or raise."""
     frac = Fraction(x)
-    if frac.denominator != 1:
-        raise IntegralityError(f"{context}: {frac} is not an integer")
-    return frac.numerator
+    return exact_div(frac.numerator, frac.denominator, context)
+
+
+def exact_div(num: int, den: int, context: str) -> int:
+    """num / den for a num known to be a multiple of den > 0, or raise."""
+    quotient, remainder = divmod(num, den)
+    if remainder:
+        raise IntegralityError(f"{context}: {Fraction(num, den)} is not an integer")
+    return quotient
 
 
 def binomial(n: int, k: int) -> int:
@@ -43,20 +48,19 @@ def binomial(n: int, k: int) -> int:
 
 
 def catalan(n: int) -> int:
-    """n-th Catalan number binomial(2n, n)/(n + 1)."""
+    """n-th Catalan number binomial(2n, n) - binomial(2n, n + 1)."""
     if n < 0:
         raise DomainError(f"catalan: index must be nonnegative, got {n}")
-    return as_integer(Fraction(binomial(2 * n, n), n + 1), "catalan")
+    return binomial(2 * n, n) - binomial(2 * n, n + 1)
 
 
 def syt_count(a: int, b: int) -> int:
     """Standard Young tableaux of the two-row shape (a, b).
 
-    Shapes failing a >= b >= 0 count 0 rather than erroring, so sums may
-    run over unrestricted index ranges.
+    The ballot difference binomial(a+b, b) - binomial(a+b, b-1).  Shapes
+    failing a >= b >= 0 count 0 rather than erroring, so sums may run
+    over unrestricted index ranges.
     """
     if not a >= b >= 0:
         return 0
-    return as_integer(
-        Fraction(binomial(a + b, a) * (a - b + 1), a + 1), "syt_count"
-    )
+    return binomial(a + b, b) - binomial(a + b, b - 1)

@@ -22,14 +22,14 @@ invariant under the degree reflection d_i -> deg + 2 - d_i.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DomainError
-from .exactmath import as_integer, binomial, catalan, syt_count
+from .exactmath import binomial, catalan, exact_div, syt_count
 from .grassmann import integrate, mul, sigma, zero
-from .laurent import constant_term, p_poly
+from .laurent import LaurentPolynomial, constant_term, p_poly
 from .qseries import n_via_series
 
 __all__ = [
@@ -42,6 +42,7 @@ __all__ = [
     "count_polynomial",
     "polynomial_branch_values",
     "count_series",
+    "MAX_SERIES_DEGREE",
     "count",
     "weighted_from_unweighted",
     "unweighted_from_weighted",
@@ -103,14 +104,14 @@ def _require_in_domain(t: Genus1Tuple, what: str) -> None:
 def weighted_count(t: Genus1Tuple) -> int:
     """Weighted count of pencils: 12 C_{deg-2}/deg times prod (d_i - 1)."""
     d = t.degree
-    val = Fraction(12 * catalan(d - 2), d)
+    num = 12 * catalan(d - 2)
     for di in t.orders():
         if di > 2 * d + 1:
             raise DomainError(
                 f"weighted_count: order {di} exceeds 2*degree+1 = {2 * d + 1}"
             )
-        val *= di - 1
-    return as_integer(val, "weighted_count")
+        num *= di - 1
+    return exact_div(num, d, "weighted_count")
 
 
 def weighted_fixed_first(t: Genus1Tuple) -> int:
@@ -124,7 +125,7 @@ def weighted_fixed_first(t: Genus1Tuple) -> int:
         raise DomainError(
             f"weighted_fixed_first: first order {t.d1} outside 1..degree={d}"
         )
-    val = Fraction(
+    return exact_div(
         2
         * t.d1
         * (t.d1 + 1)
@@ -134,8 +135,8 @@ def weighted_fixed_first(t: Genus1Tuple) -> int:
         * (t.d4 - 1)
         * binomial(2 * d - t.d1 - 2, d - t.d1),
         d * (d - 1),
+        "weighted_fixed_first",
     )
-    return as_integer(val, "weighted_fixed_first")
 
 
 def _tau(k: int, ambient: int):
@@ -174,17 +175,19 @@ def count_laurent(t: Genus1Tuple) -> int:
     return constant_term(prod)
 
 
-def _parse_polynomial(table: str) -> tuple[tuple[Fraction, tuple[int, int, int, int]], ...]:
-    terms = []
+def _parse_polynomial(table: str) -> tuple[int, tuple[tuple[int, tuple[int, ...]], ...]]:
+    """A table's integer numerators over the least common denominator."""
+    rows = []
     for line in table.strip().splitlines():
         parts = line.split()
-        coeff = Fraction(parts[0])
+        num, _, den = parts[0].partition("/")
         exps = [0, 0, 0, 0]
         for factor in parts[1:]:
             name, _, power = factor.partition("^")
             exps[int(name[1]) - 1] += int(power or 1)
-        terms.append((coeff, tuple(exps)))
-    return tuple(terms)
+        rows.append((int(num), int(den or 1), tuple(exps)))
+    common = math.lcm(*(den for _, den, _ in rows))
+    return common, tuple((num * (common // den), exps) for num, den, exps in rows)
 
 
 # Degree-7 closed form on the branch where the sorted orders satisfy
@@ -322,14 +325,14 @@ _BOTTOM_GAP_TERMS = _parse_polynomial("""
 """)
 
 
-def _evaluate_terms(terms, orders: tuple[int, int, int, int]) -> int:
-    total = Fraction(0)
-    for coeff, exps in terms:
-        mono = 1
+def _evaluate_terms(table, orders: tuple[int, int, int, int]) -> int:
+    den, terms = table
+    total = 0
+    for mono, exps in terms:
         for base, e in zip(orders, exps):
             mono *= base**e
-        total += coeff * mono
-    return as_integer(total, "count_polynomial")
+        total += mono
+    return exact_div(total, den, "count_polynomial")
 
 
 def count_polynomial(t: Genus1Tuple) -> int:
@@ -359,8 +362,18 @@ def polynomial_branch_values(t: Genus1Tuple) -> tuple[int, int]:
     )
 
 
+# The series pipeline costs about deg^3: degree 120 takes 3-4 s on one
+# core of an Intel Xeon server, so larger degrees are refused up front.
+MAX_SERIES_DEGREE = 120
+
+
 def count_series(t: Genus1Tuple) -> int:
     """Coefficient extraction from the generating-function identity."""
+    if t.degree > MAX_SERIES_DEGREE:
+        raise DomainError(
+            f"count_series: degree {t.degree} exceeds the bound "
+            f"{MAX_SERIES_DEGREE} on the series pipeline"
+        )
     _require_in_domain(t, "count_series")
     return n_via_series(*t.orders())
 
@@ -394,24 +407,23 @@ def _admissible_shifts(di: int) -> range:
     return range((di - 1) // 2 + 1)
 
 
+@lru_cache(maxsize=None)
+def _weighted_block(di: int) -> LaurentPolynomial:
+    """W_d = sum over base-point orders k of syt(d-k-1, k) * P_{d-2k-1}."""
+    blocks = (syt_count(di - k - 1, k) * p_poly(di - 2 * k - 1) for k in _admissible_shifts(di))
+    return sum(blocks, LaurentPolynomial())
+
+
 def weighted_from_unweighted(t: Genus1Tuple) -> int:
     """Assemble the weighted count from unweighted counts.
 
-    Sums, over all base-point splittings k_i >= 0 with d_i - 2k_i >= 1,
-    the tableau weight times the unweighted count of the shifted tuple
-    (evaluated by the Laurent pipeline); tuples shifted below degree 2
-    contribute 0.
+    The sum over base-point splittings k_i with d_i - 2k_i >= 1 of the
+    tableau weight times the constant term of the shifted tuple is, by
+    multilinearity, the single constant term CT(W_d1 W_d2 W_d3 W_d4).
+    Tuples shifted below degree 2 contain an order 1, so P_0 = 0 drops them.
     """
-    total = 0
-    for ks in itertools.product(*(_admissible_shifts(di) for di in t.orders())):
-        w = 1
-        for di, ki in zip(t.orders(), ks):
-            w *= syt_count(di - ki - 1, ki)
-        shifted = tuple(di - 2 * ki for di, ki in zip(t.orders(), ks))
-        if sum(shifted) < 8:
-            continue
-        total += w * count_laurent(Genus1Tuple(*shifted))
-    return total
+    w1, w2, w3, w4 = (_weighted_block(di) for di in t.orders())
+    return constant_term(w1 * w2 * w3 * w4)
 
 
 @lru_cache(maxsize=None)
@@ -420,15 +432,10 @@ def _unweighted_recursive(orders: tuple[int, int, int, int]) -> int:
         return 0
     acc = weighted_count(Genus1Tuple(*orders))
     for ks in itertools.product(*(_admissible_shifts(di) for di in orders)):
-        if not any(ks):
-            continue
-        w = 1
-        for di, ki in zip(orders, ks):
-            w *= syt_count(di - ki - 1, ki)
-        shifted = tuple(
-            sorted((di - 2 * ki for di, ki in zip(orders, ks)), reverse=True)
-        )
-        acc -= w * _unweighted_recursive(shifted)
+        if any(ks):
+            w = math.prod(syt_count(di - ki - 1, ki) for di, ki in zip(orders, ks))
+            shifted = sorted((di - 2 * ki for di, ki in zip(orders, ks)), reverse=True)
+            acc -= w * _unweighted_recursive(tuple(shifted))
     return acc
 
 

@@ -25,6 +25,7 @@ from .degeneration import (
 from .errors import CrossCheckError, DomainError
 from .exactmath import binomial, catalan, syt_count
 from .genus1 import (
+    MAX_SERIES_DEGREE,
     Genus1Tuple,
     count,
     count_laurent,
@@ -485,4 +486,9 @@ def run_suite(suite: str = "all", level: int = 7, jobs: int = 1) -> list[Propert
         for name, (_, group) in _REGISTRY.items()
         if suite == "all" or group == suite
     ]
+    if "four_method_agreement" in names and level + 2 > MAX_SERIES_DEGREE:
+        raise DomainError(
+            f"verification level {level} runs four_method_agreement to degree "
+            f"{level + 2}, above the series bound {MAX_SERIES_DEGREE}"
+        )
     return map_jobs(_run_pair, [(name, level) for name in names], jobs)

@@ -9,6 +9,7 @@ Slow is fine; these only run at test scale.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from functools import lru_cache
 
@@ -77,6 +78,23 @@ def genus1_constant_term(quad) -> int:
     for d in quad:
         prod = convolve(prod, p_dict(d - 1))
     return prod.get(0, 0)
+
+
+def weighted_assembly(quad) -> int:
+    """Weighted count summed term by term over base-point splittings.
+
+    Each order d sheds k base points with d - 2k >= 1, weighted by the
+    tableaux of shape (d - k - 1, k); every splitting adds its weight
+    times the constant term of the shifted orders, including shifts
+    below degree 2.
+    """
+    total = 0
+    for ks in itertools.product(*(range((d - 1) // 2 + 1) for d in quad)):
+        weight = 1
+        for d, k in zip(quad, ks):
+            weight *= syt_brute(d - k - 1, k)
+        total += weight * genus1_constant_term([d - 2 * k for d, k in zip(quad, ks)])
+    return total
 
 
 def geometric_inverse(n: int) -> list[dict[int, int]]:

@@ -3,11 +3,16 @@
 import concurrent.futures
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from pencils import cli
+import pencils
+from pencils import cli, verify
 from pencils.cli import argv_from_query, build_parser, main
+from pencils.genus1 import MAX_SERIES_DEGREE
 from pencils.parallel import map_jobs
 from pencils.verify import run_suite
 
@@ -235,6 +240,45 @@ def test_csv_rejected_before_the_command_runs(monkeypatch, capsys):
     code, out, err = run(["verify", "--format", "csv"], capsys)
     assert (code, out) == (1, "")
     assert "csv output is only available for the table subcommand" in err
+
+
+def test_series_degree_bound_exits_one(monkeypatch, capsys):
+    top = MAX_SERIES_DEGREE
+    a = (top + 4) // 2
+    ram = f"{a},{a},{top + 3 - a},{top + 3 - a}"  # degree top + 1
+    code, out, err = run(["genus1", "--ram", ram], capsys)
+    assert (code, out) == (1, "")
+    assert f"degree {top + 1} exceeds the bound {top}" in err
+
+    def never(fn, items, jobs):
+        raise AssertionError("a property ran before the level check")
+
+    monkeypatch.setattr(verify, "map_jobs", never)
+    for suite in ("all", "laurent"):
+        code, out, err = run(["verify", "--suite", suite, "--max-degree", str(top - 1)],
+                             capsys)
+        assert (code, out) == (1, "")
+        assert f"degree {top + 1}, above the series bound {top}" in err
+    # the last admitted level, and suites that never run the series
+    monkeypatch.setattr(verify, "map_jobs", lambda fn, items, jobs: [])
+    assert run_suite("laurent", level=top - 2) == []
+    assert run_suite("schubert", level=top - 1) == []
+
+
+def test_import_pencils_leaves_verify_unloaded():
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import pencils; "
+        "assert 'pencils.verify' not in sys.modules; "
+        "results = pencils.run_suite('schubert', level=2); "
+        "assert results and all(r.passed for r in results); "
+        "assert pencils.SUITES[0] == 'all' and pencils.PropertyResult; "
+        "print('pencils.verify' in sys.modules)"
+    )
+    src = str(Path(pencils.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code, src], capture_output=True, text=True, timeout=60
+    )
+    assert (proc.returncode, proc.stdout.strip()) == (0, "True"), proc.stderr
 
 
 class _NoPool:

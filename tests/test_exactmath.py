@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pencils.errors import DomainError, IntegralityError
-from pencils.exactmath import as_integer, binomial, catalan, syt_count
+from pencils.exactmath import as_integer, binomial, catalan, exact_div, syt_count
 
 from oracles import pascal_triangle, syt_brute
 
@@ -54,6 +54,17 @@ def test_syt_matches_bruteforce():
                 assert syt_count(a, b) == syt_brute(a, b), (a, b)
 
 
+def test_syt_and_catalan_match_the_hook_formula():
+    # binomial(a+b, a)(a-b+1)/(a+1) and binomial(2n, n)/(n+1), through Fraction
+    for a in range(61):
+        for b in range(61):
+            hook = Fraction(binomial(a + b, a) * (a - b + 1), a + 1)
+            want = as_integer(hook, "hook") if b <= a else 0
+            assert syt_count(a, b) == want, (a, b)
+    for n in range(61):
+        assert catalan(n) == as_integer(Fraction(binomial(2 * n, n), n + 1), "hook"), n
+
+
 def test_syt_zero_outside_shapes():
     assert syt_count(2, 3) == 0
     assert syt_count(-1, 0) == 0
@@ -71,6 +82,14 @@ def test_syt_ballot_recurrence(a, b):
     # removing a corner box: valid two-row shapes only
     if a >= b >= 0 and a + b >= 1:
         assert syt_count(a, b) == syt_count(a - 1, b) + syt_count(a, b - 1)
+
+
+def test_exact_div():
+    assert exact_div(12, 4, "x") == 3
+    assert exact_div(-12, 4, "x") == -3
+    assert exact_div(0, 7, "x") == 0
+    with pytest.raises(IntegralityError, match="x: 7/2 is not an integer"):
+        exact_div(14, 4, "x")
 
 
 def test_as_integer():

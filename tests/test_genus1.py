@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from pencils.errors import DomainError
 from pencils.genus1 import (
+    MAX_SERIES_DEGREE,
     Genus1Tuple,
     METHODS,
     count,
@@ -26,7 +27,7 @@ from pencils.genus1 import (
     weighted_from_unweighted,
 )
 
-from oracles import genus1_constant_term, ordered_on_shell
+from oracles import genus1_constant_term, ordered_on_shell, weighted_assembly
 
 # frozen from the convolution oracle, degrees 2..5
 KNOWN_COUNTS = {
@@ -168,6 +169,25 @@ def test_recursion_both_directions():
             t = Genus1Tuple(*quad)
             assert weighted_from_unweighted(t) == weighted_count(t), quad
             assert unweighted_from_weighted(t) == count_laurent(t), quad
+
+
+def test_weighted_assembly_matches_term_by_term_oracle():
+    # every labeled tuple, including orders 1 and the shifts below degree 2
+    for degree in range(2, 10):
+        for quad in ordered_on_shell(degree, max_order=2 * degree + 1):
+            t = Genus1Tuple(*quad)
+            assert weighted_from_unweighted(t) == weighted_assembly(quad), quad
+
+
+def test_series_degree_bound():
+    top = MAX_SERIES_DEGREE
+    assert top >= 30
+    a = (top + 4) // 2
+    over = Genus1Tuple(a, a, top + 3 - a, top + 3 - a)  # degree top + 1
+    with pytest.raises(DomainError, match=f"degree {top + 1} exceeds the bound {top}"):
+        count_series(over)
+    with pytest.raises(DomainError, match=f"bound {top}"):
+        count(over)
 
 
 def test_recursion_shifted_tuple_below_degree_two_contributes_zero():
