@@ -33,7 +33,13 @@ from .genus1 import (
 from .parallel import map_jobs
 from .verify import SUITES, run_suite
 
-__all__ = ["main", "build_parser", "argv_from_query"]
+__all__ = ["main", "build_parser", "argv_from_query", "MAX_TABLE_DEGREE"]
+
+# A table runs count_laurent on every on-shell tuple, at a cost growing like
+# deg^4 (deg^5 with --ordered).  On one core of an Intel Xeon server degree
+# 30 takes 0.3 s (865 rows) and 5-6 s with --ordered (17,893 rows); degree
+# 60 would take 8 s and 135 s, so larger degrees are refused up front.
+MAX_TABLE_DEGREE = 30
 
 
 class _Parser(argparse.ArgumentParser):
@@ -170,6 +176,7 @@ def _cmd_genus0(args) -> tuple[dict, int]:
     }
     return record, 0
 
+
 def _cmd_genus1(args) -> tuple[dict, int]:
     orders = _parse_orders(args.ram, "--ram")
     if len(orders) != 4:
@@ -238,6 +245,10 @@ def _cmd_genusg(args) -> tuple[dict, int]:
 def _cmd_table(args) -> tuple[dict, int]:
     if args.genus != 1:
         raise DomainError(f"only genus 1 tables are implemented, got genus {args.genus}")
+    if args.degree > MAX_TABLE_DEGREE:
+        raise DomainError(
+            f"table: degree {args.degree} exceeds the bound {MAX_TABLE_DEGREE} on tables"
+        )
     quads = on_shell_tuples(args.degree, ordered=args.ordered)
     counts = map_jobs(_table_row, quads, args.jobs)
     rows = [

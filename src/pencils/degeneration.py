@@ -22,11 +22,12 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import CrossCheckError, DomainError
 from .exactmath import catalan
 from .genus1 import Genus1Tuple, count_laurent, weighted_fixed_first
-from .grassmann import SchubertClass, integrate, mul, sigma, sigma1_power, unit
+from .grassmann import SchubertClass, integrate, mul, pairing, sigma, sigma1_power, unit
 
 __all__ = [
     "RamificationProblem",
@@ -191,12 +192,35 @@ def distributions(labels, g: int) -> list[Distribution]:
     return list(rec(tuple(range(3 * g))))
 
 
+@lru_cache(maxsize=128)
+def _triple_multisets(labels: tuple[int, ...], g: int):
+    """The ordered distributions of ``labels`` folded into multisets of
+    sorted triples, as (multiset, multiplicity) pairs.
+
+    Permuting the labels permutes the distributions, so callers key this
+    by the sorted labels.  The bound covers the 80 distinct label tuples
+    of a genusg-mix pass and the at most 90 per (g, d) of the verify
+    gate.  An entry of genus <= 2 holds at most 10 multisets and one of
+    genus 3 at most 280 (~90 KB), so 128 entries hold ~11 MB; a genus-4
+    entry with 12 distinct labels holds 15,400 (~5.9 MB, measured with
+    tracemalloc), which puts the worst case at ~750 MB.
+    """
+    return tuple(Counter(
+        tuple(sorted(tuple(sorted(triple)) for triple in dist))
+        for dist in distributions(labels, g)
+    ).items())
+
+
+@lru_cache(maxsize=512)
 def _tail_class(factor, triple: tuple[int, int, int], d: int) -> SchubertClass:
     """One tail's node classes weighted by its genus-1 factors.
 
     The sum runs over the node vanishing sequences 0 <= a < b <= d with
     a + b = s; a <= d-2 keeps the tail's pencil degree d-a at least 2,
-    below that the factor is 0.
+    below that the factor is 0.  The bound covers the at most 300
+    distinct (factor, triple, d) keys of a genusg-mix pass or of the
+    verify gate.  A class has at most d/2 terms, ~2.4 KB at degree 30, so
+    512 entries hold ~1.2 MB up to that degree.
     """
     s = 2 * d + 4 - sum(triple)
     return SchubertClass(d + 1, {
@@ -218,20 +242,14 @@ def _assemble(p: RamificationProblem, weighted: bool) -> int:
     factor = weighted_fixed_first if weighted else count_laurent
     # the product and the integral are multilinear and the tail factors
     # symmetric in a triple, so each triple is one class and ordered
-    # distributions with the same triples integrate alike
-    multisets = Counter(
-        tuple(sorted(tuple(sorted(triple)) for triple in dist))
-        for dist in distributions(p.moving, p.g)
-    )
-    tails: dict[tuple[int, int, int], SchubertClass] = {}
+    # distributions with the same triples integrate alike; the integral of
+    # the last tail against the rest is a pairing, not a product
     total = 0
-    for key, multiplicity in multisets.items():
+    for key, multiplicity in _triple_multisets(tuple(sorted(p.moving)), p.g):
         cls = fixed_part
-        for triple in key:
-            if triple not in tails:
-                tails[triple] = _tail_class(factor, triple, d)
-            cls = mul(cls, tails[triple])
-        total += multiplicity * integrate(cls)
+        for triple in key[:-1]:
+            cls = mul(cls, _tail_class(factor, triple, d))
+        total += multiplicity * pairing(cls, _tail_class(factor, key[-1], d))
     return total
 
 

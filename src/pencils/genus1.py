@@ -28,7 +28,7 @@ from functools import lru_cache
 
 from .errors import DomainError
 from .exactmath import binomial, catalan, exact_div, syt_count
-from .grassmann import integrate, mul, sigma, zero
+from .grassmann import SchubertClass, mul, pairing, pieri_mul, sigma, zero
 from .laurent import LaurentPolynomial, constant_term, p_poly
 from .qseries import n_via_series
 
@@ -139,27 +139,34 @@ def weighted_fixed_first(t: Genus1Tuple) -> int:
     )
 
 
-def _tau(k: int, ambient: int):
-    """Sum over ordered pairs a+b = k of s(a,0)*s(b,0); zero for k < 0."""
-    out = zero(ambient)
-    for a in range(k + 1):
-        out = out + mul(sigma(a, 0, ambient), sigma(k - a, 0, ambient))
-    return out
+@lru_cache(maxsize=512)
+def _tau(k: int, ambient: int) -> SchubertClass:
+    """Sum over ordered pairs a+b = k of s(a,0)*s(b,0); zero for k < 0.
+
+    Each pair is one Pieri step on s(a, 0).  The bound covers the ~340
+    distinct (k, ambient) keys of degrees 6..30.  A class has at most
+    k/2 + 1 terms, ~1.8 KB at degree 30, so 512 entries hold ~0.9 MB up
+    to that degree.
+    """
+    return sum(
+        (pieri_mul(sigma(a, 0, ambient), k - a) for a in range(k + 1)), zero(ambient)
+    )
 
 
 def count_schubert(t: Genus1Tuple) -> int:
     """Intersection number on Gr(2, deg+1).
 
-    Multiplies the four convolution classes tau(d_i - 2) into the
-    quadratic correction 8*s(1,1) - 2*s(1,0)^2 and integrates.
+    Multiplies three of the four convolution classes tau(d_i - 2) into
+    the quadratic correction 8*s(1,1) - 2*s(1,0)^2 and pairs the result
+    with the fourth.
     """
     _require_in_domain(t, "count_schubert")
     ambient = t.degree + 1
     s1 = sigma(1, 0, ambient)
     acc = 8 * sigma(1, 1, ambient) - 2 * mul(s1, s1)
-    for di in t.orders():
+    for di in (t.d1, t.d2, t.d3):
         acc = mul(acc, _tau(di - 2, ambient))
-    return integrate(acc)
+    return pairing(acc, _tau(t.d4 - 2, ambient))
 
 
 def count_laurent(t: Genus1Tuple) -> int:

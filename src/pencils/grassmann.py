@@ -20,6 +20,7 @@ __all__ = [
     "zero",
     "pieri_mul",
     "mul",
+    "pairing",
     "integrate",
     "sigma1_power",
     "fourfold_integral",
@@ -122,37 +123,56 @@ def sigma(a: int, b: int, ambient: int) -> SchubertClass:
     return SchubertClass(ambient, {(a, b): 1})
 
 
-def pieri_mul(c: SchubertClass, k: int) -> SchubertClass:
-    """Multiply by the special class s(k, 0).
+def _pieri_into(
+    out: dict[Partition, int], top: int, a: int, b: int, coeff: int, k: int
+) -> None:
+    """Add coeff * s(a,b) * s(k,0) into ``out``, dropping rows above ``top``.
 
-    Pieri rule: s(a,b) * s(k,0) = sum of s(a', b') over a' + b' = a + b + k
-    with a' >= a >= b' >= b, truncated to the box.
+    Pieri rule: the sum of s(a', b') over a' + b' = a + b + k with
+    a' >= a >= b' >= b.
     """
+    for bp in range(max(b, a + b + k - top), min(a, b + k) + 1):
+        key = (a + b + k - bp, bp)
+        out[key] = out.get(key, 0) + coeff
+
+
+def pieri_mul(c: SchubertClass, k: int) -> SchubertClass:
+    """Multiply by the special class s(k, 0), truncated to the box."""
     if k < 0:
         raise DomainError(f"pieri_mul: special class index must be >= 0, got {k}")
     out: dict[Partition, int] = {}
+    top = c.ambient - 2
     for (a, b), coeff in c.terms.items():
-        for bp in range(b, min(a, b + k) + 1):
-            ap = a + b + k - bp
-            if ap <= c.ambient - 2:
-                key = (ap, bp)
-                out[key] = out.get(key, 0) + coeff
+        _pieri_into(out, top, a, b, coeff, k)
     return SchubertClass(c.ambient, out)
 
 
 def mul(c1: SchubertClass, c2: SchubertClass) -> SchubertClass:
-    """Product in the Chow ring, via s(c, e) = s(1,1)^e * s(c-e, 0)."""
+    """Product in the Chow ring, via s(c, e) = s(1,1)^e * s(c-e, 0).
+
+    Every term accumulates into one dict, so a product builds one class.
+    """
     c1._check_ambient(c2)
-    ambient = c1.ambient
-    total = zero(ambient)
+    out: dict[Partition, int] = {}
+    top = c1.ambient - 2
     for (c, e), q in c2.terms.items():
         # multiplying by s(1,1)^e shifts both rows up by e
-        shifted: dict[Partition, int] = {}
         for (a, b), coeff in c1.terms.items():
-            if a + e <= ambient - 2:
-                shifted[(a + e, b + e)] = coeff * q
-        total = total + pieri_mul(SchubertClass(ambient, shifted), c - e)
-    return total
+            if a + e <= top:
+                _pieri_into(out, top, a + e, b + e, coeff * q, c - e)
+    return SchubertClass(c1.ambient, out)
+
+
+def pairing(c1: SchubertClass, c2: SchubertClass) -> int:
+    """The integral of c1 * c2, read off by duality without the product.
+
+    s(a, b) pairs to 1 with s(N-2-b, N-2-a) and to 0 with every other
+    basis class, so the cost is one lookup per term of c1.
+    """
+    c1._check_ambient(c2)
+    top = c1.ambient - 2
+    other = c2.terms
+    return sum(q * other.get((top - b, top - a), 0) for (a, b), q in c1.terms.items())
 
 
 def integrate(c: SchubertClass) -> int:

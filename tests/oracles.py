@@ -3,7 +3,8 @@
 Everything here deliberately avoids the package's own code paths:
 tableau counts come from brute-force backtracking, binomials from a
 literal Pascal triangle, series coefficients from the generalized
-binomial expansion, and Laurent products from naive dict convolution.
+binomial expansion, Laurent products from naive dict convolution, and
+Schubert products from the Jacobi-Trudi determinant.
 Slow is fine; these only run at test scale.
 """
 
@@ -122,3 +123,30 @@ def ordered_on_shell(degree: int, min_order: int = 1, max_order: int | None = No
                 if min_order <= d4 <= cap:
                     quads.append((d1, d2, d3, d4))
     return quads
+
+
+def _h_times(cls: dict[tuple[int, int], int], k: int, n: int) -> dict[tuple[int, int], int]:
+    """cls times the complete class h_k on Gr(2, n), as plain dicts.
+
+    Pieri: add k boxes to the two rows, none in a column that was already
+    two boxes deep; shapes wider than n - 2 vanish.  h_k is 0 for k < 0.
+    """
+    out: dict[tuple[int, int], int] = {}
+    if k < 0:
+        return out
+    for (a, b), q in cls.items():
+        for first in range(k + 1):
+            shape = (a + first, b + k - first)
+            if shape[1] <= a and shape[0] <= n - 2:
+                out[shape] = out.get(shape, 0) + q
+    return out
+
+
+def schubert_product(x: dict[tuple[int, int], int], y: dict[tuple[int, int], int], n: int):
+    """x * y on Gr(2, n), through s(c, e) = h_c h_e - h_(c+1) h_(e-1)."""
+    out: dict[tuple[int, int], int] = {}
+    for (c, e), q in y.items():
+        for sign, (i, j) in ((1, (c, e)), (-1, (c + 1, e - 1))):
+            for key, v in _h_times(_h_times(x, i, n), j, n).items():
+                out[key] = out.get(key, 0) + sign * q * v
+    return {key: v for key, v in out.items() if v}

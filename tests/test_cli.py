@@ -265,6 +265,28 @@ def test_series_degree_bound_exits_one(monkeypatch, capsys):
     assert run_suite("schubert", level=top - 1) == []
 
 
+def test_table_degree_bound_exits_one(monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("the table was built before the degree check")
+
+    monkeypatch.setattr(cli, "on_shell_tuples", never)
+    top = cli.MAX_TABLE_DEGREE
+    for extra in ([], ["--ordered"]):
+        code, out, err = run(["table", "--degree", str(top + 1), *extra], capsys)
+        assert (code, out) == (1, "")
+        assert f"degree {top + 1} exceeds the bound {top}" in err
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(pencils.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "pencils", "genus1", "--ram", "2,2,2,2"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert (proc.returncode, proc.stdout.strip(), proc.stderr) == (0, "6", "")
+
+
 def test_import_pencils_leaves_verify_unloaded():
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); import pencils; "

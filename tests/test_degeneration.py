@@ -3,6 +3,7 @@ distributions, and the genus-g assembly against the genus-1 pipelines."""
 
 import itertools
 import math
+import re
 from collections import Counter
 
 import pytest
@@ -314,7 +315,13 @@ def test_assembly_matches_enumeration():
     assert all(genus_g_count(p) > 0 for p in _MIXED_GENUS3)
 
 
-def test_assembly_calls_once_per_triple_and_multiset(monkeypatch):
+def _clear_memos():
+    degeneration._triple_multisets.cache_clear()
+    degeneration._tail_class.cache_clear()
+
+
+def _counting(monkeypatch, names):
+    """Count the calls the degeneration makes through each named binding."""
     calls = Counter()
 
     def counted(name, fn):
@@ -322,10 +329,16 @@ def test_assembly_calls_once_per_triple_and_multiset(monkeypatch):
             calls[name] += 1
             return fn(*args)
 
-        monkeypatch.setattr(degeneration, name, wrapper)
+        return wrapper
 
-    counted("count_laurent", count_laurent)
-    counted("integrate", integrate)
+    for name in names:
+        monkeypatch.setattr(degeneration, name, counted(name, getattr(degeneration, name)))
+    return calls
+
+
+def test_assembly_calls_once_per_triple_and_multiset(monkeypatch):
+    _clear_memos()
+    calls = _counting(monkeypatch, ("count_laurent", "pairing", "distributions"))
     p = _MIXED_GENUS3[2]
     multisets = {
         tuple(sorted(tuple(sorted(t)) for t in dist))
@@ -336,9 +349,36 @@ def test_assembly_calls_once_per_triple_and_multiset(monkeypatch):
     for triple in triples:
         s = 2 * p.d + 4 - sum(triple)
         node_choices += len(range(max(0, s - p.d), min((s - 1) // 2, p.d - 2) + 1))
-    genus_g_count(p)
-    assert calls == {"count_laurent": node_choices, "integrate": len(multisets)}
+    want = genus_g_count(p)
+    assert calls == {
+        "count_laurent": node_choices,
+        "pairing": len(multisets),
+        "distributions": 1,
+    }
     assert len(multisets) < len(distributions(p.moving, p.g)) == 1680
+    # a repeat reuses both memos: no tail factor and no distributions
+    calls.clear()
+    assert genus_g_count(p) == want
+    assert calls == {"pairing": len(multisets)}
+
+
+def test_permuted_moving_labels_reuse_the_memo(monkeypatch):
+    _clear_memos()
+    p = _MIXED_GENUS3[1]
+    want = (genus_g_count(p), genus_g_weighted(p))
+    calls = _counting(monkeypatch, ("distributions",))
+    for moving in (p.moving[::-1], p.moving[3:] + p.moving[:3], tuple(sorted(p.moving))):
+        q = RamificationProblem(p.g, p.d, p.fixed, moving)
+        assert (genus_g_count(q), genus_g_weighted(q)) == want, moving
+    assert calls["distributions"] == 0
+    reversed_p = RamificationProblem(p.g, p.d, p.fixed, p.moving[::-1])
+    assert want[0] == _enumerated(reversed_p, weighted=False)
+
+
+@pytest.mark.parametrize("memo", [degeneration._triple_multisets, degeneration._tail_class])
+def test_memo_bound_is_the_documented_one(memo):
+    documented = re.search(r"(\d+) entries hold", memo.__doc__)
+    assert memo.cache_info().maxsize == int(documented.group(1))
 
 
 def test_brill_noether_oracle():

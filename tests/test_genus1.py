@@ -4,10 +4,12 @@ reference values; the four pipelines must also agree among themselves.
 """
 
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pencils import genus1
 from pencils.errors import DomainError
 from pencils.genus1 import (
     MAX_SERIES_DEGREE,
@@ -100,6 +102,12 @@ def test_permutation_symmetry():
                 t = Genus1Tuple(*perm)
                 assert count_laurent(t) == want, perm
                 assert count_polynomial(t) == want, perm
+                assert count_schubert(t) == want, perm
+
+
+def test_tau_memo_bound_is_the_documented_one():
+    documented = re.search(r"(\d+) entries hold", genus1._tau.__doc__)
+    assert genus1._tau.cache_info().maxsize == int(documented.group(1))
 
 
 def test_out_of_domain_extension_vanishes():

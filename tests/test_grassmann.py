@@ -19,12 +19,15 @@ from pencils.grassmann import (
     integrate,
     magic_integral,
     mul,
+    pairing,
     pieri_mul,
     sigma,
     sigma1_power,
     unit,
     zero,
 )
+
+from oracles import schubert_product
 
 
 def desc_quadruples(total, max_part):
@@ -69,12 +72,39 @@ def test_mul_distributes_and_scales():
     assert lhs == rhs
 
 
+def box(ambient):
+    return [(a, b) for b in range(ambient - 1) for a in range(b, ambient - 1)]
+
+
 def box_classes(ambient):
-    return [
-        sigma(a, b, ambient)
-        for b in range(ambient - 1)
-        for a in range(b, ambient - 1)
-    ]
+    return [sigma(a, b, ambient) for a, b in box(ambient)]
+
+
+def test_mul_and_pairing_match_jacobi_trudi_on_basis_pairs():
+    for ambient in range(2, 10):
+        top = ambient - 2
+        for x, y in itertools.product(box(ambient), repeat=2):
+            want = schubert_product({x: 1}, {y: 1}, ambient)
+            c1, c2 = sigma(*x, ambient), sigma(*y, ambient)
+            assert mul(c1, c2).terms == want, (ambient, x, y)
+            assert pairing(c1, c2) == integrate(mul(c1, c2)) == want.get((top, top), 0)
+
+
+@given(st.integers(min_value=2, max_value=9), st.data())
+@settings(max_examples=150, deadline=None)
+def test_mul_and_pairing_match_jacobi_trudi_on_integer_classes(ambient, data):
+    terms = st.dictionaries(st.sampled_from(box(ambient)), st.integers(-50, 50))
+    c1 = SchubertClass(ambient, data.draw(terms))
+    c2 = SchubertClass(ambient, data.draw(terms))
+    want = schubert_product(c1.terms, c2.terms, ambient)
+    top = ambient - 2
+    assert mul(c1, c2).terms == want
+    assert pairing(c1, c2) == integrate(mul(c1, c2)) == want.get((top, top), 0)
+
+
+def test_pairing_ambient_mismatch_raises():
+    with pytest.raises(DomainError):
+        pairing(sigma(1, 0, 4), sigma(1, 0, 5))
 
 
 @given(st.integers(min_value=2, max_value=8), st.data())
