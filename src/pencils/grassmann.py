@@ -11,6 +11,7 @@ ring convention), which several closed forms below rely on.
 from __future__ import annotations
 
 from .errors import DomainError
+from .exactmath import syt_count
 
 __all__ = [
     "Partition",
@@ -182,13 +183,13 @@ def integrate(c: SchubertClass) -> int:
 
 
 def sigma1_power(k: int, ambient: int) -> SchubertClass:
-    """k-th power of s(1, 0), by repeated Pieri multiplication."""
+    """k-th power of s(1, 0): syt(k-b, b) at each s(k-b, b) in the box, as each
+    Pieri step adds one box and every path to a shape in the box stays in it."""
     if k < 0:
         raise DomainError(f"sigma1_power: exponent must be >= 0, got {k}")
-    out = unit(ambient)
-    for _ in range(k):
-        out = pieri_mul(out, 1)
-    return out
+    return SchubertClass(ambient, {
+        (k - b, b): syt_count(k - b, b) for b in range(max(0, k - ambient + 2), k // 2 + 1)
+    })
 
 
 def _sorted_checked(

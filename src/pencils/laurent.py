@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from .errors import DomainError
 
-__all__ = ["LaurentPolynomial", "p_poly", "constant_term"]
+__all__ = ["LaurentPolynomial", "p_poly", "constant_term", "pairing"]
 
 
 class LaurentPolynomial:
@@ -101,3 +101,9 @@ def p_poly(r: int) -> LaurentPolynomial:
 def constant_term(p: LaurentPolynomial) -> int:
     """Coefficient of the zeroth power (0 if absent)."""
     return p.coefficient(0)
+
+
+def pairing(p1: LaurentPolynomial, p2: LaurentPolynomial) -> int:
+    """Constant term of p1 * p2 without the product: one lookup per term of p1."""
+    other = p2.terms
+    return sum(c * other.get(-e, 0) for e, c in p1.terms.items())

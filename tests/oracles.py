@@ -3,8 +3,9 @@
 Everything here deliberately avoids the package's own code paths:
 tableau counts come from brute-force backtracking, binomials from a
 literal Pascal triangle, series coefficients from the generalized
-binomial expansion, Laurent products from naive dict convolution, and
-Schubert products from the Jacobi-Trudi determinant.
+binomial expansion, Laurent products from naive dict convolution,
+Schubert products from the Jacobi-Trudi determinant, and the unweighted
+count from the recursion over base-point splittings.
 Slow is fine; these only run at test scale.
 """
 
@@ -96,6 +97,37 @@ def weighted_assembly(quad) -> int:
             weight *= syt_brute(d - k - 1, k)
         total += weight * genus1_constant_term([d - 2 * k for d, k in zip(quad, ks)])
     return total
+
+
+def weighted_closed_form(quad) -> int:
+    """12 C_{deg-2} / deg * prod (d_i - 1), the Catalan number counted as
+    the tableaux of the square shape."""
+    deg = (sum(quad) - 4) // 2
+    value = Fraction(12 * syt_brute(deg - 2, deg - 2), deg)
+    for d in quad:
+        value *= d - 1
+    assert value.denominator == 1, quad
+    return int(value)
+
+
+@lru_cache(maxsize=None)
+def unweighted_recursive(orders: tuple[int, int, int, int]) -> int:
+    """The unweighted count by peeling every base-point splitting off the
+    weighted closed form, recursing on strictly smaller order sums.
+
+    Orders are sorted descending; a sum below 8 (degree below 2) counts 0.
+    """
+    if sum(orders) < 8:
+        return 0
+    acc = weighted_closed_form(orders)
+    for ks in itertools.product(*(range((d - 1) // 2 + 1) for d in orders)):
+        if any(ks):
+            weight = 1
+            for d, k in zip(orders, ks):
+                weight *= syt_brute(d - k - 1, k)
+            shifted = sorted((d - 2 * k for d, k in zip(orders, ks)), reverse=True)
+            acc -= weight * unweighted_recursive(tuple(shifted))
+    return acc
 
 
 def geometric_inverse(n: int) -> list[dict[int, int]]:

@@ -12,6 +12,7 @@ import pytest
 import pencils
 from pencils import cli, verify
 from pencils.cli import argv_from_query, build_parser, main
+from pencils.errors import DomainError
 from pencils.genus1 import MAX_SERIES_DEGREE
 from pencils.parallel import map_jobs
 from pencils.verify import run_suite
@@ -261,8 +262,23 @@ def test_series_degree_bound_exits_one(monkeypatch, capsys):
         assert f"degree {top + 1}, above the series bound {top}" in err
     # the last admitted level, and suites that never run the series
     monkeypatch.setattr(verify, "map_jobs", lambda fn, items, jobs: [])
-    assert run_suite("laurent", level=top - 2) == []
-    assert run_suite("schubert", level=top - 1) == []
+    assert run_suite("laurent", level=verify.MAX_VERIFY_LEVEL) == []
+    assert run_suite("schubert", level=verify.MAX_VERIFY_LEVEL) == []
+
+
+def test_verify_level_bound_exits_one(monkeypatch, capsys):
+    def never(fn, items, jobs):
+        raise AssertionError("a property ran before the level check")
+
+    monkeypatch.setattr(verify, "map_jobs", never)
+    top = verify.MAX_VERIFY_LEVEL
+    assert 9 <= top < MAX_SERIES_DEGREE - 2
+    for suite in verify.SUITES:
+        with pytest.raises(DomainError, match=f"level {top + 1} exceeds the bound {top}"):
+            run_suite(suite, level=top + 1)
+    code, out, err = run(["verify", "--max-degree", "100"], capsys)
+    assert (code, out) == (1, "")
+    assert f"verification level 100 exceeds the bound {top}" in err
 
 
 def test_table_degree_bound_exits_one(monkeypatch, capsys):

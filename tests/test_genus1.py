@@ -28,8 +28,14 @@ from pencils.genus1 import (
     weighted_fixed_first,
     weighted_from_unweighted,
 )
+from pencils.laurent import LaurentPolynomial, constant_term, p_poly
 
-from oracles import genus1_constant_term, ordered_on_shell, weighted_assembly
+from oracles import (
+    genus1_constant_term,
+    ordered_on_shell,
+    unweighted_recursive,
+    weighted_assembly,
+)
 
 # frozen from the convolution oracle, degrees 2..5
 KNOWN_COUNTS = {
@@ -172,11 +178,65 @@ def test_count_report():
 
 def test_recursion_both_directions():
     # the whole admissible order range, not just orders <= degree
-    for degree in range(2, 9):
+    tuples = 0
+    for degree in range(2, 16):
         for quad in rep_tuples(degree, max_order=2 * degree + 1):
             t = Genus1Tuple(*quad)
             assert weighted_from_unweighted(t) == weighted_count(t), quad
             assert unweighted_from_weighted(t) == count_laurent(t), quad
+            tuples += 1
+    assert tuples == 1446
+
+
+def test_inversion_closed_form_matches_the_recursion_oracle():
+    for degree in range(2, 11):
+        for quad in rep_tuples(degree, max_order=2 * degree + 1):
+            assert unweighted_from_weighted(Genus1Tuple(*quad)) == unweighted_recursive(quad)
+
+
+def test_count_laurent_matches_the_three_product_constant_term():
+    # every labeled tuple, with orders outside 1..degree: the degeneration
+    # relies on the extension returning 0 there
+    for degree in range(2, 13):
+        for quad in ordered_on_shell(degree, max_order=2 * degree + 1):
+            p1, p2, p3, p4 = (p_poly(d - 1) for d in quad)
+            assert count_laurent(Genus1Tuple(*quad)) == constant_term(p1 * p2 * p3 * p4)
+
+
+def _count_products(monkeypatch):
+    calls = []
+    original = LaurentPolynomial.__mul__
+
+    def counted(self, other):
+        if isinstance(other, LaurentPolynomial):
+            calls.append(1)
+        return original(self, other)
+
+    monkeypatch.setattr(LaurentPolynomial, "__mul__", counted)
+    return calls
+
+
+def test_constant_terms_make_two_products(monkeypatch):
+    t = Genus1Tuple(9, 7, 6, 4)
+    weighted_from_unweighted(t)  # warm the block memo
+    calls = _count_products(monkeypatch)
+    assert count_laurent(t) == genus1_constant_term(t.orders())
+    assert len(calls) == 2
+    assert weighted_from_unweighted(t) == weighted_count(t)
+    assert len(calls) == 4
+
+
+def test_inversion_makes_no_products(monkeypatch):
+    t = Genus1Tuple(20, 20, 20, 20)
+    calls = _count_products(monkeypatch)
+    got = unweighted_from_weighted(t)
+    assert calls == []
+    assert got == count_laurent(t)
+
+
+def test_weighted_block_memo_bound_is_the_documented_one():
+    documented = re.search(r"(\d+) entries hold", genus1._weighted_block.__doc__)
+    assert genus1._weighted_block.cache_info().maxsize == int(documented.group(1))
 
 
 def test_weighted_assembly_matches_term_by_term_oracle():

@@ -11,6 +11,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pencils import grassmann
 from pencils.errors import DomainError
 from pencils.exactmath import catalan, syt_count
 from pencils.grassmann import (
@@ -138,6 +139,23 @@ def test_sigma1_powers_are_tableau_counts():
                 for a in range(b, ambient - 1):
                     want = syt_count(a, b) if a + b == k else 0
                     assert cls.coefficient(a, b) == want, (k, ambient, a, b)
+
+
+def test_sigma1_power_matches_the_pieri_chain():
+    for ambient in range(2, 13):
+        cls = unit(ambient)
+        for k in range(2 * ambient + 1):
+            assert sigma1_power(k, ambient) == cls, (k, ambient)
+            cls = pieri_mul(cls, 1)
+
+
+def test_sigma1_power_makes_no_pieri_steps(monkeypatch):
+    def never(*args):
+        raise AssertionError("sigma1_power took a Pieri step")
+
+    monkeypatch.setattr(grassmann, "pieri_mul", never)
+    monkeypatch.setattr(grassmann, "_pieri_into", never)
+    assert integrate(sigma1_power(18, 11)) == catalan(9)
 
 
 def test_sigma1_power_examples():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pencils.errors import DomainError
-from pencils.laurent import LaurentPolynomial, constant_term, p_poly
+from pencils.laurent import LaurentPolynomial, constant_term, p_poly, pairing
 
 from oracles import convolve, p_dict
 
@@ -43,6 +43,13 @@ def test_mul_matches_naive_convolution(d1, d2):
     got = LaurentPolynomial(d1) * LaurentPolynomial(d2)
     want = convolve(d1, d2)
     assert {e: got.coefficient(e) for e in got.support()} == want
+
+
+@given(small_poly, small_poly)
+@settings(max_examples=200)
+def test_pairing_is_the_constant_term_of_the_product(d1, d2):
+    p1, p2 = LaurentPolynomial(d1), LaurentPolynomial(d2)
+    assert pairing(p1, p2) == constant_term(p1 * p2) == convolve(d1, d2).get(0, 0)
 
 
 def test_p_poly_values():
