@@ -18,6 +18,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import asdict, replace
 
 from .degeneration import RamificationProblem, count_with_padding, genus0_count
 from .errors import CrossCheckError, DomainError, IntegralityError
@@ -47,120 +48,119 @@ class _Parser(argparse.ArgumentParser):
         raise DomainError(message)
 
 
-def _parse_orders(text: str, what: str) -> tuple[int, ...]:
-    if not text:
-        return ()
-    try:
-        orders = tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise DomainError(
-            f"{what} must be comma-separated integers, got {text!r}"
-        ) from None
-    for o in orders:
-        if o < 1:
-            raise DomainError(f"{what} must be positive, got {o}")
-    return orders
+# Every subcommand's options as (flag, add_argument keywords), in help order
+# after the shared --format.  build_parser declares them, the JSON query is
+# their parsed values less _UNECHOED, and argv_from_query walks them back.
+_RAM4 = ("--ram", {"required": True, "help": "d1,d2,d3,d4"})
+_PROBLEM = (
+    ("--genus", {"type": int, "required": True}),
+    ("--degree", {"type": int, "required": True}),
+    ("--fixed", {"default": "", "help": "comma-separated fixed orders"}),
+    ("--moving", {"default": "", "help": "comma-separated moving orders"}),
+)
+_JOBS = ("--jobs", {"type": int, "default": 1})
+_SUBCOMMANDS = {
+    "genus0": ("fixed-ramification count on the line", (
+        ("--degree", {"type": int, "required": True}),
+        ("--ram", {"required": True, "help": "comma-separated orders"}),
+    )),
+    "genus1": ("four-orders count on a genus-1 curve", (
+        _RAM4,
+        ("--method", {
+            "choices": tuple(METHODS) + ("all",), "default": None,
+            "help": "single pipeline, or 'all' for the per-method breakdown",
+        }),
+        ("--degree", {
+            "type": int, "default": None, "help": "optional; checked against the orders",
+        }),
+    )),
+    "weighted": ("weighted genus-1 counts", (
+        _RAM4,
+        ("--fixed-first", {"action": "store_true", "help": (
+            "exact vanishing (0,d1) at the first point instead of four weighted conditions"
+        )}),
+    )),
+    "genusg": ("degeneration count for any genus", (
+        *_PROBLEM, ("--weighted", {"action": "store_true"}),
+    )),
+    "table": ("all on-shell genus-1 tuples for a degree", (
+        ("--genus", {"type": int, "default": 1}),
+        ("--degree", {"type": int, "required": True}),
+        ("--ordered", {
+            "action": "store_true",
+            "help": "emit all permutations instead of sorted representatives",
+        }),
+        _JOBS,
+    )),
+    "verify": ("run the self-verification suites", (
+        ("--suite", {"choices": SUITES, "default": "all"}),
+        ("--max-degree", {"type": int, "default": 7}),
+        _JOBS,
+    )),
+    "dualprobe": (
+        "compare a genus-g problem against its degree reflection (no assertion)", _PROBLEM,
+    ),
+}
+_UNECHOED = ("format", "jobs")
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="pencils", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
-
-    fmt = argparse.ArgumentParser(add_help=False)
-    fmt.add_argument(
-        "--format", choices=("text", "json", "csv"), default="text",
-        help="output format (csv applies to table only)",
-    )
-
-    p = sub.add_parser("genus0", parents=[fmt], help="fixed-ramification count on the line")
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--ram", required=True, help="comma-separated orders")
-
-    p = sub.add_parser("genus1", parents=[fmt], help="four-orders count on a genus-1 curve")
-    p.add_argument("--ram", required=True, help="d1,d2,d3,d4")
-    p.add_argument(
-        "--method", choices=tuple(METHODS) + ("all",), default=None,
-        help="single pipeline, or 'all' for the per-method breakdown",
-    )
-    p.add_argument("--degree", type=int, default=None, help="optional; checked against the orders")
-
-    p = sub.add_parser("weighted", parents=[fmt], help="weighted genus-1 counts")
-    p.add_argument("--ram", required=True, help="d1,d2,d3,d4")
-    p.add_argument(
-        "--fixed-first", action="store_true",
-        help="exact vanishing (0,d1) at the first point instead of four weighted conditions",
-    )
-
-    p = sub.add_parser("genusg", parents=[fmt], help="degeneration count for any genus")
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--fixed", default="", help="comma-separated fixed orders")
-    p.add_argument("--moving", default="", help="comma-separated moving orders")
-    p.add_argument("--weighted", action="store_true")
-
-    p = sub.add_parser("table", parents=[fmt], help="all on-shell genus-1 tuples for a degree")
-    p.add_argument("--genus", type=int, default=1)
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument(
-        "--ordered", action="store_true",
-        help="emit all permutations instead of sorted representatives",
-    )
-    p.add_argument("--jobs", type=int, default=1)
-
-    p = sub.add_parser("verify", parents=[fmt], help="run the self-verification suites")
-    p.add_argument("--suite", choices=SUITES, default="all")
-    p.add_argument("--max-degree", type=int, default=7, dest="max_degree")
-    p.add_argument("--jobs", type=int, default=1)
-
-    p = sub.add_parser(
-        "dualprobe", parents=[fmt],
-        help="compare a genus-g problem against its degree reflection (no assertion)",
-    )
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--fixed", default="", help="comma-separated fixed orders")
-    p.add_argument("--moving", default="", help="comma-separated moving orders")
-
+    for name, (summary, options) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        p.add_argument(
+            "--format", choices=("text", "json", "csv"), default="text",
+            help="output format (csv applies to table only)",
+        )
+        for flag, spec in options:
+            p.add_argument(flag, **spec)
     return parser
 
 
 def argv_from_query(query: dict) -> list[str]:
     """Rebuild an argv that parses back to an equivalent query."""
     sub = query["subcommand"]
-    argv = [sub]
-    if sub == "genus0":
-        argv += ["--degree", str(query["degree"]), "--ram", _join(query["ram"])]
-    elif sub == "genus1":
-        argv += ["--ram", _join(query["ram"])]
-        if query.get("method"):
-            argv += ["--method", query["method"]]
-        if query.get("degree") is not None:
-            argv += ["--degree", str(query["degree"])]
-    elif sub == "weighted":
-        argv += ["--ram", _join(query["ram"])]
-        if query.get("fixed_first"):
-            argv.append("--fixed-first")
-    elif sub in ("genusg", "dualprobe"):
-        argv += ["--genus", str(query["genus"]), "--degree", str(query["degree"])]
-        if query.get("fixed"):
-            argv += ["--fixed", _join(query["fixed"])]
-        if query.get("moving"):
-            argv += ["--moving", _join(query["moving"])]
-        if sub == "genusg" and query.get("weighted"):
-            argv.append("--weighted")
-    elif sub == "table":
-        argv += ["--genus", str(query["genus"]), "--degree", str(query["degree"])]
-        if query.get("ordered"):
-            argv.append("--ordered")
-    elif sub == "verify":
-        argv += ["--suite", query["suite"], "--max-degree", str(query["max_degree"])]
-    else:
+    if sub not in _SUBCOMMANDS:
         raise DomainError(f"unknown subcommand in query: {sub!r}")
+    argv = [sub]
+    for flag, spec in _SUBCOMMANDS[sub][1]:
+        value = query.get(flag[2:].replace("-", "_"))
+        if spec.get("action") == "store_true":
+            argv += [flag] if value else []
+        elif value not in (None, "", []):
+            text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+            argv += [flag, text]
     return argv
 
 
-def _join(orders) -> str:
-    return ",".join(str(o) for o in orders)
+# A command parses what argparse leaves as text and writes the result back
+# into args (order lists, genus1's degree), so the query echoes it.
+def _orders(args, name: str) -> tuple[int, ...]:
+    text = getattr(args, name)
+    try:
+        orders = tuple(int(part) for part in text.split(",")) if text else ()
+    except ValueError:
+        raise DomainError(
+            f"--{name} must be comma-separated integers, got {text!r}"
+        ) from None
+    for o in orders:
+        if o < 1:
+            raise DomainError(f"--{name} must be positive, got {o}")
+    setattr(args, name, list(orders))
+    return orders
+
+
+def _genus1_tuple(args) -> Genus1Tuple:
+    orders = _orders(args, "ram")
+    if len(orders) != 4:
+        raise DomainError(f"--ram needs exactly four orders, got {len(orders)}")
+    return Genus1Tuple(*orders)
+
+
+def _problem(args) -> RamificationProblem:
+    fixed = _orders(args, "fixed")
+    return RamificationProblem(args.genus, args.degree, fixed, _orders(args, "moving"))
 
 
 def _table_row(quad: tuple[int, int, int, int]) -> int:
@@ -168,78 +168,33 @@ def _table_row(quad: tuple[int, int, int, int]) -> int:
 
 
 def _cmd_genus0(args) -> tuple[dict, int]:
-    orders = _parse_orders(args.ram, "--ram")
-    value = genus0_count(args.degree, orders)
-    record = {
-        "query": {"subcommand": "genus0", "degree": args.degree, "ram": list(orders)},
-        "result": str(value),
-    }
-    return record, 0
+    return {"result": str(genus0_count(args.degree, _orders(args, "ram")))}, 0
 
 
 def _cmd_genus1(args) -> tuple[dict, int]:
-    orders = _parse_orders(args.ram, "--ram")
-    if len(orders) != 4:
-        raise DomainError(f"--ram needs exactly four orders, got {len(orders)}")
-    t = Genus1Tuple(*orders)
+    t = _genus1_tuple(args)
     if args.degree is not None and args.degree != t.degree:
         raise DomainError(
             f"--degree {args.degree} contradicts the orders, which force degree {t.degree}"
         )
+    args.degree = t.degree
     selector = "all" if args.method in (None, "all") else (args.method,)
     report = count(t, selector)
     values = {name: str(v) for name, v in report.values.items()}
     common = str(next(iter(report.values.values()))) if report.agreed else None
-    record = {
-        "query": {
-            "subcommand": "genus1",
-            "ram": list(orders),
-            "method": args.method,
-            "degree": t.degree,
-        },
-        "result": common,
-        "methods": values,
-        "agreed": report.agreed,
-    }
+    record = {"result": common, "methods": values, "agreed": report.agreed}
     return record, 0 if report.agreed else 2
 
 
 def _cmd_weighted(args) -> tuple[dict, int]:
-    orders = _parse_orders(args.ram, "--ram")
-    if len(orders) != 4:
-        raise DomainError(f"--ram needs exactly four orders, got {len(orders)}")
-    t = Genus1Tuple(*orders)
+    t = _genus1_tuple(args)
     value = weighted_fixed_first(t) if args.fixed_first else weighted_count(t)
-    record = {
-        "query": {
-            "subcommand": "weighted",
-            "ram": list(orders),
-            "fixed_first": bool(args.fixed_first),
-        },
-        "result": str(value),
-    }
-    return record, 0
+    return {"result": str(value)}, 0
 
 
 def _cmd_genusg(args) -> tuple[dict, int]:
-    fixed = _parse_orders(args.fixed, "--fixed")
-    moving = _parse_orders(args.moving, "--moving")
-    problem = RamificationProblem(args.genus, args.degree, fixed, moving)
-    answer, raw, factor = count_with_padding(problem, weighted=args.weighted)
-    record = {
-        "query": {
-            "subcommand": "genusg",
-            "genus": args.genus,
-            "degree": args.degree,
-            "fixed": list(fixed),
-            "moving": list(moving),
-            "weighted": bool(args.weighted),
-        },
-        "result": str(answer),
-        "padded": str(raw),
-        "factor": str(factor),
-    }
-    return record, 0
+    answer, raw, factor = count_with_padding(_problem(args), weighted=args.weighted)
+    return {"result": str(answer), "padded": str(raw), "factor": str(factor)}, 0
 
 
 def _cmd_table(args) -> tuple[dict, int]:
@@ -254,66 +209,31 @@ def _cmd_table(args) -> tuple[dict, int]:
     rows = [
         {"ram": list(q), "count": str(c)} for q, c in sorted(zip(quads, counts))
     ]
-    record = {
-        "query": {
-            "subcommand": "table",
-            "genus": args.genus,
-            "degree": args.degree,
-            "ordered": bool(args.ordered),
-        },
-        "rows": rows,
-    }
-    return record, 0
+    return {"rows": rows}, 0
 
 
 def _cmd_verify(args) -> tuple[dict, int]:
     results = run_suite(args.suite, level=args.max_degree, jobs=args.jobs)
-    record = {
-        "query": {
-            "subcommand": "verify",
-            "suite": args.suite,
-            "max_degree": args.max_degree,
-        },
-        "properties": [
-            {
-                "name": r.name,
-                "passed": r.passed,
-                "detail": r.detail,
-                "elapsed_ms": r.elapsed_ms,
-            }
-            for r in results
-        ],
-        "passed": all(r.passed for r in results),
-    }
-    return record, 0 if record["passed"] else 2
+    passed = all(r.passed for r in results)
+    return {"properties": [asdict(r) for r in results], "passed": passed}, 0 if passed else 2
 
 
 def _cmd_dualprobe(args) -> tuple[dict, int]:
-    fixed = _parse_orders(args.fixed, "--fixed")
-    moving = _parse_orders(args.moving, "--moving")
-    problem = RamificationProblem(args.genus, args.degree, fixed, moving)
-    d = args.degree
-    for o in fixed + moving:
+    problem = _problem(args)
+    d = problem.d
+    for o in problem.fixed + problem.moving:
         if d + 2 - o < 2:
             raise DomainError(
                 f"reflection sends order {o} to {d + 2 - o}, below the minimum order 2"
             )
-    reflected = RamificationProblem(
-        args.genus,
-        d,
-        tuple(d + 2 - o for o in fixed),
-        tuple(d + 2 - o for o in moving),
+    reflected = replace(
+        problem,
+        fixed=tuple(d + 2 - o for o in problem.fixed),
+        moving=tuple(d + 2 - o for o in problem.moving),
     )
     a = count_with_padding(problem)[0]
     b = count_with_padding(reflected)[0]
     record = {
-        "query": {
-            "subcommand": "dualprobe",
-            "genus": args.genus,
-            "degree": d,
-            "fixed": list(fixed),
-            "moving": list(moving),
-        },
         "result": str(a),
         "reflected": {
             "fixed": list(reflected.fixed),
@@ -382,7 +302,9 @@ def main(argv=None) -> int:
         if args.format == "csv" and args.subcommand != "table":
             raise DomainError("csv output is only available for the table subcommand")
         start = time.perf_counter()
-        record, code = _COMMANDS[args.subcommand](args)
+        body, code = _COMMANDS[args.subcommand](args)
+        query = {k: v for k, v in vars(args).items() if k not in _UNECHOED}
+        record = {"query": query, **body}
         record["elapsed_ms"] = int(1000 * (time.perf_counter() - start))
         if args.format == "json":
             print(json.dumps(record, indent=2))

@@ -10,10 +10,9 @@ series.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import DomainError
-from .exactmath import as_integer, catalan
+from .exactmath import as_integer, binomial, catalan
 
 __all__ = [
     "TruncatedSeries",
@@ -117,30 +116,17 @@ def power_3_2(order: int) -> TruncatedSeries:
     return TruncatedSeries(linear, order=order) * sqrt_one_minus_4q(order)
 
 
-@lru_cache(maxsize=None)
-def _schur_coeffs(j: int) -> tuple[int, ...]:
-    # s_{-1} = 0, s_0 = 1, s_j = s_{j-1} - q * s_{j-2}
-    if j < 0:
-        return ()
-    if j == 0:
-        return (1,)
-    prev = _schur_coeffs(j - 1)
-    bumped = (0,) + _schur_coeffs(j - 2)
-    n = max(len(prev), len(bumped))
-    prev += (0,) * (n - len(prev))
-    bumped += (0,) * (n - len(bumped))
-    return tuple(p - b for p, b in zip(prev, bumped))
-
-
 def schur_q(j: int, order: int) -> TruncatedSeries:
     """Two-variable Schur polynomial s_j at root sum 1, root product q.
 
     A polynomial of degree floor(j/2) in q, delivered at the requested
-    truncation order.  s_{-1} = 0 by convention.
+    truncation order: s_j = sum_k (-1)^k C(j-k, k) q^k, the closed form of
+    s_j = s_{j-1} - q s_{j-2}.  s_{-1} = 0 by convention.
     """
     if j < -1:
         raise DomainError(f"schur_q: index must be >= -1, got {j}")
-    return TruncatedSeries([Fraction(c) for c in _schur_coeffs(j)] or [0], order=order)
+    coeffs = [(-1) ** k * binomial(j - k, k) for k in range(min(j // 2, order) + 1)]
+    return TruncatedSeries(coeffs or [0], order=order)
 
 
 def catalan_power_series(t: int, order: int) -> TruncatedSeries:

@@ -4,8 +4,8 @@ Everything here deliberately avoids the package's own code paths:
 tableau counts come from brute-force backtracking, binomials from a
 literal Pascal triangle, series coefficients from the generalized
 binomial expansion, Laurent products from naive dict convolution,
-Schubert products from the Jacobi-Trudi determinant, and the unweighted
-count from the recursion over base-point splittings.
+Schubert products from the Jacobi-Trudi determinant, Schur polynomials
+and the unweighted count from their recursions.
 Slow is fine; these only run at test scale.
 """
 
@@ -128,6 +128,20 @@ def unweighted_recursive(orders: tuple[int, int, int, int]) -> int:
             shifted = sorted((d - 2 * k for d, k in zip(orders, ks)), reverse=True)
             acc -= weight * unweighted_recursive(tuple(shifted))
     return acc
+
+
+def schur_table(n: int) -> list[list[int]]:
+    """Coefficient lists (q^0 first) of s_0..s_n at root sum 1, root product
+    q, by the recursion s_j = s_(j-1) - q s_(j-2) from s_(-1) = 0, s_0 = 1."""
+    before, table = [0], [[1]]
+    for _ in range(n):
+        prev = table[-1]
+        nxt = prev + [0] * (len(before) + 1 - len(prev))
+        for k, c in enumerate(before):
+            nxt[k + 1] -= c
+        before = prev
+        table.append(nxt)
+    return table
 
 
 def geometric_inverse(n: int) -> list[dict[int, int]]:

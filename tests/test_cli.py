@@ -162,23 +162,23 @@ def test_verify_cli(capsys):
     assert all(p["passed"] for p in rec["properties"])
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["genus0", "--degree", "3", "--ram", "2,2,2,2"],
-        ["genus1", "--ram", "3,3,2,2", "--method", "all"],
-        ["genus1", "--ram", "3,3,2,2"],
-        ["weighted", "--ram", "4,3,3,2", "--fixed-first"],
-        ["weighted", "--ram", "4,3,3,2"],
-        ["genusg", "--genus", "1", "--degree", "3", "--fixed", "3", "--moving", "3",
-         "--weighted"],
-        ["genusg", "--genus", "2", "--degree", "2", "--moving", "2,2,2,2,2,2"],
-        ["table", "--degree", "3", "--ordered"],
-        ["dualprobe", "--genus", "1", "--degree", "5", "--fixed", "4",
-         "--moving", "4,4,2"],
-        ["verify", "--suite", "laurent", "--max-degree", "2"],
-    ],
-)
+ROUND_TRIPS = [
+    ["genus0", "--degree", "3", "--ram", "2,2,2,2"],
+    ["genus1", "--ram", "3,3,2,2", "--method", "all"],
+    ["genus1", "--ram", "3,3,2,2"],
+    ["weighted", "--ram", "4,3,3,2", "--fixed-first"],
+    ["weighted", "--ram", "4,3,3,2"],
+    ["genusg", "--genus", "1", "--degree", "3", "--fixed", "3", "--moving", "3",
+     "--weighted"],
+    ["genusg", "--genus", "2", "--degree", "2", "--moving", "2,2,2,2,2,2"],
+    ["table", "--degree", "3", "--ordered"],
+    ["dualprobe", "--genus", "1", "--degree", "5", "--fixed", "4",
+     "--moving", "4,4,2"],
+    ["verify", "--suite", "laurent", "--max-degree", "2"],
+]
+
+
+@pytest.mark.parametrize("argv", ROUND_TRIPS)
 def test_query_round_trip(argv, capsys):
     def strip_timings(rec):
         rec.pop("elapsed_ms", None)
@@ -195,6 +195,28 @@ def test_query_round_trip(argv, capsys):
     second = json.loads(out)
     assert first["query"] == second["query"]
     assert strip_timings(first) == strip_timings(second)
+
+
+def test_round_trips_rebuild_every_option(capsys):
+    # the options each subcommand declares, read off the parser itself
+    subparsers = next(a for a in build_parser()._actions if a.dest == "subcommand")
+    declared = {
+        (name, flag)
+        for name, sub in subparsers.choices.items()
+        for action in sub._actions
+        for flag in action.option_strings
+        if flag not in ("--format", "--jobs", "-h", "--help")
+    }
+    rebuilt = set()
+    for argv in ROUND_TRIPS:
+        code, out, _ = run(argv + ["--format", "json"], capsys)
+        assert code == 0
+        query = json.loads(out)["query"]
+        assert set(query) == {"subcommand"} | {
+            flag[2:].replace("-", "_") for name, flag in declared if name == argv[0]
+        }
+        rebuilt |= {(argv[0], a) for a in argv_from_query(query) if a.startswith("--")}
+    assert rebuilt == declared
 
 
 @pytest.mark.parametrize(
@@ -216,6 +238,10 @@ def test_query_round_trip(argv, capsys):
         (["verify", "--suite", "nope"], ""),
         (["table", "--degree", "3", "--jobs", "0"], "jobs must be >= 1"),
         (["verify", "--suite", "schubert", "--jobs", "-3"], "jobs must be >= 1"),
+        (["genusg", "--genus", "1", "--degree", "3", "--fixed", "0"],
+         "--fixed must be positive, got 0"),
+        (["dualprobe", "--genus", "1", "--degree", "3", "--moving", "2,y"],
+         "--moving must be comma-separated integers, got '2,y'"),
     ],
 )
 def test_domain_errors_exit_one(argv, fragment, capsys):
@@ -259,7 +285,7 @@ def test_series_degree_bound_exits_one(monkeypatch, capsys):
         code, out, err = run(["verify", "--suite", suite, "--max-degree", str(top - 1)],
                              capsys)
         assert (code, out) == (1, "")
-        assert f"degree {top + 1}, above the series bound {top}" in err
+        assert f"level {top - 1} exceeds the bound {verify.MAX_VERIFY_LEVEL}" in err
     # the last admitted level, and suites that never run the series
     monkeypatch.setattr(verify, "map_jobs", lambda fn, items, jobs: [])
     assert run_suite("laurent", level=verify.MAX_VERIFY_LEVEL) == []
@@ -325,9 +351,11 @@ class _NoPool:
 
 
 class _SerialPool:
-    """Stands in for a process pool: records its size, maps in-process."""
+    """Stands in for a process pool: records its size and batch size, maps
+    in-process."""
 
     sizes = []
+    chunks = []
 
     def __init__(self, max_workers):
         self.sizes.append(max_workers)
@@ -338,7 +366,8 @@ class _SerialPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, items):
+    def map(self, fn, items, chunksize=1):
+        self.chunks.append(chunksize)
         return map(fn, items)
 
 
@@ -357,6 +386,10 @@ def test_jobs_clamped_to_cpu_count(monkeypatch, capsys):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     _SerialPool.sizes.clear()
+    _SerialPool.chunks.clear()
     assert map_jobs(abs, [-1, 2, -3], 64) == [1, 2, 3]
     assert map_jobs(abs, [-1, 2, -3], 2) == [1, 2, 3]
     assert _SerialPool.sizes == [3, 2]
+    # about four batches per worker, never empty ones
+    assert map_jobs(abs, list(range(-50, 50)), 2) == [abs(x) for x in range(-50, 50)]
+    assert _SerialPool.chunks == [1, 1, 12]

@@ -16,7 +16,7 @@ from pencils.qseries import (
     sqrt_one_minus_4q,
 )
 
-from oracles import binomial_series, genus1_constant_term, geometric_inverse
+from oracles import binomial_series, genus1_constant_term, geometric_inverse, schur_table
 
 
 def test_series_construction_and_truncation():
@@ -78,6 +78,16 @@ def test_schur_polynomials():
         assert schur_q(j, 8) == schur_q(j - 1, 8) - TruncatedSeries((0, 1), order=8) * schur_q(j - 2, 8)
     with pytest.raises(DomainError):
         schur_q(-2, 5)
+
+
+def test_schur_closed_form_matches_recursion():
+    table = schur_table(1000)
+    for j in [*range(300), 1000]:
+        want = table[j]
+        for order in (0, 2, len(want)):
+            got = schur_q(j, order)
+            assert got == TruncatedSeries(want, order=order), (j, order)
+    assert schur_q(1000, 2).coeffs == (1, -999, 497503)
 
 
 def test_catalan_power_series_coefficients():
