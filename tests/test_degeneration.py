@@ -3,6 +3,7 @@ distributions, and the genus-g assembly against the genus-1 pipelines."""
 
 import itertools
 import math
+import re
 from collections import Counter
 
 import pytest
@@ -372,6 +373,12 @@ def test_permuted_moving_labels_reuse_the_memo(monkeypatch):
     assert calls["distributions"] == 0
     reversed_p = RamificationProblem(p.g, p.d, p.fixed, p.moving[::-1])
     assert want[0] == _enumerated(reversed_p, weighted=False)
+
+
+@pytest.mark.parametrize("memo", [degeneration._triple_multisets, degeneration._tail_class])
+def test_memo_bound_is_the_documented_one(memo):
+    documented = re.search(r"(\d+) entries hold", memo.__doc__)
+    assert memo.cache_info().maxsize == int(documented.group(1))
 
 
 def test_brill_noether_oracle():
