@@ -106,6 +106,15 @@ class RamificationProblem:
         return self.g + 2 * (self.d - self.g - 1)
 
 
+def _require_genus0_on_shell(d: int, orders: tuple[int, ...]) -> None:
+    imposed = sum(o - 1 for o in orders)
+    if imposed != 2 * d - 2:
+        raise DomainError(
+            f"off-shell: fixed ramification imposes {imposed}, expected "
+            f"2*degree - 2 = {2 * d - 2}"
+        )
+
+
 def genus0_count(d: int, orders) -> int:
     """Degree-d self-covers of the line with prescribed ramification.
 
@@ -116,12 +125,7 @@ def genus0_count(d: int, orders) -> int:
     for o in orders:
         if not 2 <= o <= d:
             raise DomainError(f"genus0_count: order {o} outside 2..degree={d}")
-    imposed = sum(o - 1 for o in orders)
-    if imposed != 2 * d - 2:
-        raise DomainError(
-            f"off-shell: fixed ramification imposes {imposed}, expected "
-            f"2*degree - 2 = {2 * d - 2}"
-        )
+    _require_genus0_on_shell(d, orders)
     acc = unit(d + 1)
     for o in orders:
         acc = mul(acc, sigma(o - 1, 0, d + 1))
@@ -134,12 +138,7 @@ def genus0_weighted(d: int, orders) -> int:
     for o in orders:
         if o < 2:
             raise DomainError(f"genus0_weighted: order {o} < 2")
-    imposed = sum(o - 1 for o in orders)
-    if imposed != 2 * d - 2:
-        raise DomainError(
-            f"off-shell: fixed ramification imposes {imposed}, expected "
-            f"2*degree - 2 = {2 * d - 2}"
-        )
+    _require_genus0_on_shell(d, orders)
     return catalan(d - 1)
 
 
@@ -220,6 +219,11 @@ def _tail_class(factor, triple: tuple[int, int, int], d: int) -> SchubertClass:
 
 
 def _assemble(p: RamificationProblem, weighted: bool) -> int:
+    if p.m != 3 * p.g:
+        raise DomainError(
+            f"need exactly 3*genus = {3 * p.g} moving conditions "
+            f"(pad with simple ones first); got {p.m}"
+        )
     d, ambient = p.d, p.d + 1
     if weighted:
         fixed_part = sigma1_power(sum(o - 1 for o in p.fixed), ambient)
@@ -251,11 +255,6 @@ def genus_g_count(p: RamificationProblem) -> int:
     """
     if p.g == 0:
         return genus0_count(p.d, p.fixed)
-    if p.m != 3 * p.g:
-        raise DomainError(
-            f"need exactly 3*genus = {3 * p.g} moving conditions "
-            f"(pad with simple ones first); got {p.m}"
-        )
     return _assemble(p, weighted=False)
 
 
@@ -271,11 +270,6 @@ def genus_g_weighted(p: RamificationProblem) -> int:
                 f"weighted domain: moving order {o} exceeds "
                 f"2*degree - genus - 1 = {2 * p.d - p.g - 1}"
             )
-    if p.m != 3 * p.g:
-        raise DomainError(
-            f"need exactly 3*genus = {3 * p.g} moving conditions "
-            f"(pad with simple ones first); got {p.m}"
-        )
     return _assemble(p, weighted=True)
 
 

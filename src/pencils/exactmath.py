@@ -1,6 +1,7 @@
 """Exact integer helpers for ramification weights: binomials, tableau
-and Catalan numbers as ballot differences of binomials, and ``exact_div``,
-the one checked division, which refuses a remainder.
+and Catalan numbers as ballot differences of binomials, ``exact_div``,
+the one checked division, which refuses a remainder, and
+``bounded_partitions``, the enumerator of order data.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ __all__ = [
     "binomial",
     "catalan",
     "syt_count",
+    "bounded_partitions",
 ]
 
 
@@ -64,3 +66,20 @@ def syt_count(a: int, b: int) -> int:
     if not a >= b >= 0:
         return 0
     return binomial(a + b, b) - binomial(a + b, b - 1)
+
+
+def bounded_partitions(total: int, length: int, max_part: int):
+    """Non-increasing ``length``-tuples of ints in 0..max_part summing to total.
+
+    Yields them in descending lexicographic order, nothing when there
+    are none (a negative total or max_part included).
+    """
+    if length == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(min(total, max_part), -1, -1):
+        if first * length < total:
+            break
+        for rest in bounded_partitions(total - first, length - 1, first):
+            yield (first,) + rest

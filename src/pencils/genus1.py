@@ -21,12 +21,13 @@ invariant under the degree reflection d_i -> deg + 2 - d_i.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DomainError
-from .exactmath import binomial, catalan, exact_div, syt_count
+from .exactmath import binomial, bounded_partitions, catalan, exact_div
 from .grassmann import SchubertClass, mul, pairing, pieri_mul, sigma, zero
 from .laurent import LaurentPolynomial, p_poly, pairing as laurent_pairing
 from .qseries import n_via_series
@@ -367,13 +368,17 @@ def polynomial_branch_values(t: Genus1Tuple) -> tuple[int, int]:
 MAX_SERIES_DEGREE = 120
 
 
-def count_series(t: Genus1Tuple) -> int:
-    """Coefficient extraction from the generating-function identity."""
+def _require_series_bound(t: Genus1Tuple) -> None:
     if t.degree > MAX_SERIES_DEGREE:
         raise DomainError(
             f"count_series: degree {t.degree} exceeds the bound "
             f"{MAX_SERIES_DEGREE} on the series pipeline"
         )
+
+
+def count_series(t: Genus1Tuple) -> int:
+    """Coefficient extraction from the generating-function identity."""
+    _require_series_bound(t)
     _require_in_domain(t, "count_series")
     return n_via_series(*t.orders())
 
@@ -387,7 +392,11 @@ METHODS = {
 
 
 def count(t: Genus1Tuple, methods="all") -> CountReport:
-    """Run the requested pipelines (default all four) and compare."""
+    """Run the requested pipelines (default all four) and compare.
+
+    The series bound is checked before any pipeline runs, so a degree
+    above it fails at once rather than after the Schubert product.
+    """
     if methods in ("all", None):
         names = tuple(METHODS)
     else:
@@ -397,21 +406,22 @@ def count(t: Genus1Tuple, methods="all") -> CountReport:
             raise DomainError(
                 f"unknown method {name!r}; choose from {sorted(METHODS)}"
             )
+    if "series" in names:
+        _require_series_bound(t)
     values = {name: METHODS[name](t) for name in names}
     agreed = len(set(values.values())) == 1
     return CountReport(t, values, agreed)
 
 
-@lru_cache(maxsize=32)
 def _weighted_block(di: int) -> LaurentPolynomial:
     """W_d = sum over base-point orders k < d/2 of syt(d-k-1, k) * P_{d-2k-1}.
 
-    The bound covers orders up to 32; the verify suites reach at most 27
-    (19 at the release gate's level 9).  A block has d terms, ~2.8 KB at
-    d = 32 (measured with tracemalloc), so 32 entries hold ~46 KB.
+    The ballot numbers telescope, sum_{k <= m} syt(d-1-k, k) = C(d-1, m),
+    so W_d has coefficient e * C(d-1, (d-1-|e|)/2) at e = 1-d, 3-d, ..., d-1.
     """
-    blocks = (syt_count(di - k - 1, k) * p_poly(di - 2 * k - 1) for k in range((di + 1) // 2))
-    return sum(blocks, LaurentPolynomial())
+    return LaurentPolynomial(
+        {e: e * math.comb(di - 1, (di - 1 - abs(e)) // 2) for e in range(1 - di, di, 2)}
+    )
 
 
 def weighted_from_unweighted(t: Genus1Tuple) -> int:
@@ -475,25 +485,17 @@ def on_shell_tuples(
 
     Ordered mode lists every labeled tuple; otherwise one representative
     per multiset, sorted descending.  Rows come back in lexicographic
-    order either way.
+    order either way.  The representatives are the partitions of
+    2*deg + 4 into four orders in min_order..max_order, shifted down by
+    min_order to parts from 0.
     """
     if degree < 2:
         raise DomainError(f"degree must be >= 2, got {degree}")
     cap = degree if max_order is None else max_order
-    total = 2 * degree + 4
-    rows = []
+    rows = [
+        tuple(part + min_order for part in parts)
+        for parts in bounded_partitions(2 * degree + 4 - 4 * min_order, 4, cap - min_order)
+    ]
     if ordered:
-        for d1 in range(min_order, cap + 1):
-            for d2 in range(min_order, cap + 1):
-                for d3 in range(min_order, cap + 1):
-                    d4 = total - d1 - d2 - d3
-                    if min_order <= d4 <= cap:
-                        rows.append((d1, d2, d3, d4))
-    else:
-        for d1 in range(min_order, cap + 1):
-            for d2 in range(min_order, d1 + 1):
-                for d3 in range(min_order, d2 + 1):
-                    d4 = total - d1 - d2 - d3
-                    if min_order <= d4 <= d3:
-                        rows.append((d1, d2, d3, d4))
+        rows = {perm for row in rows for perm in itertools.permutations(row)}
     return sorted(rows)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,7 +24,7 @@ from .degeneration import (
     genus_g_weighted,
 )
 from .errors import CrossCheckError, DomainError
-from .exactmath import binomial, catalan, syt_count
+from .exactmath import binomial, bounded_partitions, catalan, syt_count
 from .genus1 import (
     Genus1Tuple,
     count,
@@ -65,16 +66,6 @@ def _check(cond: bool, msg: str) -> None:
         raise CrossCheckError(msg)
 
 
-def _desc_quadruples(total: int, max_part: int):
-    """Non-increasing quadruples of nonnegative ints with the given sum."""
-    for n1 in range(min(total, max_part), -1, -1):
-        for n2 in range(min(n1, total - n1), -1, -1):
-            for n3 in range(min(n2, total - n1 - n2), -1, -1):
-                n4 = total - n1 - n2 - n3
-                if 0 <= n4 <= n3:
-                    yield (n1, n2, n3, n4)
-
-
 # ---------------------------------------------------------------- schubert
 
 
@@ -110,7 +101,7 @@ def fourfold_closed_form_matches_engine(level: int) -> str:
     cases = 0
     for ambient in range(2, level + 6):
         total = 2 * ambient - 4
-        for quad in _desc_quadruples(total, total):
+        for quad in bounded_partitions(total, 4, total):
             cls = unit(ambient)
             for n in quad:
                 cls = mul(cls, sigma(n, 0, ambient))
@@ -128,7 +119,7 @@ def special_quadratic_integral_matches_engine(level: int) -> str:
         total = 2 * (ambient - 1) - 4
         s1 = sigma(1, 0, ambient)
         correction = 8 * sigma(1, 1, ambient) - 2 * mul(s1, s1)
-        for quad in _desc_quadruples(total, total):
+        for quad in bounded_partitions(total, 4, total):
             cls = correction
             for n in quad:
                 cls = mul(cls, sigma(n, 0, ambient))
@@ -365,29 +356,6 @@ def hyperelliptic_sextuple(level: int) -> str:
     return "720 = 6! labelings of the hyperelliptic branch points; worked example 16"
 
 
-def _partitions(total: int, max_part: int):
-    """Non-increasing partitions of total into parts 1..max_part."""
-    if total == 0:
-        yield ()
-        return
-    for first in range(min(total, max_part), 0, -1):
-        for rest in _partitions(total - first, first):
-            yield (first,) + rest
-
-
-def _bounded_tuples(total: int, length: int, max_part: int):
-    """Non-increasing length-`length` tuples of ints in 0..max_part summing to total."""
-    if length == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(min(total, max_part), -1, -1):
-        if first * length < total:
-            break
-        for rest in _bounded_tuples(total - first, length - 1, first):
-            yield (first,) + rest
-
-
 def weighted_consolidation_invariance(level: int) -> str:
     problems = 0
     for g in (1, 2):
@@ -395,9 +363,9 @@ def weighted_consolidation_invariance(level: int) -> str:
             budget = 2 * d - g - 2
             cap = 2 * d - g - 1
             for fixed_weight in range(1, budget + 1):
-                for fparts in _partitions(fixed_weight, fixed_weight):
-                    fixed = tuple(part + 1 for part in fparts)
-                    for mparts in _bounded_tuples(
+                for fparts in bounded_partitions(fixed_weight, fixed_weight, fixed_weight):
+                    fixed = tuple(part + 1 for part in fparts if part)
+                    for mparts in bounded_partitions(
                         budget - fixed_weight, 3 * g, cap - 2
                     ):
                         moving = tuple(part + 2 for part in mparts)
@@ -430,51 +398,51 @@ def label_symmetry(level: int) -> str:
 # ------------------------------------------------------------------ runner
 
 
-_REGISTRY: dict[str, tuple] = {
-    "sigma1_powers_match_tableau_counts": (sigma1_powers_match_tableau_counts, "schubert"),
-    "sigma1_top_power_is_catalan": (sigma1_top_power_is_catalan, "schubert"),
-    "fourfold_closed_form_matches_engine": (fourfold_closed_form_matches_engine, "schubert"),
-    "special_quadratic_integral_matches_engine": (
+_PROPERTIES = {
+    "schubert": (
+        sigma1_powers_match_tableau_counts,
+        sigma1_top_power_is_catalan,
+        fourfold_closed_form_matches_engine,
         special_quadratic_integral_matches_engine,
-        "schubert",
+        basis_duality,
     ),
-    "basis_duality": (basis_duality, "schubert"),
-    "building_block_symmetry": (building_block_symmetry, "laurent"),
-    "four_method_agreement": (four_method_agreement, "laurent"),
-    "closed_form_branch_guard": (closed_form_branch_guard, "laurent"),
-    "series_coefficient_identities": (series_coefficient_identities, "laurent"),
-    "degree_reflection_duality": (degree_reflection_duality, "duality"),
-    "weighted_recursion_consistency": (weighted_recursion_consistency, "recursion"),
-    "genus1_reduction": (genus1_reduction, "degeneration"),
-    "total_ramification_family": (total_ramification_family, "degeneration"),
-    "hyperelliptic_sextuple": (hyperelliptic_sextuple, "degeneration"),
-    "weighted_consolidation_invariance": (
+    "laurent": (
+        building_block_symmetry,
+        four_method_agreement,
+        closed_form_branch_guard,
+        series_coefficient_identities,
+    ),
+    "duality": (degree_reflection_duality,),
+    "recursion": (weighted_recursion_consistency,),
+    "degeneration": (
+        genus1_reduction,
+        total_ramification_family,
+        hyperelliptic_sextuple,
         weighted_consolidation_invariance,
-        "degeneration",
+        label_symmetry,
     ),
-    "label_symmetry": (label_symmetry, "degeneration"),
 }
 
-SUITES = ("all", "schubert", "laurent", "duality", "recursion", "degeneration")
+SUITES = ("all", *_PROPERTIES)
 
 # the full suite on one Intel Xeon core: 1.1 s at level 9 (the gate), 12 s at 13, 129 s at 17
 MAX_VERIFY_LEVEL = 13
 
 
-def run_property(name: str, level: int) -> PropertyResult:
-    func = _REGISTRY[name][0]
+def run_property(prop: Callable[[int], str], level: int) -> PropertyResult:
+    """Run one property function, reporting a failure rather than raising."""
     start = time.perf_counter()
     try:
-        detail = func(level)
+        detail = prop(level)
         passed = True
     except Exception as exc:  # report, never crash the suite
         detail = f"{type(exc).__name__}: {exc}"
         passed = False
     elapsed = int(1000 * (time.perf_counter() - start))
-    return PropertyResult(name, passed, detail, elapsed)
+    return PropertyResult(prop.__name__, passed, detail, elapsed)
 
 
-def _run_pair(pair: tuple[str, int]) -> PropertyResult:
+def _run_pair(pair: tuple[Callable[[int], str], int]) -> PropertyResult:
     return run_property(*pair)
 
 
@@ -485,9 +453,5 @@ def run_suite(suite: str = "all", level: int = 7, jobs: int = 1) -> list[Propert
         raise DomainError(f"verification level must be >= 2, got {level}")
     if level > MAX_VERIFY_LEVEL:
         raise DomainError(f"verification level {level} exceeds the bound {MAX_VERIFY_LEVEL}")
-    names = [
-        name
-        for name, (_, group) in _REGISTRY.items()
-        if suite == "all" or group == suite
-    ]
-    return map_jobs(_run_pair, [(name, level) for name in names], jobs)
+    groups = _PROPERTIES.values() if suite == "all" else (_PROPERTIES[suite],)
+    return map_jobs(_run_pair, [(prop, level) for group in groups for prop in group], jobs)

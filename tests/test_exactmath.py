@@ -1,12 +1,20 @@
 """Tableau counts, binomials, Catalan numbers, integrality helpers."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pencils.errors import DomainError, IntegralityError
-from pencils.exactmath import as_integer, binomial, catalan, exact_div, syt_count
+from pencils.exactmath import (
+    as_integer,
+    binomial,
+    bounded_partitions,
+    catalan,
+    exact_div,
+    syt_count,
+)
 
 from oracles import pascal_triangle, syt_brute
 
@@ -97,3 +105,18 @@ def test_as_integer():
     assert as_integer(Fraction(12, 4), "x") == 3
     with pytest.raises(IntegralityError):
         as_integer(Fraction(1, 3), "x")
+
+
+def test_bounded_partitions_match_brute_force():
+    for length in range(0, 6):
+        for max_part in range(-1, 8):
+            descending = [
+                t
+                for t in itertools.product(range(max_part + 1), repeat=length)
+                if all(a >= b for a, b in zip(t, t[1:]))
+            ]
+            for total in range(-1, 13):
+                want = sorted((t for t in descending if sum(t) == total), reverse=True)
+                assert list(bounded_partitions(total, length, max_part)) == want, (
+                    total, length, max_part,
+                )

@@ -33,6 +33,8 @@ from pencils.laurent import LaurentPolynomial, constant_term, p_poly
 from oracles import (
     genus1_constant_term,
     ordered_on_shell,
+    p_dict,
+    syt_brute,
     unweighted_recursive,
     weighted_assembly,
 )
@@ -218,7 +220,6 @@ def _count_products(monkeypatch):
 
 def test_constant_terms_make_two_products(monkeypatch):
     t = Genus1Tuple(9, 7, 6, 4)
-    weighted_from_unweighted(t)  # warm the block memo
     calls = _count_products(monkeypatch)
     assert count_laurent(t) == genus1_constant_term(t.orders())
     assert len(calls) == 2
@@ -234,9 +235,14 @@ def test_inversion_makes_no_products(monkeypatch):
     assert got == count_laurent(t)
 
 
-def test_weighted_block_memo_bound_is_the_documented_one():
-    documented = re.search(r"(\d+) entries hold", genus1._weighted_block.__doc__)
-    assert genus1._weighted_block.cache_info().maxsize == int(documented.group(1))
+def test_weighted_block_closed_form_matches_the_tableau_sum():
+    # W_d = sum_k syt(d-k-1, k) P_(d-2k-1), with brute-force tableaux
+    for d in range(1, 16):
+        want: dict[int, int] = {}
+        for k in range((d + 1) // 2):
+            for e, c in p_dict(d - 2 * k - 1).items():
+                want[e] = want.get(e, 0) + syt_brute(d - k - 1, k) * c
+        assert genus1._weighted_block(d).terms == {e: c for e, c in want.items() if c}, d
 
 
 def test_weighted_assembly_matches_term_by_term_oracle():
@@ -256,6 +262,22 @@ def test_series_degree_bound():
         count_series(over)
     with pytest.raises(DomainError, match=f"bound {top}"):
         count(over)
+
+
+def test_series_bound_is_checked_before_any_pipeline_runs(monkeypatch):
+    def never(t):
+        raise AssertionError("a pipeline ran before the series bound check")
+
+    for name in METHODS:
+        monkeypatch.setitem(METHODS, name, never)
+    over = Genus1Tuple(1000, 1000, 1000, 1000)
+    message = f"count_series: degree 1998 exceeds the bound {MAX_SERIES_DEGREE} "
+    for methods in ("all", ["schubert", "series"], ["laurent", "polynomial", "series"]):
+        with pytest.raises(DomainError, match=message):
+            count(over, methods)
+    # the bound belongs to the series pipeline alone
+    with pytest.raises(AssertionError, match="a pipeline ran"):
+        count(over, ["schubert"])
 
 
 def test_recursion_shifted_tuple_below_degree_two_contributes_zero():
@@ -296,11 +318,14 @@ def test_top_order_family():
 
 
 def test_on_shell_tuples_enumeration():
-    for degree in range(2, 8):
-        ordered = on_shell_tuples(degree, ordered=True)
-        assert ordered == sorted(ordered_on_shell(degree))
-        reps = on_shell_tuples(degree)
-        assert reps == sorted(set(tuple(sorted(q, reverse=True)) for q in ordered))
+    # every bound combination the sweeps and tables use, against the brute force
+    for degree in range(2, 15):
+        for bounds in ({}, {"min_order": 2}, {"max_order": 2 * degree - 1},
+                       {"min_order": 2, "max_order": 2 * degree - 1}):
+            labeled = sorted(ordered_on_shell(degree, **bounds))
+            assert on_shell_tuples(degree, ordered=True, **bounds) == labeled, bounds
+            reps = sorted(set(tuple(sorted(q, reverse=True)) for q in labeled))
+            assert on_shell_tuples(degree, **bounds) == reps, bounds
     with pytest.raises(DomainError):
         on_shell_tuples(1)
 
