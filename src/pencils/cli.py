@@ -48,92 +48,6 @@ class _Parser(argparse.ArgumentParser):
         raise DomainError(message)
 
 
-# Every subcommand's options as (flag, add_argument keywords), in help order
-# after the shared --format.  build_parser declares them, the JSON query is
-# their parsed values less _UNECHOED, and argv_from_query walks them back.
-_RAM4 = ("--ram", {"required": True, "help": "d1,d2,d3,d4"})
-_PROBLEM = (
-    ("--genus", {"type": int, "required": True}),
-    ("--degree", {"type": int, "required": True}),
-    ("--fixed", {"default": "", "help": "comma-separated fixed orders"}),
-    ("--moving", {"default": "", "help": "comma-separated moving orders"}),
-)
-_JOBS = ("--jobs", {"type": int, "default": 1})
-_SUBCOMMANDS = {
-    "genus0": ("fixed-ramification count on the line", (
-        ("--degree", {"type": int, "required": True}),
-        ("--ram", {"required": True, "help": "comma-separated orders"}),
-    )),
-    "genus1": ("four-orders count on a genus-1 curve", (
-        _RAM4,
-        ("--method", {
-            "choices": tuple(METHODS) + ("all",), "default": None,
-            "help": "single pipeline, or 'all' for the per-method breakdown",
-        }),
-        ("--degree", {
-            "type": int, "default": None, "help": "optional; checked against the orders",
-        }),
-    )),
-    "weighted": ("weighted genus-1 counts", (
-        _RAM4,
-        ("--fixed-first", {"action": "store_true", "help": (
-            "exact vanishing (0,d1) at the first point instead of four weighted conditions"
-        )}),
-    )),
-    "genusg": ("degeneration count for any genus", (
-        *_PROBLEM, ("--weighted", {"action": "store_true"}),
-    )),
-    "table": ("all on-shell genus-1 tuples for a degree", (
-        ("--genus", {"type": int, "default": 1}),
-        ("--degree", {"type": int, "required": True}),
-        ("--ordered", {
-            "action": "store_true",
-            "help": "emit all permutations instead of sorted representatives",
-        }),
-        _JOBS,
-    )),
-    "verify": ("run the self-verification suites", (
-        ("--suite", {"choices": SUITES, "default": "all"}),
-        ("--max-degree", {"type": int, "default": 7}),
-        _JOBS,
-    )),
-    "dualprobe": (
-        "compare a genus-g problem against its degree reflection (no assertion)", _PROBLEM,
-    ),
-}
-_UNECHOED = ("format", "jobs")
-
-
-def build_parser() -> _Parser:
-    parser = _Parser(prog="pencils", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
-    for name, (summary, options) in _SUBCOMMANDS.items():
-        p = sub.add_parser(name, help=summary)
-        p.add_argument(
-            "--format", choices=("text", "json", "csv"), default="text",
-            help="output format (csv applies to table only)",
-        )
-        for flag, spec in options:
-            p.add_argument(flag, **spec)
-    return parser
-
-
-def argv_from_query(query: dict) -> list[str]:
-    """Rebuild an argv that parses back to an equivalent query."""
-    sub = query["subcommand"]
-    if sub not in _SUBCOMMANDS:
-        raise DomainError(f"unknown subcommand in query: {sub!r}")
-    argv = [sub]
-    for flag, spec in _SUBCOMMANDS[sub][1]:
-        value = query.get(flag[2:].replace("-", "_"))
-        if spec.get("action") == "store_true":
-            argv += [flag] if value else []
-        elif value not in (None, "", []):
-            text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
-            argv += [flag, text]
-    return argv
-
-
 # A command parses what argparse leaves as text and writes the result back
 # into args (order lists, genus1's degree), so the query echoes it.
 def _orders(args, name: str) -> tuple[int, ...]:
@@ -167,11 +81,12 @@ def _table_row(quad: tuple[int, int, int, int]) -> int:
     return count_laurent(Genus1Tuple(*quad))
 
 
-def _cmd_genus0(args) -> tuple[dict, int]:
-    return {"result": str(genus0_count(args.degree, _orders(args, "ram")))}, 0
+def _cmd_genus0(args) -> tuple[dict, int, list[str]]:
+    result = str(genus0_count(args.degree, _orders(args, "ram")))
+    return {"result": result}, 0, [result]
 
 
-def _cmd_genus1(args) -> tuple[dict, int]:
+def _cmd_genus1(args) -> tuple[dict, int, list[str]]:
     t = _genus1_tuple(args)
     if args.degree is not None and args.degree != t.degree:
         raise DomainError(
@@ -183,21 +98,30 @@ def _cmd_genus1(args) -> tuple[dict, int]:
     values = {name: str(v) for name, v in report.values.items()}
     common = str(next(iter(report.values.values()))) if report.agreed else None
     record = {"result": common, "methods": values, "agreed": report.agreed}
-    return record, 0 if report.agreed else 2
+    lines = []
+    if args.method == "all" or not report.agreed:
+        lines = [f"{name}: {value}" for name, value in values.items()]
+        lines.append("agreed: " + ("yes" if report.agreed else "no"))
+    if report.agreed:
+        lines.append(common)
+    return record, 0 if report.agreed else 2, lines
 
 
-def _cmd_weighted(args) -> tuple[dict, int]:
+def _cmd_weighted(args) -> tuple[dict, int, list[str]]:
     t = _genus1_tuple(args)
-    value = weighted_fixed_first(t) if args.fixed_first else weighted_count(t)
-    return {"result": str(value)}, 0
+    result = str(weighted_fixed_first(t) if args.fixed_first else weighted_count(t))
+    return {"result": result}, 0, [result]
 
 
-def _cmd_genusg(args) -> tuple[dict, int]:
+def _cmd_genusg(args) -> tuple[dict, int, list[str]]:
     answer, raw, factor = count_with_padding(_problem(args), weighted=args.weighted)
-    return {"result": str(answer), "padded": str(raw), "factor": str(factor)}, 0
+    lines = [str(answer)]
+    if factor != 1:
+        lines.append(f"padded count {raw} divided by {factor}")
+    return {"result": str(answer), "padded": str(raw), "factor": str(factor)}, 0, lines
 
 
-def _cmd_table(args) -> tuple[dict, int]:
+def _cmd_table(args) -> tuple[dict, int, list[str]]:
     if args.genus != 1:
         raise DomainError(f"only genus 1 tables are implemented, got genus {args.genus}")
     if args.degree > MAX_TABLE_DEGREE:
@@ -205,20 +129,23 @@ def _cmd_table(args) -> tuple[dict, int]:
             f"table: degree {args.degree} exceeds the bound {MAX_TABLE_DEGREE} on tables"
         )
     quads = on_shell_tuples(args.degree, ordered=args.ordered)
-    counts = map_jobs(_table_row, quads, args.jobs)
-    rows = [
-        {"ram": list(q), "count": str(c)} for q, c in sorted(zip(quads, counts))
-    ]
-    return {"rows": rows}, 0
+    rows = sorted(zip(quads, map_jobs(_table_row, quads, args.jobs)))
+    sep = "," if args.format == "csv" else " "
+    lines = [sep.join(("d1", "d2", "d3", "d4", "count"))]
+    lines += [sep.join(map(str, (*q, c))) for q, c in rows]
+    return {"rows": [{"ram": list(q), "count": str(c)} for q, c in rows]}, 0, lines
 
 
-def _cmd_verify(args) -> tuple[dict, int]:
+def _cmd_verify(args) -> tuple[dict, int, list[str]]:
     results = run_suite(args.suite, level=args.max_degree, jobs=args.jobs)
-    passed = all(r.passed for r in results)
-    return {"properties": [asdict(r) for r in results], "passed": passed}, 0 if passed else 2
+    good = sum(r.passed for r in results)
+    lines = [f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}" for r in results]
+    lines.append(f"{good}/{len(results)} properties passed")
+    record = {"properties": [asdict(r) for r in results], "passed": good == len(results)}
+    return record, 0 if record["passed"] else 2, lines
 
 
-def _cmd_dualprobe(args) -> tuple[dict, int]:
+def _cmd_dualprobe(args) -> tuple[dict, int, list[str]]:
     problem = _problem(args)
     d = problem.d
     for o in problem.fixed + problem.moving:
@@ -242,57 +169,97 @@ def _cmd_dualprobe(args) -> tuple[dict, int]:
         },
         "equal": a == b,
     }
-    return record, 0
+    lines = [f"original: {a}", f"reflected: {b}", "equal: " + ("yes" if a == b else "no")]
+    return record, 0, lines
 
 
-_COMMANDS = {
-    "genus0": _cmd_genus0,
-    "genus1": _cmd_genus1,
-    "weighted": _cmd_weighted,
-    "genusg": _cmd_genusg,
-    "table": _cmd_table,
-    "verify": _cmd_verify,
-    "dualprobe": _cmd_dualprobe,
+# Every subcommand as (summary, options, handler).  Options are (flag,
+# add_argument keywords), in help order after the shared --format:
+# build_parser declares them, the JSON query is their parsed values less
+# _UNECHOED, and argv_from_query walks them back.  A handler returns the
+# record body, the exit code and the lines of its text output.
+_RAM4 = ("--ram", {"required": True, "help": "d1,d2,d3,d4"})
+_PROBLEM = (
+    ("--genus", {"type": int, "required": True}),
+    ("--degree", {"type": int, "required": True}),
+    ("--fixed", {"default": "", "help": "comma-separated fixed orders"}),
+    ("--moving", {"default": "", "help": "comma-separated moving orders"}),
+)
+_JOBS = ("--jobs", {"type": int, "default": 1})
+_SUBCOMMANDS = {
+    "genus0": ("fixed-ramification count on the line", (
+        ("--degree", {"type": int, "required": True}),
+        ("--ram", {"required": True, "help": "comma-separated orders"}),
+    ), _cmd_genus0),
+    "genus1": ("four-orders count on a genus-1 curve", (
+        _RAM4,
+        ("--method", {
+            "choices": tuple(METHODS) + ("all",), "default": None,
+            "help": "single pipeline, or 'all' for the per-method breakdown",
+        }),
+        ("--degree", {
+            "type": int, "default": None, "help": "optional; checked against the orders",
+        }),
+    ), _cmd_genus1),
+    "weighted": ("weighted genus-1 counts", (
+        _RAM4,
+        ("--fixed-first", {"action": "store_true", "help": (
+            "exact vanishing (0,d1) at the first point instead of four weighted conditions"
+        )}),
+    ), _cmd_weighted),
+    "genusg": ("degeneration count for any genus", (
+        *_PROBLEM, ("--weighted", {"action": "store_true"}),
+    ), _cmd_genusg),
+    "table": ("all on-shell genus-1 tuples for a degree", (
+        ("--genus", {"type": int, "default": 1}),
+        ("--degree", {"type": int, "required": True}),
+        ("--ordered", {
+            "action": "store_true",
+            "help": "emit all permutations instead of sorted representatives",
+        }),
+        _JOBS,
+    ), _cmd_table),
+    "verify": ("run the self-verification suites", (
+        ("--suite", {"choices": SUITES, "default": "all"}),
+        ("--max-degree", {"type": int, "default": 7}),
+        _JOBS,
+    ), _cmd_verify),
+    "dualprobe": (
+        "compare a genus-g problem against its degree reflection (no assertion)",
+        _PROBLEM, _cmd_dualprobe,
+    ),
 }
+_UNECHOED = ("format", "jobs")
 
 
-def _emit_text(record: dict, subcommand: str, method: str | None) -> None:
-    if subcommand == "table":
-        print("d1 d2 d3 d4 count")
-        for row in record["rows"]:
-            print(" ".join(str(x) for x in row["ram"]), row["count"])
-    elif subcommand == "verify":
-        for prop in record["properties"]:
-            status = "PASS" if prop["passed"] else "FAIL"
-            print(f"{status} {prop['name']}: {prop['detail']}")
-        total = len(record["properties"])
-        good = sum(1 for prop in record["properties"] if prop["passed"])
-        print(f"{good}/{total} properties passed")
-    elif subcommand == "genus1":
-        if method == "all":
-            for name, value in record["methods"].items():
-                print(f"{name}: {value}")
-            print("agreed:", "yes" if record["agreed"] else "no")
-        if record["agreed"]:
-            print(record["result"])
-        elif method != "all":
-            for name, value in record["methods"].items():
-                print(f"{name}: {value}")
-            print("agreed: no")
-    elif subcommand == "dualprobe":
-        print(f"original: {record['result']}")
-        print(f"reflected: {record['reflected']['result']}")
-        print("equal:", "yes" if record["equal"] else "no")
-    else:
-        print(record["result"])
-        if subcommand == "genusg" and record["factor"] != "1":
-            print(f"padded count {record['padded']} divided by {record['factor']}")
+def build_parser() -> _Parser:
+    parser = _Parser(prog="pencils", description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
+    for name, (summary, options, _) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        p.add_argument(
+            "--format", choices=("text", "json", "csv"), default="text",
+            help="output format (csv applies to table only)",
+        )
+        for flag, spec in options:
+            p.add_argument(flag, **spec)
+    return parser
 
 
-def _emit_csv(record: dict) -> None:
-    print("d1,d2,d3,d4,count")
-    for row in record["rows"]:
-        print(",".join(str(x) for x in row["ram"]) + "," + row["count"])
+def argv_from_query(query: dict) -> list[str]:
+    """Rebuild an argv that parses back to an equivalent query."""
+    sub = query["subcommand"]
+    if sub not in _SUBCOMMANDS:
+        raise DomainError(f"unknown subcommand in query: {sub!r}")
+    argv = [sub]
+    for flag, spec in _SUBCOMMANDS[sub][1]:
+        value = query.get(flag[2:].replace("-", "_"))
+        if spec.get("action") == "store_true":
+            argv += [flag] if value else []
+        elif value not in (None, "", []):
+            text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+            argv += [flag, text]
+    return argv
 
 
 def main(argv=None) -> int:
@@ -302,16 +269,11 @@ def main(argv=None) -> int:
         if args.format == "csv" and args.subcommand != "table":
             raise DomainError("csv output is only available for the table subcommand")
         start = time.perf_counter()
-        body, code = _COMMANDS[args.subcommand](args)
+        body, code, lines = _SUBCOMMANDS[args.subcommand][2](args)
         query = {k: v for k, v in vars(args).items() if k not in _UNECHOED}
         record = {"query": query, **body}
         record["elapsed_ms"] = int(1000 * (time.perf_counter() - start))
-        if args.format == "json":
-            print(json.dumps(record, indent=2))
-        elif args.format == "csv":
-            _emit_csv(record)
-        else:
-            _emit_text(record, args.subcommand, getattr(args, "method", None))
+        print(json.dumps(record, indent=2) if args.format == "json" else "\n".join(lines))
         if code == 2:
             print("error: cross-check failed, see output", file=sys.stderr)
         return code

@@ -24,7 +24,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import DomainError
 from .exactmath import binomial, bounded_partitions, catalan, exact_div
@@ -43,6 +42,8 @@ __all__ = [
     "polynomial_branch_values",
     "count_series",
     "MAX_SERIES_DEGREE",
+    "MAX_SCHUBERT_DEGREE",
+    "MAX_LAURENT_DEGREE",
     "count",
     "weighted_from_unweighted",
     "unweighted_from_weighted",
@@ -135,14 +136,35 @@ def weighted_fixed_first(t: Genus1Tuple) -> int:
     )
 
 
-@lru_cache(maxsize=512)
+# Each pipeline's cost on one core of an Intel Xeon server, worst shape of
+# orders measured, and the degree above which it is refused up front:
+# the series costs about deg^3, 3-4 s at degree 120; Schubert about deg^3,
+# 2.5-3.5 s at degree 800 with four equal orders; Laurent about deg^2, 3 s
+# at degree 4000 with orders (deg, deg, 2, 2).
+MAX_SERIES_DEGREE = 120
+MAX_SCHUBERT_DEGREE = 800
+MAX_LAURENT_DEGREE = 4000
+# tightest first, the order in which count checks the selected pipelines
+_DEGREE_BOUNDS = {
+    "series": MAX_SERIES_DEGREE,
+    "schubert": MAX_SCHUBERT_DEGREE,
+    "laurent": MAX_LAURENT_DEGREE,
+}
+
+
+def _require_degree_bound(t: Genus1Tuple, pipeline: str) -> None:
+    bound = _DEGREE_BOUNDS[pipeline]
+    if t.degree > bound:
+        raise DomainError(
+            f"count_{pipeline}: degree {t.degree} exceeds the bound "
+            f"{bound} on the {pipeline} pipeline"
+        )
+
+
 def _tau(k: int, ambient: int) -> SchubertClass:
     """Sum over ordered pairs a+b = k of s(a,0)*s(b,0); zero for k < 0.
 
-    Each pair is one Pieri step on s(a, 0).  The bound covers the ~340
-    distinct (k, ambient) keys of degrees 6..30.  A class has at most
-    k/2 + 1 terms, ~1.8 KB at degree 30, so 512 entries hold ~0.9 MB up
-    to that degree.
+    Each pair is one Pieri step on s(a, 0).
     """
     return sum(
         (pieri_mul(sigma(a, 0, ambient), k - a) for a in range(k + 1)), zero(ambient)
@@ -156,6 +178,7 @@ def count_schubert(t: Genus1Tuple) -> int:
     the quadratic correction 8*s(1,1) - 2*s(1,0)^2 and pairs the result
     with the fourth.
     """
+    _require_degree_bound(t, "schubert")
     _require_in_domain(t, "count_schubert")
     ambient = t.degree + 1
     s1 = sigma(1, 0, ambient)
@@ -172,6 +195,7 @@ def count_laurent(t: Genus1Tuple) -> int:
     every impossible configuration we can reach, and the degeneration
     module relies on that.
     """
+    _require_degree_bound(t, "laurent")
     p1, p2, p3, p4 = (p_poly(di - 1) for di in t.orders())
     return laurent_pairing(p1 * p2, p3 * p4)
 
@@ -192,7 +216,8 @@ def _parse_polynomial(table: str) -> tuple[int, tuple[tuple[int, tuple[int, ...]
 
 
 # Degree-7 closed form on the branch where the sorted orders satisfy
-# d1 - d2 >= d3 - d4 (top gap at least the bottom gap).
+# d1 - d2 >= d3 - d4 (top gap at least the bottom gap); count_polynomial
+# reaches the other branch through the degree reflection.
 _TOP_GAP_TERMS = _parse_polynomial("""
 -1/3360 d1^7
 +1/240 d1^5 d2^2
@@ -296,38 +321,8 @@ _TOP_GAP_TERMS = _parse_polynomial("""
 +1/70 d4
 """)
 
-# Companion branch for sorted orders with d1 - d2 <= d3 - d4.
-_BOTTOM_GAP_TERMS = _parse_polynomial("""
--1/48 d1^4 d4^3
-+1/24 d1^2 d2^2 d4^3
--1/48 d2^4 d4^3
-+1/24 d1^2 d3^2 d4^3
-+1/24 d2^2 d3^2 d4^3
--1/48 d3^4 d4^3
--1/120 d1^2 d4^5
--1/120 d2^2 d4^5
--1/120 d3^2 d4^5
-+1/1680 d4^7
-+1/48 d1^4 d4
--1/24 d1^2 d2^2 d4
-+1/48 d2^4 d4
--1/24 d1^2 d3^2 d4
--1/24 d2^2 d3^2 d4
-+1/48 d3^4 d4
-+1/24 d1^2 d4^3
-+1/24 d2^2 d4^3
-+1/24 d3^2 d4^3
-+1/240 d4^5
--1/30 d1^2 d4
--1/30 d2^2 d4
--1/30 d3^2 d4
--1/30 d4^3
-+1/35 d4
-""")
-
-
-def _evaluate_terms(table, orders: tuple[int, int, int, int]) -> int:
-    den, terms = table
+def _evaluate_terms(orders: tuple[int, int, int, int]) -> int:
+    den, terms = _TOP_GAP_TERMS
     total = 0
     for mono, exps in terms:
         for base, e in zip(orders, exps):
@@ -336,49 +331,41 @@ def _evaluate_terms(table, orders: tuple[int, int, int, int]) -> int:
     return exact_div(total, den, "count_polynomial")
 
 
+def _reflect(orders: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
+    """The involution d_i -> deg+2-d_i on sorted orders; it swaps the two gaps."""
+    half = sum(orders) // 2
+    d1, d2, d3, d4 = orders
+    return (half - d4, half - d3, half - d2, half - d1)
+
+
 def count_polynomial(t: Genus1Tuple) -> int:
     """Piecewise degree-7 closed form, on the sorted orders.
 
-    The branch is chosen by comparing the top gap d1 - d2 with the
-    bottom gap d3 - d4; on the boundary both branches agree.
+    One polynomial serves the branch where the top gap d1 - d2 is at
+    least the bottom gap d3 - d4; the other branch is the same polynomial
+    at the reflected orders, whose top gap is the original bottom gap.
     """
     _require_in_domain(t, "count_polynomial")
     orders = t.sorted_desc()
-    if orders[0] - orders[1] >= orders[2] - orders[3]:
-        return _evaluate_terms(_TOP_GAP_TERMS, orders)
-    return _evaluate_terms(_BOTTOM_GAP_TERMS, orders)
+    if orders[0] - orders[1] < orders[2] - orders[3]:
+        orders = _reflect(orders)
+    return _evaluate_terms(orders)
 
 
 def polynomial_branch_values(t: Genus1Tuple) -> tuple[int, int]:
-    """Both closed-form branches on the sorted orders.
+    """Both closed-form branches on the sorted orders: direct and reflected.
 
     Meaningful on the boundary d1 - d2 = d3 - d4, where the two must
     agree; off the boundary only the branch picked by count_polynomial
     is valid.
     """
     orders = t.sorted_desc()
-    return (
-        _evaluate_terms(_TOP_GAP_TERMS, orders),
-        _evaluate_terms(_BOTTOM_GAP_TERMS, orders),
-    )
-
-
-# The series pipeline costs about deg^3: degree 120 takes 3-4 s on one
-# core of an Intel Xeon server, so larger degrees are refused up front.
-MAX_SERIES_DEGREE = 120
-
-
-def _require_series_bound(t: Genus1Tuple) -> None:
-    if t.degree > MAX_SERIES_DEGREE:
-        raise DomainError(
-            f"count_series: degree {t.degree} exceeds the bound "
-            f"{MAX_SERIES_DEGREE} on the series pipeline"
-        )
+    return _evaluate_terms(orders), _evaluate_terms(_reflect(orders))
 
 
 def count_series(t: Genus1Tuple) -> int:
     """Coefficient extraction from the generating-function identity."""
-    _require_series_bound(t)
+    _require_degree_bound(t, "series")
     _require_in_domain(t, "count_series")
     return n_via_series(*t.orders())
 
@@ -394,8 +381,9 @@ METHODS = {
 def count(t: Genus1Tuple, methods="all") -> CountReport:
     """Run the requested pipelines (default all four) and compare.
 
-    The series bound is checked before any pipeline runs, so a degree
-    above it fails at once rather than after the Schubert product.
+    Every selected pipeline's degree bound is checked, tightest first,
+    before any pipeline runs, so a degree above one fails at once rather
+    than after the work of another.
     """
     if methods in ("all", None):
         names = tuple(METHODS)
@@ -406,8 +394,9 @@ def count(t: Genus1Tuple, methods="all") -> CountReport:
             raise DomainError(
                 f"unknown method {name!r}; choose from {sorted(METHODS)}"
             )
-    if "series" in names:
-        _require_series_bound(t)
+    for name in _DEGREE_BOUNDS:
+        if name in names:
+            _require_degree_bound(t, name)
     values = {name: METHODS[name](t) for name in names}
     agreed = len(set(values.values())) == 1
     return CountReport(t, values, agreed)

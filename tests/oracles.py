@@ -196,3 +196,48 @@ def schubert_product(x: dict[tuple[int, int], int], y: dict[tuple[int, int], int
             for key, v in _h_times(_h_times(x, i, n), j, n).items():
                 out[key] = out.get(key, 0) + sign * q * v
     return {key: v for key, v in out.items() if v}
+
+
+# The closed form's bottom-gap branch (sorted orders with d1 - d2 <= d3 - d4)
+# as it was transcribed before the package derived it from the top-gap branch
+# by the degree reflection.
+BOTTOM_GAP_TABLE = """
+-1/48 d1^4 d4^3
++1/24 d1^2 d2^2 d4^3
+-1/48 d2^4 d4^3
++1/24 d1^2 d3^2 d4^3
++1/24 d2^2 d3^2 d4^3
+-1/48 d3^4 d4^3
+-1/120 d1^2 d4^5
+-1/120 d2^2 d4^5
+-1/120 d3^2 d4^5
++1/1680 d4^7
++1/48 d1^4 d4
+-1/24 d1^2 d2^2 d4
++1/48 d2^4 d4
+-1/24 d1^2 d3^2 d4
+-1/24 d2^2 d3^2 d4
++1/48 d3^4 d4
++1/24 d1^2 d4^3
++1/24 d2^2 d4^3
++1/24 d3^2 d4^3
++1/240 d4^5
+-1/30 d1^2 d4
+-1/30 d2^2 d4
+-1/30 d3^2 d4
+-1/30 d4^3
++1/35 d4
+"""
+
+
+def polynomial_value(table: str, orders) -> Fraction:
+    """A table of lines 'coefficient d1^a d2^b ...' evaluated at orders."""
+    total = Fraction(0)
+    for line in table.strip().splitlines():
+        coeff, *factors = line.split()
+        term = Fraction(coeff)
+        for factor in factors:
+            name, _, power = factor.partition("^")
+            term *= orders[int(name[1]) - 1] ** int(power or 1)
+        total += term
+    return total

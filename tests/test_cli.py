@@ -12,8 +12,8 @@ import pytest
 import pencils
 from pencils import cli, verify
 from pencils.cli import argv_from_query, build_parser, main
-from pencils.errors import DomainError
-from pencils.genus1 import MAX_SERIES_DEGREE
+from pencils.errors import CrossCheckError, DomainError, IntegralityError
+from pencils.genus1 import MAX_LAURENT_DEGREE, MAX_SCHUBERT_DEGREE, MAX_SERIES_DEGREE
 from pencils.parallel import map_jobs
 from pencils.verify import run_suite
 
@@ -300,10 +300,61 @@ def test_csv_rejected_before_the_command_runs(monkeypatch, capsys):
     def never(args):
         raise AssertionError("the verify gate ran before the format check")
 
-    monkeypatch.setitem(cli._COMMANDS, "verify", never)
+    summary, options, _ = cli._SUBCOMMANDS["verify"]
+    monkeypatch.setitem(cli._SUBCOMMANDS, "verify", (summary, options, never))
     code, out, err = run(["verify", "--format", "csv"], capsys)
     assert (code, out) == (1, "")
     assert "csv output is only available for the table subcommand" in err
+
+
+CROSS_CHECK_FAILED = "error: cross-check failed, see output\n"
+
+
+@pytest.mark.parametrize("extra", [[], ["--method", "all"]])
+def test_genus1_disagreement_exits_two(extra, monkeypatch, capsys):
+    monkeypatch.setitem(cli.METHODS, "laurent", lambda t: 95)
+    argv = ["genus1", "--ram", "3,3,3,3", *extra]
+    code, out, err = run(argv, capsys)
+    assert (code, err) == (2, CROSS_CHECK_FAILED)
+    assert out.splitlines() == [
+        "schubert: 96", "laurent: 95", "polynomial: 96", "series: 96", "agreed: no",
+    ]
+    code, out, err = run(argv + ["--format", "json"], capsys)
+    assert (code, err) == (2, CROSS_CHECK_FAILED)
+    rec = json.loads(out)
+    assert (rec["result"], rec["agreed"]) == (None, False)
+    assert rec["methods"]["laurent"] == "95"
+
+
+def test_failing_verify_property_exits_two(monkeypatch, capsys):
+    def broken(level):
+        raise CrossCheckError(f"wrong at level {level}")
+
+    monkeypatch.setitem(verify._PROPERTIES, "duality", (broken,))
+    argv = ["verify", "--suite", "duality", "--max-degree", "2"]
+    code, out, err = run(argv, capsys)
+    assert (code, err) == (2, CROSS_CHECK_FAILED)
+    assert out.splitlines() == [
+        "FAIL broken: CrossCheckError: wrong at level 2", "0/1 properties passed",
+    ]
+    code, out, err = run(argv + ["--format", "json"], capsys)
+    assert (code, err) == (2, CROSS_CHECK_FAILED)
+    rec = json.loads(out)
+    assert rec["passed"] is False
+    assert [(p["name"], p["passed"]) for p in rec["properties"]] == [("broken", False)]
+
+
+def test_integrality_error_exits_two(monkeypatch, capsys):
+    def broken(degree, orders):
+        raise IntegralityError("genus0_count: 7/2 is not an integer")
+
+    monkeypatch.setattr(cli, "genus0_count", broken)
+    for fmt in ("text", "json"):
+        code, out, err = run(
+            ["genus0", "--degree", "3", "--ram", "2,2,2,2", "--format", fmt], capsys
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: genus0_count: 7/2 is not an integer\n"
 
 
 def test_series_degree_bound_exits_one(monkeypatch, capsys):
@@ -338,6 +389,24 @@ def test_genus1_refuses_the_series_bound_before_any_pipeline(monkeypatch, capsys
     code, out, err = run(["genus1", "--ram", "1000,1000,1000,1000"], capsys)
     assert (code, out) == (1, "")
     assert f"count_series: degree 1998 exceeds the bound {MAX_SERIES_DEGREE}" in err
+
+
+@pytest.mark.parametrize(
+    "pipeline, top", [("schubert", MAX_SCHUBERT_DEGREE), ("laurent", MAX_LAURENT_DEGREE)]
+)
+def test_genus1_single_method_degree_bound_exits_one(pipeline, top, monkeypatch, capsys):
+    def never(t):
+        raise AssertionError("a pipeline ran before its bound check")
+
+    monkeypatch.setitem(cli.METHODS, pipeline, never)
+    a = (top + 4) // 2
+    ram = f"{a},{a},{top + 3 - a},{top + 3 - a}"  # degree top + 1
+    code, out, err = run(["genus1", "--ram", ram, "--method", pipeline], capsys)
+    assert (code, out) == (1, "")
+    assert err == (
+        f"error: count_{pipeline}: degree {top + 1} exceeds the bound {top} "
+        f"on the {pipeline} pipeline\n"
+    )
 
 
 def test_verify_level_bound_exits_one(monkeypatch, capsys):

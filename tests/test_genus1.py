@@ -4,7 +4,8 @@ reference values; the four pipelines must also agree among themselves.
 """
 
 import itertools
-import re
+import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +13,8 @@ from hypothesis import given, settings, strategies as st
 from pencils import genus1
 from pencils.errors import DomainError
 from pencils.genus1 import (
+    MAX_LAURENT_DEGREE,
+    MAX_SCHUBERT_DEGREE,
     MAX_SERIES_DEGREE,
     Genus1Tuple,
     METHODS,
@@ -31,9 +34,11 @@ from pencils.genus1 import (
 from pencils.laurent import LaurentPolynomial, constant_term, p_poly
 
 from oracles import (
+    BOTTOM_GAP_TABLE,
     genus1_constant_term,
     ordered_on_shell,
     p_dict,
+    polynomial_value,
     syt_brute,
     unweighted_recursive,
     weighted_assembly,
@@ -111,11 +116,6 @@ def test_permutation_symmetry():
                 assert count_laurent(t) == want, perm
                 assert count_polynomial(t) == want, perm
                 assert count_schubert(t) == want, perm
-
-
-def test_tau_memo_bound_is_the_documented_one():
-    documented = re.search(r"(\d+) entries hold", genus1._tau.__doc__)
-    assert genus1._tau.cache_info().maxsize == int(documented.group(1))
 
 
 def test_out_of_domain_extension_vanishes():
@@ -275,9 +275,46 @@ def test_series_bound_is_checked_before_any_pipeline_runs(monkeypatch):
     for methods in ("all", ["schubert", "series"], ["laurent", "polynomial", "series"]):
         with pytest.raises(DomainError, match=message):
             count(over, methods)
-    # the bound belongs to the series pipeline alone
+    # the series bound belongs to the series pipeline alone
+    top = MAX_SERIES_DEGREE
+    a = (top + 4) // 2
+    above_series = Genus1Tuple(a, a, top + 3 - a, top + 3 - a)  # degree top + 1
     with pytest.raises(AssertionError, match="a pipeline ran"):
-        count(over, ["schubert"])
+        count(above_series, ["schubert"])
+
+
+@pytest.mark.parametrize(
+    "pipeline, top", [("schubert", MAX_SCHUBERT_DEGREE), ("laurent", MAX_LAURENT_DEGREE)]
+)
+def test_pipeline_degree_bounds(pipeline, top, monkeypatch):
+    a = (top + 4) // 2
+    at = Genus1Tuple(a, a, top + 2 - a, top + 2 - a)
+    over = Genus1Tuple(a, a, top + 3 - a, top + 3 - a)
+    assert (at.degree, over.degree) == (top, top + 1)
+    message = f"count_{pipeline}: degree {top + 1} exceeds the bound {top} on the {pipeline}"
+    with pytest.raises(DomainError, match=message):
+        METHODS[pipeline](over)
+
+    def never(t):
+        raise AssertionError("a pipeline ran before the bound check")
+
+    for name in METHODS:
+        monkeypatch.setitem(METHODS, name, never)
+    with pytest.raises(DomainError, match=message):
+        count(over, ["polynomial", pipeline])
+    with pytest.raises(AssertionError, match="a pipeline ran"):
+        count(at, [pipeline])
+
+
+def test_tightest_selected_bound_is_checked_first():
+    over = Genus1Tuple(2002, 2002, 2001, 2001)  # above all three bounds
+    for methods, pipeline in (
+        (["laurent", "schubert", "series"], "series"),
+        (["laurent", "schubert"], "schubert"),
+        (["polynomial", "laurent"], "laurent"),
+    ):
+        with pytest.raises(DomainError, match=f"count_{pipeline}: degree 4001"):
+            count(over, methods)
 
 
 def test_recursion_shifted_tuple_below_degree_two_contributes_zero():
@@ -306,6 +343,36 @@ def test_polynomial_branch_boundary_agreement():
                 assert lo == hi == count_laurent(Genus1Tuple(*quad)), quad
                 boundary += 1
     assert boundary > 20
+
+
+def _top_gap_value(orders) -> Fraction:
+    den, terms = genus1._TOP_GAP_TERMS
+    total = sum(num * math.prod(o**e for o, e in zip(orders, exps)) for num, exps in terms)
+    return Fraction(total, den)
+
+
+def test_bottom_gap_branch_is_the_reflected_top_gap_branch():
+    # With d4 = 2D - d1 - d2 - d3 the difference of the two sides is a
+    # polynomial of degree <= 7 in (d1, d2, d3, D); vanishing on the grid
+    # {0..7}^4 makes it identically zero.
+    for d1, d2, d3, half in itertools.product(range(8), repeat=4):
+        d4 = 2 * half - d1 - d2 - d3
+        reflected = (half - d4, half - d3, half - d2, half - d1)
+        assert polynomial_value(BOTTOM_GAP_TABLE, (d1, d2, d3, d4)) == _top_gap_value(
+            reflected
+        ), (d1, d2, d3, d4)
+
+
+def test_bottom_gap_oracle_matches_count_polynomial():
+    cases = 0
+    for degree in range(2, 21):
+        for quad in rep_tuples(degree):
+            d1, d2, d3, d4 = quad
+            if d1 - d2 <= d3 - d4:
+                want = polynomial_value(BOTTOM_GAP_TABLE, quad)
+                assert count_polynomial(Genus1Tuple(*quad)) == want, quad
+                cases += 1
+    assert cases > 1000
 
 
 def test_top_order_family():
