@@ -93,8 +93,7 @@ def _cmd_genus1(args) -> tuple[dict, int, list[str]]:
             f"--degree {args.degree} contradicts the orders, which force degree {t.degree}"
         )
     args.degree = t.degree
-    selector = "all" if args.method in (None, "all") else (args.method,)
-    report = count(t, selector)
+    report = count(t, args.method)
     values = {name: str(v) for name, v in report.values.items()}
     common = str(next(iter(report.values.values()))) if report.agreed else None
     record = {"result": common, "methods": values, "agreed": report.agreed}
@@ -153,11 +152,15 @@ def _cmd_dualprobe(args) -> tuple[dict, int, list[str]]:
             raise DomainError(
                 f"reflection sends order {o} to {d + 2 - o}, below the minimum order 2"
             )
-    reflected = replace(
-        problem,
-        fixed=tuple(d + 2 - o for o in problem.fixed),
-        moving=tuple(d + 2 - o for o in problem.moving),
-    )
+    fixed = tuple(d + 2 - o for o in problem.fixed)
+    moving = tuple(d + 2 - o for o in problem.moving)
+    try:
+        reflected = replace(problem, fixed=fixed, moving=moving)
+    except DomainError as exc:
+        raise DomainError(
+            f"the reflection d_i -> deg+2-d_i, fixed {list(fixed)} and moving "
+            f"{list(moving)}, is not a valid problem: {exc}"
+        ) from None
     a = count_with_padding(problem)[0]
     b = count_with_padding(reflected)[0]
     record = {

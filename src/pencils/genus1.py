@@ -138,7 +138,8 @@ def weighted_fixed_first(t: Genus1Tuple) -> int:
 
 # Each pipeline's cost on one core of an Intel Xeon server, worst shape of
 # orders measured, and the degree above which it is refused up front:
-# the series costs about deg^3, 3-4 s at degree 120; Schubert about deg^3,
+# the series costs about deg^3, 3-5 s at degree 120 with four distinct
+# orders (a repeated order builds its factor once); Schubert about deg^3,
 # 2.5-3.5 s at degree 800 with four equal orders; Laurent about deg^2, 3 s
 # at degree 4000 with orders (deg, deg, 2, 2).
 MAX_SERIES_DEGREE = 120
@@ -322,12 +323,10 @@ _TOP_GAP_TERMS = _parse_polynomial("""
 """)
 
 def _evaluate_terms(orders: tuple[int, int, int, int]) -> int:
+    """The top-gap polynomial at the orders, from one power table per order."""
     den, terms = _TOP_GAP_TERMS
-    total = 0
-    for mono, exps in terms:
-        for base, e in zip(orders, exps):
-            mono *= base**e
-        total += mono
+    p1, p2, p3, p4 = ([o**e for e in range(8)] for o in orders)  # degree 7
+    total = sum(num * p1[e1] * p2[e2] * p3[e3] * p4[e4] for num, (e1, e2, e3, e4) in terms)
     return exact_div(total, den, "count_polynomial")
 
 
@@ -381,14 +380,19 @@ METHODS = {
 def count(t: Genus1Tuple, methods="all") -> CountReport:
     """Run the requested pipelines (default all four) and compare.
 
+    methods is "all", None, one method name or an iterable of names.
     Every selected pipeline's degree bound is checked, tightest first,
     before any pipeline runs, so a degree above one fails at once rather
     than after the work of another.
     """
     if methods in ("all", None):
         names = tuple(METHODS)
+    elif isinstance(methods, str):
+        names = (methods,)
     else:
         names = tuple(methods)
+    if not names:
+        raise DomainError(f"no method selected; choose from {sorted(METHODS)}")
     for name in names:
         if name not in METHODS:
             raise DomainError(

@@ -147,9 +147,14 @@ def n_via_series(d1: int, d2: int, d3: int, d4: int) -> int:
     """Count via coefficient extraction from a q-series product.
 
     Multiplies (1-4q)^(3/2) by, for each order d_i, the convolution
-    sum_{j=0}^{d_i-2} s_j * s_{d_i-2-j}, and reads off the coefficient of
+    F_d = sum_{j=0}^{d-2} s_j * s_{d-2-j}, and reads off the coefficient of
     q^degree.  Orders must be >= 1 and sum to twice an integer degree
     plus four, with degree >= 2.
+
+    F_1 is the empty convolution, so an order 1 gives 0 at once.  The
+    Schur polynomials are built once per call and F_d once per distinct
+    order; the last factor is paired with the product of the others,
+    sum_i acc_i * F_last[degree - i], instead of being multiplied in.
     """
     orders = (d1, d2, d3, d4)
     for di in orders:
@@ -160,11 +165,20 @@ def n_via_series(d1: int, d2: int, d3: int, d4: int) -> int:
         raise DomainError(
             f"off-shell: d1+d2+d3+d4 = {total} must be even and >= 8"
         )
+    if 1 in orders:
+        return 0
     degree = (total - 4) // 2
-    acc = power_3_2(degree)
+    schur = [schur_q(j, degree) for j in range(max(orders) - 1)]
+    factors: dict[int, TruncatedSeries] = {}
     for di in orders:
-        factor = TruncatedSeries.constant(0, degree)
-        for j in range(di - 1):
-            factor = factor + schur_q(j, degree) * schur_q(di - 2 - j, degree)
-        acc = acc * factor
-    return as_integer(acc.coefficient(degree), "n_via_series")
+        if di not in factors:
+            factor = TruncatedSeries.constant(0, degree)
+            for j in range(di - 1):
+                factor = factor + schur[j] * schur[di - 2 - j]
+            factors[di] = factor
+    acc = power_3_2(degree)
+    for di in orders[:-1]:
+        acc = acc * factors[di]
+    last = factors[orders[-1]].coeffs
+    value = sum(a * last[degree - i] for i, a in enumerate(acc.coeffs))
+    return as_integer(value, "n_via_series")

@@ -5,7 +5,8 @@ tableau counts come from brute-force backtracking, binomials from a
 literal Pascal triangle, series coefficients from the generalized
 binomial expansion, Laurent products from naive dict convolution,
 Schubert products from the Jacobi-Trudi determinant, Schur polynomials
-and the unweighted count from their recursions.
+and the unweighted count from their recursions, the q-series count with
+every factor multiplied in, and the closed form one power per factor.
 Slow is fine; these only run at test scale.
 """
 
@@ -241,3 +242,40 @@ def polynomial_value(table: str, orders) -> Fraction:
             term *= orders[int(name[1]) - 1] ** int(power or 1)
         total += term
     return total
+
+
+def series_count(orders) -> int:
+    """The genus-1 count as the q^deg coefficient of the full q-series product
+    (1-4q)^(3/2) * prod_i sum_{j=0}^{d_i-2} s_j s_(d_i-2-j), every factor
+    multiplied in, with Fraction lists truncated at q^deg."""
+    degree = (sum(orders) - 4) // 2
+    schur = schur_table(max(orders))
+
+    def times(a, b):
+        out = [Fraction(0)] * (degree + 1)
+        for i, x in enumerate(a[: degree + 1]):
+            for j, y in enumerate(b[: degree + 1 - i]):
+                out[i + j] += x * y
+        return out
+
+    acc = binomial_series(Fraction(3, 2), degree)
+    for d in orders:
+        factor = [Fraction(0)] * (degree + 1)
+        for j in range(d - 1):
+            for n, c in enumerate(times(schur[j], schur[d - 2 - j])):
+                factor[n] += c
+        acc = times(acc, factor)
+    assert acc[degree].denominator == 1, orders
+    return int(acc[degree])
+
+
+def evaluate_terms(table, orders) -> Fraction:
+    """A parsed closed-form table (common denominator, integer terms with
+    exponent tuples) at the orders, one base**e power per factor."""
+    den, terms = table
+    total = 0
+    for mono, exps in terms:
+        for base, e in zip(orders, exps):
+            mono *= base**e
+        total += mono
+    return Fraction(total, den)

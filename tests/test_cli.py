@@ -105,6 +105,17 @@ def test_dualprobe(capsys):
     code, _, err = run(["dualprobe", "--genus", "1", "--degree", "3", "--fixed", "4"], capsys)
     assert code == 1
     assert "below the minimum order 2" in err
+    # on-shell (genusg counts it as 16), but its reflection is not: the
+    # message must say so rather than quote the reflection's numbers as the input's
+    on_shell = ["--genus", "1", "--degree", "3", "--fixed", "2,2", "--moving", "2,2,3"]
+    code, out, _ = run(["genusg", *on_shell], capsys)
+    assert (code, out) == (0, "16\n")
+    code, out, err = run(["dualprobe", *on_shell], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith(
+        "error: the reflection d_i -> deg+2-d_i, fixed [3, 3] and moving [3, 3, 2], "
+        "is not a valid problem: off-shell: conditions impose 6 "
+    )
 
 
 def test_table_csv(capsys):

@@ -4,8 +4,6 @@ reference values; the four pipelines must also agree among themselves.
 """
 
 import itertools
-import math
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -35,6 +33,7 @@ from pencils.laurent import LaurentPolynomial, constant_term, p_poly
 
 from oracles import (
     BOTTOM_GAP_TABLE,
+    evaluate_terms,
     genus1_constant_term,
     ordered_on_shell,
     p_dict,
@@ -176,6 +175,16 @@ def test_count_report():
     assert partial.values == {"laurent": 96}
     with pytest.raises(DomainError):
         count(Genus1Tuple(2, 2, 2, 2), ("nope",))
+    # a string is one method name, not a sequence of one-letter names
+    t = Genus1Tuple(4, 4, 3, 3)
+    for name in METHODS:
+        assert count(t, name).values == {name: 208}
+    assert count(t, None).values == count(t, "all").values == count(t, METHODS).values
+    with pytest.raises(DomainError, match="unknown method 'lau'"):
+        count(t, "lau")
+    for empty in ([], ()):
+        with pytest.raises(DomainError, match="no method selected"):
+            count(t, empty)
 
 
 def test_recursion_both_directions():
@@ -345,12 +354,6 @@ def test_polynomial_branch_boundary_agreement():
     assert boundary > 20
 
 
-def _top_gap_value(orders) -> Fraction:
-    den, terms = genus1._TOP_GAP_TERMS
-    total = sum(num * math.prod(o**e for o, e in zip(orders, exps)) for num, exps in terms)
-    return Fraction(total, den)
-
-
 def test_bottom_gap_branch_is_the_reflected_top_gap_branch():
     # With d4 = 2D - d1 - d2 - d3 the difference of the two sides is a
     # polynomial of degree <= 7 in (d1, d2, d3, D); vanishing on the grid
@@ -358,9 +361,23 @@ def test_bottom_gap_branch_is_the_reflected_top_gap_branch():
     for d1, d2, d3, half in itertools.product(range(8), repeat=4):
         d4 = 2 * half - d1 - d2 - d3
         reflected = (half - d4, half - d3, half - d2, half - d1)
-        assert polynomial_value(BOTTOM_GAP_TABLE, (d1, d2, d3, d4)) == _top_gap_value(
-            reflected
+        assert polynomial_value(BOTTOM_GAP_TABLE, (d1, d2, d3, d4)) == evaluate_terms(
+            genus1._TOP_GAP_TERMS, reflected
         ), (d1, d2, d3, d4)
+
+
+def test_power_table_matches_the_term_by_term_loop():
+    # both branches, on and off the boundary, against one base**e per factor
+    cases = 0
+    for degree in range(2, 21):
+        for quad in rep_tuples(degree):
+            reflected = genus1._reflect(quad)
+            assert polynomial_branch_values(Genus1Tuple(*quad)) == (
+                evaluate_terms(genus1._TOP_GAP_TERMS, quad),
+                evaluate_terms(genus1._TOP_GAP_TERMS, reflected),
+            ), quad
+            cases += 1
+    assert cases == 1600
 
 
 def test_bottom_gap_oracle_matches_count_polynomial():

@@ -7,6 +7,7 @@ import pytest
 
 from pencils.errors import DomainError
 from pencils.exactmath import catalan, syt_count
+from pencils.genus1 import on_shell_tuples
 from pencils.qseries import (
     TruncatedSeries,
     catalan_power_series,
@@ -16,7 +17,13 @@ from pencils.qseries import (
     sqrt_one_minus_4q,
 )
 
-from oracles import binomial_series, genus1_constant_term, geometric_inverse, schur_table
+from oracles import (
+    binomial_series,
+    genus1_constant_term,
+    geometric_inverse,
+    schur_table,
+    series_count,
+)
 
 
 def test_series_construction_and_truncation():
@@ -155,3 +162,50 @@ def test_n_via_series_validation():
         n_via_series(2, 2, 1, 1)  # degree below 2
     with pytest.raises(DomainError):
         n_via_series(0, 4, 2, 2)
+
+
+def test_n_via_series_matches_the_full_product_oracle():
+    # sorted tuples, order-1 tuples included, then every labeled tuple:
+    # the last order is paired rather than multiplied in
+    tuples = zeros = 0
+    for deg in range(2, 15):
+        for quad in on_shell_tuples(deg):
+            assert n_via_series(*quad) == series_count(quad), quad
+            tuples += 1
+            zeros += 1 in quad
+    assert (tuples, zeros) == (441, 83)
+    for deg in range(2, 9):
+        for quad in on_shell_tuples(deg, ordered=True):
+            assert n_via_series(*quad) == series_count(quad), quad
+
+
+def _count_series_products(monkeypatch):
+    calls = []
+    original = TruncatedSeries.__mul__
+
+    def counted(self, other):
+        if isinstance(other, TruncatedSeries):
+            calls.append(1)
+        return original(self, other)
+
+    monkeypatch.setattr(TruncatedSeries, "__mul__", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "quad, products",
+    [
+        # an order 1 makes no product at all
+        ((9, 7, 3, 1), 0),
+        ((1, 5, 5, 5), 0),
+        # (d-1) Schur products per distinct order d, then one product inside
+        # power_3_2 and three accumulating products; the last factor is paired
+        ((8, 8, 5, 3), (7 + 4 + 2) + 1 + 3),
+        ((6, 6, 6, 6), 5 + 1 + 3),
+        ((7, 5, 4, 2), (6 + 4 + 3 + 1) + 1 + 3),
+    ],
+)
+def test_series_product_counts(quad, products, monkeypatch):
+    calls = _count_series_products(monkeypatch)
+    assert n_via_series(*quad) == genus1_constant_term(quad)
+    assert len(calls) == products
