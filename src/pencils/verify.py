@@ -47,7 +47,7 @@ from .grassmann import (
 )
 from .laurent import constant_term, p_poly
 from .parallel import map_jobs
-from .qseries import TruncatedSeries, catalan_power_series, power_3_2, schur_q, sqrt_one_minus_4q
+from .qseries import TruncatedSeries, _convolution, catalan_power_series, power_3_2, sqrt_one_minus_4q
 
 __all__ = ["PropertyResult", "SUITES", "MAX_VERIFY_LEVEL", "run_property", "run_suite"]
 
@@ -252,9 +252,7 @@ def series_coefficient_identities(level: int) -> str:
             for qi, ci in inv[i - 1].items():
                 for qj, cj in inv[n - i - 1].items():
                     square[qi + qj] = square.get(qi + qj, 0) + ci * cj
-        conv = TruncatedSeries.constant(0, n)
-        for j in range(0, n - 1):
-            conv = conv + schur_q(j, n) * schur_q(n - 2 - j, n)
+        conv = _convolution(n, n)
         for m in range(0, n + 1):
             _check(
                 conv.coefficient(m) == square.get(m, 0),
@@ -424,7 +422,7 @@ _PROPERTIES = {
 
 SUITES = ("all", *_PROPERTIES)
 
-# the full suite on one Intel Xeon core: 1.1-1.4 s at level 9 (the gate), 10 s at 13, 129 s at 17
+# the full suite on one Intel Xeon core: 0.7-0.8 s at level 9 (the gate), 7.5-8.5 s at 13, 114 s at 17
 MAX_VERIFY_LEVEL = 13
 
 

@@ -10,12 +10,14 @@ from pencils.exactmath import catalan, syt_count
 from pencils.genus1 import on_shell_tuples
 from pencils.qseries import (
     TruncatedSeries,
+    _convolution,
     catalan_power_series,
     n_via_series,
     power_3_2,
     schur_q,
     sqrt_one_minus_4q,
 )
+from pencils.verify import four_method_agreement
 
 from oracles import (
     binomial_series,
@@ -130,6 +132,7 @@ def test_inverse_square_matches_schur_convolution():
         conv = TruncatedSeries.constant(0, n)
         for j in range(n - 1):
             conv = conv + schur_q(j, n) * schur_q(n - 2 - j, n)
+        assert conv == _convolution(n, n), n
         for m in range(n + 1):
             assert conv.coefficient(m) == square.get(m, 0), (n, m)
         bound = n // 2 - 1
@@ -165,10 +168,12 @@ def test_n_via_series_validation():
 
 
 def test_n_via_series_matches_the_full_product_oracle():
-    # sorted tuples, order-1 tuples included, then every labeled tuple:
-    # the last order is paired rather than multiplied in
+    # from a cold memo, sorted tuples by descending degree (order-1 tuples
+    # included), so the memo's state never shows; then every labeled
+    # tuple: the last order is paired rather than multiplied in
+    _convolution.cache_clear()
     tuples = zeros = 0
-    for deg in range(2, 15):
+    for deg in range(14, 1, -1):
         for quad in on_shell_tuples(deg):
             assert n_via_series(*quad) == series_count(quad), quad
             tuples += 1
@@ -177,6 +182,21 @@ def test_n_via_series_matches_the_full_product_oracle():
     for deg in range(2, 9):
         for quad in on_shell_tuples(deg, ordered=True):
             assert n_via_series(*quad) == series_count(quad), quad
+
+
+def test_product_commutes_across_sparsity_and_orders():
+    # n_via_series puts the sparse factor on the left of each product
+    sparse = TruncatedSeries((0, 3, 0, 0, Fraction(-1, 2)), order=9)
+    dense = TruncatedSeries([Fraction(n + 1, 2 * n + 3) for n in range(7)])
+    assert sparse * dense == dense * sparse
+    assert (sparse * dense).order == 6
+    shorter = TruncatedSeries((2, 0, 5), order=3)
+    assert shorter * sparse == sparse * shorter
+    assert (shorter * sparse).order == 3
+    for d, degree in ((8, 9), (13, 6), (2, 4)):
+        f = _convolution(d, degree)
+        acc = power_3_2(degree + 3)
+        assert f * acc == acc * f, (d, degree)
 
 
 def _count_series_products(monkeypatch):
@@ -198,14 +218,28 @@ def _count_series_products(monkeypatch):
         # an order 1 makes no product at all
         ((9, 7, 3, 1), 0),
         ((1, 5, 5, 5), 0),
-        # (d-1) Schur products per distinct order d, then one product inside
-        # power_3_2 and three accumulating products; the last factor is paired
+        # from a cold memo: (d-1) Schur products per distinct order d, then
+        # one product inside power_3_2 and three accumulating products; the
+        # last factor is paired
         ((8, 8, 5, 3), (7 + 4 + 2) + 1 + 3),
         ((6, 6, 6, 6), 5 + 1 + 3),
         ((7, 5, 4, 2), (6 + 4 + 3 + 1) + 1 + 3),
     ],
 )
 def test_series_product_counts(quad, products, monkeypatch):
+    _convolution.cache_clear()
     calls = _count_series_products(monkeypatch)
     assert n_via_series(*quad) == genus1_constant_term(quad)
     assert len(calls) == products
+    # repeated, the count reads every F_d from the memo
+    calls.clear()
+    assert n_via_series(*quad) == genus1_constant_term(quad)
+    assert len(calls) == (0 if 1 in quad else 1 + 3)
+
+
+def test_convolution_memo_counts_the_gate_keys():
+    _convolution.cache_clear()
+    four_method_agreement(7)
+    info = _convolution.cache_info()
+    # 36 distinct (order, degree) keys among the 292 factors its counts read
+    assert (info.misses, info.hits) == (36, 256)
