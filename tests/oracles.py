@@ -6,7 +6,8 @@ literal Pascal triangle, series coefficients from the generalized
 binomial expansion, Laurent products from naive dict convolution,
 Schubert products from the Jacobi-Trudi determinant, Schur polynomials
 and the unweighted count from their recursions, the q-series count with
-every factor multiplied in, and the closed form one power per factor.
+every factor multiplied in, Catalan powers by sequential convolution,
+and the closed form one power per factor.
 Slow is fine; these only run at test scale.
 """
 
@@ -267,6 +268,19 @@ def series_count(orders) -> int:
         acc = times(acc, factor)
     assert acc[degree].denominator == 1, orders
     return int(acc[degree])
+
+
+def catalan_power(t: int, order: int) -> list[int]:
+    """Coefficients q^0..q^order of C(q)^t, C the Catalan generating
+    function: C from C_(n+1) = sum_i C_i C_(n-i), then t sequential
+    convolutions of plain int lists, starting from 1."""
+    base = [1]
+    for n in range(order):
+        base.append(sum(base[i] * base[n - i] for i in range(n + 1)))
+    out = [1] + [0] * order
+    for _ in range(t):
+        out = [sum(out[i] * base[n - i] for i in range(n + 1)) for n in range(order + 1)]
+    return out
 
 
 def evaluate_terms(table, orders) -> Fraction:

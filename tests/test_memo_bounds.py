@@ -35,4 +35,4 @@ def test_every_memo_has_its_documented_bound():
             assert documented, f"{name} does not document its bound"
             assert maxsize == int(documented.group(1)), name
             found.add(memo.__name__)
-    assert found >= {"_triple_multisets", "_tail_class", "_convolution"}
+    assert found >= {"_triple_multisets", "_tail_class", "_convolution", "power_3_2"}

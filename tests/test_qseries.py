@@ -21,6 +21,7 @@ from pencils.verify import four_method_agreement
 
 from oracles import (
     binomial_series,
+    catalan_power,
     genus1_constant_term,
     geometric_inverse,
     schur_table,
@@ -100,12 +101,30 @@ def test_schur_closed_form_matches_recursion():
 
 
 def test_catalan_power_series_coefficients():
-    for t in range(1, 7):
-        f_t = catalan_power_series(t, 15)
-        for m in range(16):
+    # the ballot numbers: [q^m] C(q)^t counts two-row tableaux (t+m-1, m)
+    for t in range(1, 17):
+        f_t = catalan_power_series(t, 40)
+        for m in range(41):
             assert f_t.coefficient(m) == syt_count(t + m - 1, m), (t, m)
-    with pytest.raises(DomainError):
-        catalan_power_series(0, 5)
+    for t in (0, -1):
+        with pytest.raises(DomainError):
+            catalan_power_series(t, 5)
+
+
+def test_catalan_power_series_matches_the_convolution_oracle():
+    for order in (0, 1, 7, 25):
+        for t in range(1, 20):
+            assert catalan_power_series(t, order) == TruncatedSeries(
+                catalan_power(t, order)
+            ), (t, order)
+
+
+def test_catalan_power_series_squares(monkeypatch):
+    # one square per bit of t after the leading one, one product per set bit
+    calls = _count_series_products(monkeypatch)
+    for t in range(1, 9):
+        catalan_power_series(t, 19)
+    assert len(calls) == 0 + 1 + 2 + 2 + 3 + 3 + 4 + 3 == 18
 
 
 def test_catalan_power_series_multiplicative():
@@ -228,13 +247,14 @@ def _count_series_products(monkeypatch):
 )
 def test_series_product_counts(quad, products, monkeypatch):
     _convolution.cache_clear()
+    power_3_2.cache_clear()
     calls = _count_series_products(monkeypatch)
     assert n_via_series(*quad) == genus1_constant_term(quad)
     assert len(calls) == products
-    # repeated, the count reads every F_d from the memo
+    # repeated, the count reads (1-4q)^(3/2) and every F_d from the memos
     calls.clear()
     assert n_via_series(*quad) == genus1_constant_term(quad)
-    assert len(calls) == (0 if 1 in quad else 1 + 3)
+    assert len(calls) == (0 if 1 in quad else 3)
 
 
 def test_convolution_memo_counts_the_gate_keys():
@@ -243,3 +263,11 @@ def test_convolution_memo_counts_the_gate_keys():
     info = _convolution.cache_info()
     # 36 distinct (order, degree) keys among the 292 factors its counts read
     assert (info.misses, info.hits) == (36, 256)
+
+
+def test_power_3_2_memo_counts_the_gate_degrees():
+    power_3_2.cache_clear()
+    four_method_agreement(7)
+    info = power_3_2.cache_info()
+    # one series per degree 2..9 among the 73 counts without an order 1
+    assert (info.misses, info.hits) == (8, 65)
