@@ -200,6 +200,15 @@ def schubert_product(x: dict[tuple[int, int], int], y: dict[tuple[int, int], int
     return {key: v for key, v in out.items() if v}
 
 
+def tau_class(k: int, n: int) -> dict[tuple[int, int], int]:
+    """tau_k = sum over a + b = k of h_a h_b on Gr(2, n), by the Pieri rule above."""
+    out: dict[tuple[int, int], int] = {}
+    for a in range(k + 1):
+        for key, v in _h_times(_h_times({(0, 0): 1}, a, n), k - a, n).items():
+            out[key] = out.get(key, 0) + v
+    return out
+
+
 # The closed form's bottom-gap branch (sorted orders with d1 - d2 <= d3 - d4)
 # as it was transcribed before the package derived it from the top-gap branch
 # by the degree reflection.

@@ -315,11 +315,6 @@ def test_assembly_matches_enumeration():
     assert all(genus_g_count(p) > 0 for p in _MIXED_GENUS3)
 
 
-def _clear_memos():
-    degeneration._triple_multisets.cache_clear()
-    degeneration._tail_class.cache_clear()
-
-
 def _counting(monkeypatch, names):
     """Count the calls the degeneration makes through each named binding."""
     calls = Counter()
@@ -336,8 +331,7 @@ def _counting(monkeypatch, names):
     return calls
 
 
-def test_assembly_calls_once_per_triple_and_multiset(monkeypatch):
-    _clear_memos()
+def test_assembly_calls_once_per_triple_and_multiset(monkeypatch, fresh_memos):
     calls = _counting(monkeypatch, ("count_laurent", "pairing", "distributions"))
     p = _MIXED_GENUS3[2]
     multisets = {
@@ -362,8 +356,7 @@ def test_assembly_calls_once_per_triple_and_multiset(monkeypatch):
     assert calls == {"pairing": len(multisets)}
 
 
-def test_permuted_moving_labels_reuse_the_memo(monkeypatch):
-    _clear_memos()
+def test_permuted_moving_labels_reuse_the_memo(monkeypatch, fresh_memos):
     p = _MIXED_GENUS3[1]
     want = (genus_g_count(p), genus_g_weighted(p))
     calls = _counting(monkeypatch, ("distributions",))

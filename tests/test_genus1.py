@@ -227,7 +227,7 @@ def _count_products(monkeypatch):
     return calls
 
 
-def test_constant_terms_make_two_products(monkeypatch):
+def test_constant_terms_make_two_products(monkeypatch, fresh_memos):
     t = Genus1Tuple(9, 7, 6, 4)
     calls = _count_products(monkeypatch)
     assert count_laurent(t) == genus1_constant_term(t.orders())

@@ -149,7 +149,7 @@ def test_sigma1_power_matches_the_pieri_chain():
             cls = pieri_mul(cls, 1)
 
 
-def test_sigma1_power_makes_no_pieri_steps(monkeypatch):
+def test_sigma1_power_makes_no_pieri_steps(monkeypatch, fresh_memos):
     def never(*args):
         raise AssertionError("sigma1_power took a Pieri step")
 

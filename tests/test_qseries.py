@@ -186,11 +186,10 @@ def test_n_via_series_validation():
         n_via_series(0, 4, 2, 2)
 
 
-def test_n_via_series_matches_the_full_product_oracle():
+def test_n_via_series_matches_the_full_product_oracle(fresh_memos):
     # from a cold memo, sorted tuples by descending degree (order-1 tuples
     # included), so the memo's state never shows; then every labeled
     # tuple: the last order is paired rather than multiplied in
-    _convolution.cache_clear()
     tuples = zeros = 0
     for deg in range(14, 1, -1):
         for quad in on_shell_tuples(deg):
@@ -245,9 +244,7 @@ def _count_series_products(monkeypatch):
         ((7, 5, 4, 2), (6 + 4 + 3 + 1) + 1 + 3),
     ],
 )
-def test_series_product_counts(quad, products, monkeypatch):
-    _convolution.cache_clear()
-    power_3_2.cache_clear()
+def test_series_product_counts(quad, products, monkeypatch, fresh_memos):
     calls = _count_series_products(monkeypatch)
     assert n_via_series(*quad) == genus1_constant_term(quad)
     assert len(calls) == products
@@ -257,16 +254,14 @@ def test_series_product_counts(quad, products, monkeypatch):
     assert len(calls) == (0 if 1 in quad else 3)
 
 
-def test_convolution_memo_counts_the_gate_keys():
-    _convolution.cache_clear()
+def test_convolution_memo_counts_the_gate_keys(fresh_memos):
     four_method_agreement(7)
     info = _convolution.cache_info()
     # 36 distinct (order, degree) keys among the 292 factors its counts read
     assert (info.misses, info.hits) == (36, 256)
 
 
-def test_power_3_2_memo_counts_the_gate_degrees():
-    power_3_2.cache_clear()
+def test_power_3_2_memo_counts_the_gate_degrees(fresh_memos):
     four_method_agreement(7)
     info = power_3_2.cache_info()
     # one series per degree 2..9 among the 73 counts without an order 1

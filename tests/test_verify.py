@@ -3,10 +3,13 @@ facts they rest on that each must catch."""
 
 import pytest
 
-from pencils import degeneration, grassmann, verify
+from pencils import degeneration, genus1, grassmann, verify
 from pencils.degeneration import RamificationProblem
 from pencils.errors import CrossCheckError
+from pencils.genus1 import count_series, polynomial_branch_values
 from pencils.grassmann import SchubertClass
+
+from oracles import tau_class
 
 
 def _counted(monkeypatch, module, name):
@@ -44,7 +47,7 @@ def _sigma1_power_missing_its_first_term(k, ambient):
     return SchubertClass(ambient, terms)
 
 
-def test_consolidation_catches_a_sigma1_power_missing_a_term(monkeypatch):
+def test_consolidation_catches_a_sigma1_power_missing_a_term(monkeypatch, fresh_memos):
     # the pipeline reads the same wrong class for a problem and its
     # consolidation, so only the product of the per-point classes differs
     for module in (verify, degeneration):
@@ -61,7 +64,7 @@ def _merged_one_too_high(p):
     return RamificationProblem(p.g, p.d, (sum(p.fixed) - p.n + 2,), p.moving)
 
 
-def test_consolidation_catches_a_wrong_merged_order(monkeypatch):
+def test_consolidation_catches_a_wrong_merged_order(monkeypatch, fresh_memos):
     # left unmerged, the problem counts the same as itself: only the
     # comparison with the merged problem sees it
     monkeypatch.setattr(verify, "consolidate_fixed", _unmerged)
@@ -70,3 +73,96 @@ def test_consolidation_catches_a_wrong_merged_order(monkeypatch):
     monkeypatch.setattr(verify, "consolidate_fixed", _merged_one_too_high)
     result = verify.run_property(verify.weighted_consolidation_invariance, 5)
     assert not result.passed and result.detail.startswith("DomainError: off-shell")
+
+
+# ------------------------------------------------- failure text of mutants
+
+
+def _series_off_by_one_on_5432(t):
+    return count_series(t) + (t.orders() == (5, 4, 3, 2))
+
+
+def _pieri_missing_its_last_term(c, k):
+    # the Pieri range stops one short of min(a, b + k)
+    out = {}
+    for (a, b), coeff in c.terms.items():
+        for bp in range(max(b, a + b + k - (c.ambient - 2)), min(a, b + k)):
+            key = (a + b + k - bp, bp)
+            out[key] = out.get(key, 0) + coeff
+    return SchubertClass(c.ambient, out)
+
+
+@pytest.mark.parametrize(
+    "prop, namespace, name, mutant, detail",
+    [
+        (
+            verify.four_method_agreement,
+            genus1.METHODS,
+            "series",
+            _series_off_by_one_on_5432,
+            "methods disagree on (5, 4, 3, 2): "
+            "{'schubert': 72, 'laurent': 72, 'polynomial': 72, 'series': 73}",
+        ),
+        (
+            # the top-gap polynomial without the reflection onto its branch
+            verify.closed_form_branch_guard,
+            vars(verify),
+            "count_polynomial",
+            lambda t: polynomial_branch_values(t)[0],
+            "closed form vs constant term on (5, 5, 5, 1)",
+        ),
+        (
+            verify.sigma1_powers_match_tableau_counts,
+            vars(verify),
+            "pieri_mul",
+            _pieri_missing_its_last_term,
+            "sigma1^1 on Gr(2,3) at (1,0): 0 != 1",
+        ),
+    ],
+    ids=["methods", "closed-form", "pieri"],
+)
+def test_a_failing_check_reports_its_case(prop, namespace, name, mutant, detail, monkeypatch,
+                                          fresh_memos):
+    monkeypatch.setitem(namespace, name, mutant)
+    result = verify.run_property(prop, 7)
+    assert not result.passed
+    assert result.detail == f"CrossCheckError: {detail}"
+
+
+# -------------------------------------------- memo traffic of the sweeps
+
+
+def test_four_method_agreement_builds_each_tau_once(fresh_memos):
+    verify.four_method_agreement(7)
+    info = genus1._tau.cache_info()
+    # 96 tuples, four classes each, from 43 distinct (index, ambient) keys
+    assert (info.misses, info.hits) == (43, 341)
+
+
+def test_consolidation_builds_each_sigma1_power_once(fresh_memos):
+    verify.weighted_consolidation_invariance(7)
+    info = grassmann.sigma1_power.cache_info()
+    assert (info.misses, info.hits) == (16, 496)
+
+
+def test_suite_counts_each_laurent_tuple_once(fresh_memos):
+    verify.run_suite("all", 7)
+    info = genus1.count_laurent.cache_info()
+    assert (info.misses, info.hits) == (333, 297)
+
+
+def test_cached_tau_classes_stay_equal_to_the_oracle(monkeypatch, fresh_memos):
+    # a caller that mutated a shared class would leave a wrong one cached
+    seen = {}
+    memo = genus1._tau
+
+    def recording(k, ambient):
+        seen[k, ambient] = cls = memo(k, ambient)
+        return cls
+
+    monkeypatch.setattr(genus1, "_tau", recording)
+    assert all(result.passed for result in verify.run_suite("all", 9))
+    assert len(seen) == memo.cache_info().currsize == 64
+    for (k, ambient), cls in seen.items():
+        assert memo(k, ambient) is cls
+        assert cls.terms == tau_class(k, ambient), (k, ambient)
