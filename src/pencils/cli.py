@@ -31,15 +31,16 @@ from .genus1 import (
     weighted_count,
     weighted_fixed_first,
 )
-from .parallel import map_jobs
 from .verify import SUITES, run_suite
 
 __all__ = ["main", "build_parser", "argv_from_query", "MAX_TABLE_DEGREE"]
 
-# A table runs count_laurent on every on-shell tuple, at a cost growing like
-# deg^4 (deg^5 with --ordered).  On one core of an Intel Xeon server degree
-# 30 takes 0.3 s (865 rows) and 5-6 s with --ordered (17,893 rows); degree
-# 60 would take 8 s and 135 s, so larger degrees are refused up front.
+# A table runs count_laurent once per on-shell multiset, a cost growing
+# about 25-fold per doubling of the degree; --ordered adds only the listing
+# of the labeled rows.  In-process on one core of an Intel Xeon server
+# degree 30 takes 0.13-0.16 s (865 counts) and 0.26-0.28 s with --ordered
+# (17,893 rows); degree 60 would spend 3.7-4.0 s on its 6,455 counts alone,
+# so larger degrees are refused up front.
 MAX_TABLE_DEGREE = 30
 
 
@@ -75,10 +76,6 @@ def _genus1_tuple(args) -> Genus1Tuple:
 def _problem(args) -> RamificationProblem:
     fixed = _orders(args, "fixed")
     return RamificationProblem(args.genus, args.degree, fixed, _orders(args, "moving"))
-
-
-def _table_row(quad: tuple[int, int, int, int]) -> int:
-    return count_laurent(Genus1Tuple(*quad))
 
 
 def _cmd_genus0(args) -> tuple[dict, int, list[str]]:
@@ -127,8 +124,12 @@ def _cmd_table(args) -> tuple[dict, int, list[str]]:
         raise DomainError(
             f"table: degree {args.degree} exceeds the bound {MAX_TABLE_DEGREE} on tables"
         )
-    quads = on_shell_tuples(args.degree, ordered=args.ordered)
-    rows = sorted(zip(quads, map_jobs(_table_row, quads, args.jobs)))
+    # the count is symmetric in the four points, so a labeled row reads its multiset's
+    counts = {q: count_laurent(Genus1Tuple(*q)) for q in on_shell_tuples(args.degree)}
+    rows = [
+        (q, counts[tuple(sorted(q, reverse=True))])
+        for q in on_shell_tuples(args.degree, ordered=args.ordered)
+    ]
     sep = "," if args.format == "csv" else " "
     lines = [sep.join(("d1", "d2", "d3", "d4", "count"))]
     lines += [sep.join(map(str, (*q, c))) for q, c in rows]
@@ -136,7 +137,7 @@ def _cmd_table(args) -> tuple[dict, int, list[str]]:
 
 
 def _cmd_verify(args) -> tuple[dict, int, list[str]]:
-    results = run_suite(args.suite, level=args.max_degree, jobs=args.jobs)
+    results = run_suite(args.suite, level=args.max_degree)
     good = sum(r.passed for r in results)
     lines = [f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}" for r in results]
     lines.append(f"{good}/{len(results)} properties passed")
@@ -178,9 +179,9 @@ def _cmd_dualprobe(args) -> tuple[dict, int, list[str]]:
 
 # Every subcommand as (summary, options, handler).  Options are (flag,
 # add_argument keywords), in help order after the shared --format:
-# build_parser declares them, the JSON query is their parsed values less
-# _UNECHOED, and argv_from_query walks them back.  A handler returns the
-# record body, the exit code and the lines of its text output.
+# build_parser declares them, the JSON query is their parsed values, and
+# argv_from_query walks them back.  A handler returns the record body, the
+# exit code and the lines of its text output.
 _RAM4 = ("--ram", {"required": True, "help": "d1,d2,d3,d4"})
 _PROBLEM = (
     ("--genus", {"type": int, "required": True}),
@@ -188,7 +189,6 @@ _PROBLEM = (
     ("--fixed", {"default": "", "help": "comma-separated fixed orders"}),
     ("--moving", {"default": "", "help": "comma-separated moving orders"}),
 )
-_JOBS = ("--jobs", {"type": int, "default": 1})
 _SUBCOMMANDS = {
     "genus0": ("fixed-ramification count on the line", (
         ("--degree", {"type": int, "required": True}),
@@ -220,19 +220,16 @@ _SUBCOMMANDS = {
             "action": "store_true",
             "help": "emit all permutations instead of sorted representatives",
         }),
-        _JOBS,
     ), _cmd_table),
     "verify": ("run the self-verification suites", (
         ("--suite", {"choices": SUITES, "default": "all"}),
         ("--max-degree", {"type": int, "default": 7}),
-        _JOBS,
     ), _cmd_verify),
     "dualprobe": (
         "compare a genus-g problem against its degree reflection (no assertion)",
         _PROBLEM, _cmd_dualprobe,
     ),
 }
-_UNECHOED = ("format", "jobs")
 
 
 def build_parser() -> _Parser:
@@ -273,7 +270,7 @@ def main(argv=None) -> int:
             raise DomainError("csv output is only available for the table subcommand")
         start = time.perf_counter()
         body, code, lines = _SUBCOMMANDS[args.subcommand][2](args)
-        query = {k: v for k, v in vars(args).items() if k not in _UNECHOED}
+        query = {k: v for k, v in vars(args).items() if k != "format"}
         record = {"query": query, **body}
         record["elapsed_ms"] = int(1000 * (time.perf_counter() - start))
         print(json.dumps(record, indent=2) if args.format == "json" else "\n".join(lines))

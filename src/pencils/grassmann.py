@@ -190,11 +190,14 @@ def sigma1_power(k: int, ambient: int) -> SchubertClass:
     Pieri step adds one box and every path to a shape in the box stays in it.
 
     Keyed by the exponent and the ambient; callers only read the class.
-    The bound covers the 37 keys of the release gate and the 101 of the
-    verify suite at its bound (level 13).  An entry is 0.6-1.1 KB on
-    Gr(2, N), N <= 16, 7 KB at N = 101 and 99 KB at N = 801 (measured
-    with tracemalloc, at k near N), so 128 entries hold ~0.14 MB on the
-    sweeps' Gr(2, N) and ~0.9 MB at N = 101.
+    The verify property that checks this closed form against Pieri steps
+    reads each (k, N) once: 209 keys at the release gate (level 9), 405 at
+    the suite's bound (level 13), more than the bound holds.  The 37 keys
+    the consolidation sweep reads again and again (101 at level 13) fit,
+    so the gate misses 235 times and level 13 506 times.  An entry is
+    0.6-1.1 KB on Gr(2, N), N <= 16, 7 KB at N = 101 and 99 KB at N = 801
+    (measured with tracemalloc, at k near N), so 128 entries hold ~0.14 MB
+    on the sweeps' Gr(2, N) and ~0.9 MB at N = 101.
     """
     if k < 0:
         raise DomainError(f"sigma1_power: exponent must be >= 0, got {k}")

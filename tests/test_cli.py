@@ -1,6 +1,5 @@
 """End-to-end CLI tests driving main() in-process."""
 
-import concurrent.futures
 import json
 import os
 import subprocess
@@ -13,8 +12,14 @@ import pencils
 from pencils import cli, verify
 from pencils.cli import argv_from_query, build_parser, main
 from pencils.errors import CrossCheckError, DomainError, IntegralityError
-from pencils.genus1 import MAX_LAURENT_DEGREE, MAX_SCHUBERT_DEGREE, MAX_SERIES_DEGREE
-from pencils.parallel import map_jobs
+from pencils.genus1 import (
+    MAX_LAURENT_DEGREE,
+    MAX_SCHUBERT_DEGREE,
+    MAX_SERIES_DEGREE,
+    Genus1Tuple,
+    count_laurent,
+    on_shell_tuples,
+)
 from pencils.verify import run_suite
 
 from oracles import ordered_on_shell
@@ -147,13 +152,27 @@ def test_table_ordered(capsys):
             assert row["count"] == "16"
 
 
-def test_table_parallel_matches_serial(capsys):
-    code, serial, _ = run(["table", "--degree", "3"], capsys)
+def test_ordered_table_rows_match_their_labeled_counts(capsys):
+    for degree in range(2, 9):
+        code, out, _ = run(["table", "--degree", str(degree), "--ordered", "--format", "json"],
+                           capsys)
+        assert code == 0
+        for row in json.loads(out)["rows"]:
+            assert int(row["count"]) == count_laurent(Genus1Tuple(*row["ram"])), row
+
+
+def test_ordered_table_counts_each_multiset_once(monkeypatch, capsys, fresh_memos):
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return count_laurent(t)
+
+    monkeypatch.setattr(cli, "count_laurent", counted)
+    code, out, _ = run(["table", "--degree", "12", "--ordered"], capsys)
     assert code == 0
-    code, parallel, _ = run(["table", "--degree", "3", "--jobs", "2"], capsys)
-    assert code == 0
-    assert serial == parallel
-    assert serial.splitlines()[0] == "d1 d2 d3 d4 count"
+    assert len(out.splitlines()) == 1 + len(on_shell_tuples(12, ordered=True))
+    assert len(calls) == len(on_shell_tuples(12)) == len(set(calls))
 
 
 def test_verify_cli(capsys):
@@ -253,7 +272,7 @@ def test_round_trips_rebuild_every_option(capsys):
         for name, sub in subparsers.choices.items()
         for action in sub._actions
         for flag in action.option_strings
-        if flag not in ("--format", "--jobs", "-h", "--help")
+        if flag not in ("--format", "-h", "--help")
     }
     rebuilt = set()
     for argv in ROUND_TRIPS:
@@ -284,8 +303,8 @@ def test_round_trips_rebuild_every_option(capsys):
          "off-shell"),
         (["table", "--degree", "1"], ""),
         (["verify", "--suite", "nope"], ""),
-        (["table", "--degree", "3", "--jobs", "0"], "jobs must be >= 1"),
-        (["verify", "--suite", "schubert", "--jobs", "-3"], "jobs must be >= 1"),
+        (["table", "--degree", "3", "--jobs", "2"], "unrecognized arguments: --jobs 2"),
+        (["verify", "--suite", "schubert", "--jobs", "2"], "unrecognized arguments: --jobs 2"),
         (["genusg", "--genus", "1", "--degree", "3", "--fixed", "0"],
          "--fixed must be positive, got 0"),
         (["dualprobe", "--genus", "1", "--degree", "3", "--moving", "2,y"],
@@ -376,19 +395,19 @@ def test_series_degree_bound_exits_one(monkeypatch, capsys):
     assert (code, out) == (1, "")
     assert f"degree {top + 1} exceeds the bound {top}" in err
 
-    def never(fn, items, jobs):
+    def never(prop, level):
         raise AssertionError("a property ran before the level check")
 
-    monkeypatch.setattr(verify, "map_jobs", never)
+    monkeypatch.setattr(verify, "run_property", never)
     for suite in ("all", "laurent"):
         code, out, err = run(["verify", "--suite", suite, "--max-degree", str(top - 1)],
                              capsys)
         assert (code, out) == (1, "")
         assert f"level {top - 1} exceeds the bound {verify.MAX_VERIFY_LEVEL}" in err
     # the last admitted level, and suites that never run the series
-    monkeypatch.setattr(verify, "map_jobs", lambda fn, items, jobs: [])
-    assert run_suite("laurent", level=verify.MAX_VERIFY_LEVEL) == []
-    assert run_suite("schubert", level=verify.MAX_VERIFY_LEVEL) == []
+    monkeypatch.setattr(verify, "run_property", lambda prop, level: prop.__name__)
+    for suite in ("laurent", "schubert"):
+        assert run_suite(suite, level=verify.MAX_VERIFY_LEVEL) == list(SUITE_PROPERTIES[suite])
 
 
 def test_genus1_refuses_the_series_bound_before_any_pipeline(monkeypatch, capsys):
@@ -421,10 +440,10 @@ def test_genus1_single_method_degree_bound_exits_one(pipeline, top, monkeypatch,
 
 
 def test_verify_level_bound_exits_one(monkeypatch, capsys):
-    def never(fn, items, jobs):
+    def never(prop, level):
         raise AssertionError("a property ran before the level check")
 
-    monkeypatch.setattr(verify, "map_jobs", never)
+    monkeypatch.setattr(verify, "run_property", never)
     top = verify.MAX_VERIFY_LEVEL
     assert 9 <= top < MAX_SERIES_DEGREE - 2
     for suite in verify.SUITES:
@@ -471,53 +490,3 @@ def test_import_pencils_leaves_verify_unloaded():
         [sys.executable, "-c", code, src], capture_output=True, text=True, timeout=60
     )
     assert (proc.returncode, proc.stdout.strip()) == (0, "True"), proc.stderr
-
-
-class _NoPool:
-    def __init__(self, *args, **kwargs):
-        raise AssertionError("a process pool was started")
-
-
-class _SerialPool:
-    """Stands in for a process pool: records its size and batch size, maps
-    in-process."""
-
-    sizes = []
-    chunks = []
-
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items, chunksize=1):
-        self.chunks.append(chunksize)
-        return map(fn, items)
-
-
-def test_jobs_clamped_to_cpu_count(monkeypatch, capsys):
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _NoPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    code, serial, _ = run(["table", "--degree", "3"], capsys)
-    assert code == 0
-    code, clamped, _ = run(["table", "--degree", "3", "--jobs", "64"], capsys)
-    assert (code, clamped) == (0, serial)
-    code, _, _ = run(["verify", "--suite", "schubert", "--max-degree", "2",
-                      "--jobs", "64"], capsys)
-    assert code == 0
-    assert all(r.passed for r in run_suite("schubert", level=2, jobs=64))
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    _SerialPool.sizes.clear()
-    _SerialPool.chunks.clear()
-    assert map_jobs(abs, [-1, 2, -3], 64) == [1, 2, 3]
-    assert map_jobs(abs, [-1, 2, -3], 2) == [1, 2, 3]
-    assert _SerialPool.sizes == [3, 2]
-    # about four batches per worker, never empty ones
-    assert map_jobs(abs, list(range(-50, 50)), 2) == [abs(x) for x in range(-50, 50)]
-    assert _SerialPool.chunks == [1, 1, 12]
