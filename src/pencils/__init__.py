@@ -52,8 +52,6 @@ from .degeneration import (
     consolidate_fixed,
     count_with_padding,
     distributions,
-    genus0_count,
-    genus0_weighted,
     genus_g_count,
     genus_g_weighted,
     pad_moving,
@@ -107,8 +105,6 @@ __all__ = [
     "consolidate_fixed",
     "count_with_padding",
     "distributions",
-    "genus0_count",
-    "genus0_weighted",
     "genus_g_count",
     "genus_g_weighted",
     "pad_moving",

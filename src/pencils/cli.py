@@ -20,7 +20,7 @@ import sys
 import time
 from dataclasses import asdict, replace
 
-from .degeneration import RamificationProblem, count_with_padding, genus0_count
+from .degeneration import RamificationProblem, count_with_padding, genus_g_count
 from .errors import CrossCheckError, DomainError, IntegralityError
 from .genus1 import (
     Genus1Tuple,
@@ -79,7 +79,7 @@ def _problem(args) -> RamificationProblem:
 
 
 def _cmd_genus0(args) -> tuple[dict, int, list[str]]:
-    result = str(genus0_count(args.degree, _orders(args, "ram")))
+    result = str(genus_g_count(RamificationProblem(0, args.degree, _orders(args, "ram"))))
     return {"result": result}, 0, [result]
 
 

@@ -1,12 +1,13 @@
 """Counts of pencils on a general genus-g curve assembled by degeneration.
 
 A problem fixes a genus g, a pencil degree d, total-vanishing orders at
-fixed general points, and orders at moving points.  Genus 0 is a single
-Grassmannian integral.  For g >= 1 the count degenerates onto a rational
-spine carrying g elliptic tails: each distribution of the 3g moving
-labels into ordered triples, together with a vanishing sequence
-0 <= a_j < b_j <= d at each node, contributes a genus-0 integral against
-the node classes times a genus-1 factor per tail.  By multilinearity
+fixed general points, and orders at moving points.  The count
+degenerates onto a rational spine carrying g elliptic tails: each
+distribution of the 3g moving labels into ordered triples, together with
+a vanishing sequence 0 <= a_j < b_j <= d at each node, contributes a
+genus-0 integral against the fixed and node classes times a genus-1
+factor per tail.  Genus 0 is the case with no tails, where the sum is
+the Grassmannian integral of the fixed classes alone.  By multilinearity
 each triple's node choices fold into one tail class, and distributions
 with the same triples share one integral.  The weighted variant
 replaces each fixed class by a power of the hyperplane class and each
@@ -14,6 +15,7 @@ tail factor by the exact-vanishing weighted count.
 
 Problems with fewer than 3g moving conditions are padded with simple
 ones; the padded count overcounts the original by (3g-m)!.
+``on_shell_problems`` lists every on-shell problem of a genus and degree.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import CrossCheckError, DomainError
-from .exactmath import catalan
+from .exactmath import bounded_partitions
 from .genus1 import Genus1Tuple, count_laurent, weighted_fixed_first
 from .grassmann import SchubertClass, integrate, mul, pairing, sigma, sigma1_power, unit
 
@@ -33,8 +35,7 @@ __all__ = [
     "RamificationProblem",
     "Distribution",
     "MAX_GENUS",
-    "genus0_count",
-    "genus0_weighted",
+    "on_shell_problems",
     "pad_moving",
     "distributions",
     "genus_g_count",
@@ -55,7 +56,8 @@ class RamificationProblem:
     On-shell means the conditions cut the space of pencils down to
     dimension zero: a fixed-point order costs d_i - 1, a moving-point
     order costs d_i - 2, and the space itself has dimension
-    g + 2(d - g - 1).
+    g + 2(d - g - 1).  At g >= 1 the spine needs 2g - 2 + n > 0 to be
+    stable; genus 0 has no tails and counts any number of fixed points.
     """
 
     g: int
@@ -77,7 +79,7 @@ class RamificationProblem:
             raise DomainError(
                 f"{self.m} moving conditions exceed 3*genus = {3 * self.g}"
             )
-        if 2 * self.g - 2 + self.n <= 0:
+        if self.g and 2 * self.g - 2 + self.n <= 0:
             raise DomainError(
                 f"unstable: need 2*genus - 2 + #fixed > 0, got "
                 f"{2 * self.g - 2 + self.n}"
@@ -106,40 +108,27 @@ class RamificationProblem:
         return self.g + 2 * (self.d - self.g - 1)
 
 
-def _require_genus0_on_shell(d: int, orders: tuple[int, ...]) -> None:
-    imposed = sum(o - 1 for o in orders)
-    if imposed != 2 * d - 2:
-        raise DomainError(
-            f"off-shell: fixed ramification imposes {imposed}, expected "
-            f"2*degree - 2 = {2 * d - 2}"
-        )
+def on_shell_problems(g: int, d: int):
+    """Every on-shell problem of genus g and degree d, by fixed cost.
 
-
-def genus0_count(d: int, orders) -> int:
-    """Degree-d self-covers of the line with prescribed ramification.
-
-    Integrates the product of the special classes s(o-1, 0) over
-    Gr(2, d+1); the orders must use up its dimension 2d - 2 exactly.
+    Fixed orders come non-increasing and may exceed the degree (the
+    unweighted count is then 0); the 3g moving orders come non-increasing,
+    padded with simple ones.  Problems that are unstable at g >= 1 are
+    skipped.
     """
-    orders = tuple(orders)
-    for o in orders:
-        if not 2 <= o <= d:
-            raise DomainError(f"genus0_count: order {o} outside 2..degree={d}")
-    _require_genus0_on_shell(d, orders)
-    acc = unit(d + 1)
-    for o in orders:
-        acc = mul(acc, sigma(o - 1, 0, d + 1))
-    return integrate(acc)
-
-
-def genus0_weighted(d: int, orders) -> int:
-    """Weighted genus-0 count: a Catalan number, independent of the orders."""
-    orders = tuple(orders)
-    for o in orders:
-        if o < 2:
-            raise DomainError(f"genus0_weighted: order {o} < 2")
-    _require_genus0_on_shell(d, orders)
-    return catalan(d - 1)
+    target = g + 2 * (d - g - 1)
+    for fixed_cost in range(0, target + 1):
+        moving_cost = target - fixed_cost
+        movings = [
+            tuple(part + 2 for part in mparts)
+            for mparts in bounded_partitions(moving_cost, 3 * g, moving_cost)
+        ]
+        for fparts in bounded_partitions(fixed_cost, fixed_cost, fixed_cost):
+            fixed = tuple(part + 1 for part in fparts if part)
+            if g == 1 and not fixed:  # 2g - 2 + n = 0
+                continue
+            for moving in movings:
+                yield RamificationProblem(g, d, fixed, moving)
 
 
 def pad_moving(p: RamificationProblem) -> tuple[RamificationProblem, int]:
@@ -231,6 +220,8 @@ def _assemble(p: RamificationProblem, weighted: bool) -> int:
         fixed_part = unit(ambient)
         for o in p.fixed:
             fixed_part = mul(fixed_part, sigma(o - 1, 0, ambient))
+    if p.g == 0:  # no tails: the spine's integral alone
+        return integrate(fixed_part)
     if fixed_part.is_zero():
         return 0
     factor = weighted_fixed_first if weighted else count_laurent
@@ -251,17 +242,15 @@ def genus_g_count(p: RamificationProblem) -> int:
     """Degeneration sum for the unweighted genus-g count.
 
     Requires a full complement of 3g moving conditions; pad first if
-    there are fewer.  Genus-0 problems route to the direct integral.
+    there are fewer.  At genus 0 the sum is the integral of the fixed
+    classes s(o-1, 0) over Gr(2, d+1).
     """
-    if p.g == 0:
-        return genus0_count(p.d, p.fixed)
     return _assemble(p, weighted=False)
 
 
 def genus_g_weighted(p: RamificationProblem) -> int:
-    """Weighted variant of the degeneration sum."""
-    if p.g == 0:
-        return genus0_weighted(p.d, p.fixed)
+    """Weighted variant of the degeneration sum: each fixed class becomes
+    sigma1^(o-1), so genus 0 gives Catalan(d-1) whatever the orders."""
     # simple conditions are always meaningful, so the cap never bites below 2
     cap = max(2, 2 * p.d - p.g - 1)
     for o in p.moving:

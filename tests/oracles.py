@@ -4,7 +4,8 @@ Everything here deliberately avoids the package's own code paths:
 tableau counts come from brute-force backtracking, binomials from a
 literal Pascal triangle, series coefficients from the generalized
 binomial expansion, Laurent products from naive dict convolution,
-Schubert products from the Jacobi-Trudi determinant, Schur polynomials
+Schubert products from the Jacobi-Trudi determinant, genus-0 integrals
+from the Pieri rule, genus-g problems from plain partitions, Schur polynomials
 and the unweighted count from their recursions, the q-series count with
 every factor multiplied in, Catalan powers by sequential convolution,
 and the closed form one power per factor.
@@ -207,6 +208,44 @@ def tau_class(k: int, n: int) -> dict[tuple[int, int], int]:
         for key, v in _h_times(_h_times({(0, 0): 1}, a, n), k - a, n).items():
             out[key] = out.get(key, 0) + v
     return out
+
+
+def genus0_integral(d: int, orders, weighted: bool = False) -> int:
+    """Integral over Gr(2, d+1) of the product of h_(o-1), or of h_1^(o-1)
+    when weighted, one Pieri step at a time."""
+    cls = {(0, 0): 1}
+    for o in orders:
+        for k in (1,) * (o - 1) if weighted else (o - 1,):
+            cls = _h_times(cls, k, d + 1)
+    return cls.get((d - 1, d - 1), 0)
+
+
+def partitions(total: int, max_part: int | None = None):
+    """Non-increasing tuples of positive parts summing to total."""
+    if max_part is None:
+        max_part = total
+    if total == 0:
+        yield ()
+        return
+    for first in range(min(total, max_part), 0, -1):
+        for rest in partitions(total - first, first):
+            yield (first,) + rest
+
+
+def problems_with_fixed(g: int, d: int):
+    """(g, d, fixed, moving) of every on-shell problem with a fixed condition,
+    orders non-increasing and 3g moving ones padded with simple ones."""
+    target = g + 2 * (d - g - 1)
+    for fixed_cost in range(1, target + 1):
+        moving_cost = target - fixed_cost
+        for fixed_parts in partitions(fixed_cost):
+            fixed = tuple(x + 1 for x in fixed_parts)
+            for moving_parts in partitions(moving_cost):
+                if len(moving_parts) > 3 * g:
+                    continue
+                moving = tuple(x + 2 for x in moving_parts)
+                moving += (2,) * (3 * g - len(moving))
+                yield g, d, fixed, moving
 
 
 # The closed form's bottom-gap branch (sorted orders with d1 - d2 <= d3 - d4)

@@ -14,6 +14,7 @@ from pencils.degeneration import (
     count_with_padding,
     genus_g_count,
     genus_g_weighted,
+    on_shell_problems,
 )
 from pencils.exactmath import catalan, syt_count
 from pencils.genus1 import (
@@ -42,7 +43,6 @@ from pencils.grassmann import (
 from pencils.qseries import catalan_power_series, schur_q
 
 from oracles import genus1_constant_term, geometric_inverse
-from test_degeneration import _problems
 
 
 def _desc_quadruples(total, max_part):
@@ -203,11 +203,8 @@ def test_criterion_08_degeneration_anchors():
     consolidated = 0
     for g in (1, 2):
         for d in range(2, 6):
-            if g + 2 * (d - g - 1) < 1:
-                continue
-            cap = max(2, 2 * d - g - 1)
-            for p in _problems(g, d):
-                if max(p.moving) > cap:
+            for p in on_shell_problems(g, d):
+                if not p.fixed:
                     continue
                 assert genus_g_weighted(p) == genus_g_weighted(consolidate_fixed(p)), p
                 consolidated += 1

@@ -25,6 +25,9 @@ from pencils.verify import run_suite
 from oracles import ordered_on_shell
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def run(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
@@ -81,6 +84,37 @@ def test_weighted(capsys):
 def test_genus0(capsys):
     code, out, _ = run(["genus0", "--degree", "3", "--ram", "2,2,2,2"], capsys)
     assert code == 0 and out.strip() == "2"
+
+
+@pytest.mark.parametrize(
+    "degree, orders, code, out, err",
+    [
+        ("1", "", 1, "", "error: degree must be >= 2, got 1\n"),
+        ("3", "3,3", 0, "1\n", ""),
+        ("3", "4,2", 0, "0\n", ""),  # an order above the degree counts 0
+        ("3", "2,2,2,2", 0, "2\n", ""),
+        ("3", "2,2", 1, "", "error: off-shell: conditions impose 2 but pencils of degree 3 "
+                            "on a genus-0 curve move in dimension 4\n"),
+        ("3", "1,3,2,2", 1, "", "error: order 1 < 2 imposes no condition\n"),
+    ],
+)
+def test_genus0_is_genusg_at_genus_0(degree, orders, code, out, err, capsys):
+    direct = run(["genus0", "--degree", degree, "--ram", orders], capsys)
+    via = run(["genusg", "--genus", "0", "--degree", degree, "--fixed", orders], capsys)
+    assert direct == via == (code, out, err)
+
+
+def test_readme_examples_print_what_they_say(capsys):
+    block = README.read_text().split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    examples = [
+        (line.split("#", 1)[0].split()[1:], line.split("# ->", 1)[1].strip())
+        for line in block.splitlines()
+        if "# ->" in line
+    ]
+    assert len(examples) >= 3  # genus1, genus0 and genusg today
+    for argv, want in examples:
+        code, out, _ = run(argv, capsys)
+        assert (code, out.splitlines()[0]) == (0, want), argv
 
 
 def test_genusg_sextuple(capsys):
@@ -375,16 +409,16 @@ def test_failing_verify_property_exits_two(monkeypatch, capsys):
 
 
 def test_integrality_error_exits_two(monkeypatch, capsys):
-    def broken(degree, orders):
-        raise IntegralityError("genus0_count: 7/2 is not an integer")
+    def broken(problem):
+        raise IntegralityError("genus_g_count: 7/2 is not an integer")
 
-    monkeypatch.setattr(cli, "genus0_count", broken)
+    monkeypatch.setattr(cli, "genus_g_count", broken)
     for fmt in ("text", "json"):
         code, out, err = run(
             ["genus0", "--degree", "3", "--ram", "2,2,2,2", "--format", fmt], capsys
         )
         assert (code, out) == (2, "")
-        assert err == "error: genus0_count: 7/2 is not an integer\n"
+        assert err == "error: genus_g_count: 7/2 is not an integer\n"
 
 
 def test_series_degree_bound_exits_one(monkeypatch, capsys):

@@ -1,5 +1,6 @@
-"""Degeneration pipeline: problem validation, genus-0 integrals, padding,
-distributions, and the genus-g assembly against the genus-1 pipelines."""
+"""Degeneration pipeline: problem validation, the problem enumerator,
+genus-0 integrals, padding, distributions, and the genus-g assembly against
+the genus-1 pipelines and classical counts."""
 
 import itertools
 import math
@@ -14,10 +15,9 @@ from pencils.degeneration import (
     consolidate_fixed,
     count_with_padding,
     distributions,
-    genus0_count,
-    genus0_weighted,
     genus_g_count,
     genus_g_weighted,
+    on_shell_problems,
     pad_moving,
 )
 from pencils.errors import DomainError
@@ -31,6 +31,8 @@ from pencils.genus1 import (
 )
 from pencils.grassmann import integrate, mul, sigma, sigma1_power, unit
 
+from oracles import genus0_integral, problems_with_fixed
+
 
 def test_problem_validation():
     with pytest.raises(DomainError, match="genus"):
@@ -42,9 +44,10 @@ def test_problem_validation():
     with pytest.raises(DomainError, match="moving conditions exceed"):
         RamificationProblem(0, 3, (2, 2), (2,))
     with pytest.raises(DomainError, match="unstable"):
-        RamificationProblem(0, 3, (3, 3))  # two fixed points on a rational curve
-    with pytest.raises(DomainError, match="unstable"):
         RamificationProblem(1, 2, (), (2, 2, 2))
+    # genus 0 has no tails to stabilize: one or two fixed points are an integral
+    assert RamificationProblem(0, 3, (3, 3)).n == 2
+    assert RamificationProblem(0, 3, (5,)).n == 1
     with pytest.raises(DomainError, match="off-shell"):
         RamificationProblem(1, 3, (2, 2), (2, 2))
 
@@ -57,31 +60,81 @@ def test_problem_properties():
     assert p.fixed == (2, 2) and p.moving == (2, 2, 3)
 
 
+def _genus0(d, fixed):
+    return RamificationProblem(0, d, fixed)
+
+
 def test_genus0_examples():
-    assert genus0_count(2, (2, 2)) == 1
-    assert genus0_count(3, (2, 2, 2, 2)) == 2
-    assert genus0_count(3, (3, 3)) == 1
-    assert genus0_count(4, (2,) * 6) == catalan(3)
+    assert genus_g_count(_genus0(2, (2, 2))) == 1
+    assert genus_g_count(_genus0(3, (2, 2, 2, 2))) == 2
+    assert genus_g_count(_genus0(3, (3, 3))) == 1
+    assert genus_g_count(_genus0(4, (2,) * 6)) == catalan(3)
     for d in range(2, 8):
-        assert genus0_count(d, (d, d)) == 1
-    with pytest.raises(DomainError, match="outside"):
-        genus0_count(3, (4, 2))
+        assert genus_g_count(_genus0(d, (d, d))) == 1
+    # an order above the degree leaves the box: 0, as at every genus
+    assert genus_g_count(_genus0(3, (4, 2))) == 0
     with pytest.raises(DomainError, match="off-shell"):
-        genus0_count(3, (2, 2))
+        _genus0(3, (2, 2))
 
 
 def test_genus0_weighted():
-    assert genus0_weighted(2, (2, 2)) == 1
-    assert genus0_weighted(3, (3, 3)) == 2
-    assert genus0_weighted(4, (4, 4)) == 5
+    assert genus_g_weighted(_genus0(2, (2, 2))) == 1
+    assert genus_g_weighted(_genus0(3, (3, 3))) == 2
+    assert genus_g_weighted(_genus0(4, (4, 4))) == 5
     # the weighted count only sees the total: any on-shell orders give
     # the same Catalan number, and orders above the degree are allowed
     for d in range(2, 10):
-        assert genus0_weighted(d, (d, d)) == catalan(d - 1)
-        assert genus0_weighted(d, (2,) * (2 * d - 2)) == catalan(d - 1)
-    assert genus0_weighted(3, (4, 2)) == 2
+        assert genus_g_weighted(_genus0(d, (d, d))) == catalan(d - 1)
+        assert genus_g_weighted(_genus0(d, (2,) * (2 * d - 2))) == catalan(d - 1)
+    assert genus_g_weighted(_genus0(3, (4, 2))) == 2
     with pytest.raises(DomainError, match="off-shell"):
-        genus0_weighted(3, (3, 2))
+        _genus0(3, (3, 2))
+
+
+def test_genus0_problems_match_the_pieri_oracle():
+    problems = [p for d in range(2, 11) for p in on_shell_problems(0, d)]
+    assert len(problems) == 910  # the partitions of 2d - 2, d <= 10
+    beyond = 0
+    for p in problems:
+        want = genus0_integral(p.d, p.fixed)
+        assert genus_g_count(p) == want, p
+        if max(p.fixed) > p.d:
+            assert want == 0
+            beyond += 1
+        n = p.d - 1
+        assert genus_g_weighted(p) == genus0_integral(p.d, p.fixed, weighted=True), p
+        assert genus_g_weighted(p) == math.comb(2 * n, n) // (n + 1), p
+    assert beyond == 187
+
+
+def test_on_shell_problems_with_fixed_match_the_oracle():
+    for g in range(0, 4):
+        for d in range(2, 8):
+            got = [(p.g, p.d, p.fixed, p.moving) for p in on_shell_problems(g, d) if p.fixed]
+            assert len(got) == len(set(got))
+            assert set(got) == set(problems_with_fixed(g, d)), (g, d)
+
+
+def test_on_shell_problems():
+    assert list(on_shell_problems(1, 2)) == [RamificationProblem(1, 2, (2,), (2, 2, 2))]
+    assert list(on_shell_problems(2, 2)) == [RamificationProblem(2, 2, (), (2,) * 6)]
+    assert list(on_shell_problems(3, 2)) == []  # below the Brill-Noether bound
+    assert [p.moving for p in on_shell_problems(1, 3) if not p.fixed] == []  # unstable
+    for p in on_shell_problems(2, 5):
+        assert p.fixed == tuple(sorted(p.fixed, reverse=True))
+        assert p.moving == tuple(sorted(p.moving, reverse=True)) and p.m == 6
+
+
+def test_classical_counts():
+    # Eisenbud-Harris: vanishing (0, o) at one general point with
+    # o - 1 = 2d - g - 2 gives g! o / (k! (k + o)!) with k = g - d + 1
+    for g, d, o, want in ((1, 2, 2, 1), (2, 3, 3, 1), (3, 3, 2, 2), (3, 4, 4, 1)):
+        k = g - d + 1
+        assert math.factorial(g) * o // (math.factorial(k) * math.factorial(k + o)) == want
+        assert count_with_padding(RamificationProblem(g, d, (o,)))[0] == want, (g, d, o)
+    # Weierstrass points: one moving point of order g in degree g, g^3 - g of them
+    for g in (2, 3):
+        assert count_with_padding(RamificationProblem(g, g, (), (g,)))[0] == g**3 - g
 
 
 def test_pad_moving():
@@ -168,43 +221,12 @@ def test_consolidate_fixed():
         consolidate_fixed(RamificationProblem(2, 2))
 
 
-def _partitions(total, max_part=None):
-    if max_part is None:
-        max_part = total
-    if total == 0:
-        yield ()
-        return
-    for first in range(min(total, max_part), 0, -1):
-        for rest in _partitions(total - first, first):
-            yield (first,) + rest
-
-
-def _problems(g, d):
-    """On-shell problems with at least one fixed condition and 3g moving."""
-    target = g + 2 * (d - g - 1)
-    for fixed_cost in range(1, target + 1):
-        moving_cost = target - fixed_cost
-        for fixed_parts in _partitions(fixed_cost):
-            fixed = tuple(x + 1 for x in fixed_parts)
-            if 2 * g - 2 + len(fixed) <= 0:
-                continue
-            for moving_parts in _partitions(moving_cost):
-                if len(moving_parts) > 3 * g:
-                    continue
-                moving = tuple(x + 2 for x in moving_parts)
-                moving += (2,) * (3 * g - len(moving))
-                yield RamificationProblem(g, d, fixed, moving)
-
-
 def test_weighted_consolidation_invariance():
     checked = 0
     for g in (1, 2):
         for d in range(2, 6):
-            if g + 2 * (d - g - 1) < 1:
-                continue
-            cap = max(2, 2 * d - g - 1)
-            for p in _problems(g, d):
-                if max(p.moving) > cap:
+            for p in on_shell_problems(g, d):
+                if not p.fixed:
                     continue
                 assert genus_g_weighted(p) == genus_g_weighted(consolidate_fixed(p)), p
                 checked += 1
@@ -305,7 +327,7 @@ _MIXED_GENUS3 = (
 
 def test_assembly_matches_enumeration():
     checked = 0
-    problems = [p for g in (1, 2) for d in range(2, 6) for p in _problems(g, d)]
+    problems = [p for g in (1, 2) for d in range(2, 6) for p in on_shell_problems(g, d)]
     for p in problems + list(_MIXED_GENUS3):
         assert genus_g_count(p) == _enumerated(p, weighted=False), p
         if max(p.moving) <= max(2, 2 * p.d - p.g - 1):  # the weighted domain
@@ -380,17 +402,12 @@ def test_brill_noether_oracle():
     checked = 0
     for g in (1, 2, 3):
         for d in range(2, 8):
-            cost = 2 * d - g - 2
-            if cost < 0:
-                continue
-            for parts in _partitions(cost):
-                fixed = tuple(x + 1 for x in parts)
-                if max(fixed, default=0) > d or 2 * g - 2 + len(fixed) <= 0:
+            for p in on_shell_problems(g, d):
+                if p.moving != (2,) * (3 * g) or max(p.fixed, default=0) > d:
                     continue
                 cls = sigma1_power(g, d + 1)
-                for o in fixed:
+                for o in p.fixed:
                     cls = mul(cls, sigma(o - 1, 0, d + 1))
-                p = RamificationProblem(g, d, fixed, (2,) * (3 * g))
                 assert genus_g_count(p) == math.factorial(3 * g) * integrate(cls), p
                 checked += 1
     assert checked == 204

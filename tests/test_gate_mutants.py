@@ -1,0 +1,98 @@
+"""The release gate against mutants: each row patches one wrong function into
+the package, shows that it changes a count, and names every property that
+must fail in the level-9 suite, with its exact text."""
+
+import pytest
+
+from pencils import degeneration, genus1, grassmann, verify
+from pencils.degeneration import RamificationProblem
+from pencils.genus1 import Genus1Tuple
+from pencils.grassmann import SchubertClass
+
+_sigma1_power = grassmann.sigma1_power
+_weighted_fixed_first = genus1.weighted_fixed_first
+_assemble = degeneration._assemble
+_count_schubert = genus1.count_schubert
+
+EXAMPLE = RamificationProblem(1, 4, (3, 2), (3, 3, 2))  # weighted count 72
+
+
+def _sigma1_power_scaled_by_two_to_the_k(k, ambient):
+    return SchubertClass(ambient, {
+        key: 2**k * c for key, c in _sigma1_power(k, ambient).terms.items()
+    })
+
+
+def _weighted_fixed_first_tripled_from_order_4(t):
+    return _weighted_fixed_first(t) * (3 if t.d1 >= 4 else 1)
+
+
+def _assemble_plus_one_at_genus_0(p, weighted):
+    return _assemble(p, weighted) + (p.g == 0)
+
+
+def _count_schubert_plus_one_from_degree_5(t):
+    return _count_schubert(t) + (t.degree >= 5)
+
+
+ROWS = [
+    pytest.param(
+        # the consolidation sweep reads the same wrong class on both sides
+        grassmann, "sigma1_power", _sigma1_power_scaled_by_two_to_the_k,
+        lambda: degeneration.genus_g_weighted(EXAMPLE), 8 * 72,
+        [
+            ("sigma1_powers_match_tableau_counts",
+             "sigma1^1 on Gr(2,3) at (1,0): 1 != 2"),
+            ("hyperelliptic_sextuple", "weighted two total points on the line, degree 2"),
+        ],
+        id="sigma1_power",
+    ),
+    pytest.param(
+        genus1, "weighted_fixed_first", _weighted_fixed_first_tripled_from_order_4,
+        lambda: degeneration.genus_g_weighted(EXAMPLE), 152,
+        [
+            ("weighted_recursion_consistency",
+             "base-point splitting vs closed form on (4, 3, 3, 2)"),
+        ],
+        id="weighted_fixed_first",
+    ),
+    pytest.param(
+        # no other property counts at genus 0
+        degeneration, "_assemble", _assemble_plus_one_at_genus_0,
+        lambda: degeneration.genus_g_count(RamificationProblem(0, 3, (2, 2, 2, 2))), 3,
+        [("hyperelliptic_sextuple", "2 simple points on the line, degree 2")],
+        id="assemble-genus-0",
+    ),
+    pytest.param(
+        # METHODS binds the pipelines at import, so the mutant goes there
+        genus1.METHODS, "schubert", _count_schubert_plus_one_from_degree_5,
+        lambda: genus1.count(Genus1Tuple(5, 4, 3, 2)).values["schubert"], 73,
+        [
+            ("four_method_agreement",
+             "methods disagree on (4, 4, 3, 3): "
+             "{'schubert': 209, 'laurent': 208, 'polynomial': 208, 'series': 208}"),
+        ],
+        id="METHODS-schubert",
+    ),
+]
+
+
+def _patch(monkeypatch, package_memos, target, name, mutant):
+    if isinstance(target, dict):
+        monkeypatch.setitem(target, name, mutant)
+        return
+    # every package namespace that binds the name, so no caller keeps the original
+    original = getattr(target, name)
+    for namespace in package_memos:
+        if vars(namespace).get(name) is original:
+            monkeypatch.setattr(namespace, name, mutant)
+
+
+@pytest.mark.parametrize("target, name, mutant, witness, wrong, failures", ROWS)
+def test_gate_fails_exactly_the_properties_a_mutant_breaks(
+    target, name, mutant, witness, wrong, failures, monkeypatch, package_memos, fresh_memos
+):
+    _patch(monkeypatch, package_memos, target, name, mutant)
+    assert witness() == wrong  # the mutant changes a count
+    failed = [(r.name, r.detail) for r in verify.run_suite("all", 9) if not r.passed]
+    assert failed == [(prop, f"CrossCheckError: {text}") for prop, text in failures]
