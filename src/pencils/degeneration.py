@@ -28,7 +28,7 @@ from functools import lru_cache
 
 from .errors import CrossCheckError, DomainError
 from .exactmath import bounded_partitions
-from .genus1 import Genus1Tuple, count_laurent, weighted_fixed_first
+from .genus1 import Genus1Tuple, _require_answer_degree, count_laurent, weighted_fixed_first
 from .grassmann import SchubertClass, integrate, mul, pairing, sigma, sigma1_power, unit
 
 __all__ = [
@@ -208,6 +208,7 @@ def _tail_class(factor, triple: tuple[int, int, int], d: int) -> SchubertClass:
 
 
 def _assemble(p: RamificationProblem, weighted: bool) -> int:
+    _require_answer_degree(p.d, "genus_g_weighted" if weighted else "genus_g_count")
     if p.m != 3 * p.g:
         raise DomainError(
             f"need exactly 3*genus = {3 * p.g} moving conditions "

@@ -9,7 +9,8 @@ Four independent pipelines compute the same unweighted count N:
                          Laurent polynomials (the canonical extension for
                          out-of-domain orders, where it returns 0)
 * ``count_polynomial`` - piecewise degree-7 closed form in the sorted
-                         orders
+                         orders: one factored polynomial, and on the
+                         other branch the same at the reflected orders
 * q-series extraction  - ``qseries.n_via_series``
 
 The weighted count (base-point configurations counted with tableau
@@ -45,6 +46,7 @@ __all__ = [
     "MAX_SERIES_DEGREE",
     "MAX_SCHUBERT_DEGREE",
     "MAX_LAURENT_DEGREE",
+    "MAX_ANSWER_DEGREE",
     "count",
     "weighted_from_unweighted",
     "unweighted_from_weighted",
@@ -103,9 +105,26 @@ def _require_in_domain(t: Genus1Tuple, what: str) -> None:
             raise DomainError(f"{what}: order {di} exceeds the degree {d}")
 
 
+# Weighted and genus-g counts grow about as 4^deg; Python prints at most 4300
+# digits, which the largest weighted genus-1 counts pass from degree 7136 and
+# genus 0's Catalan(deg-1) from 7154.  At degree 6000 these have 3606-3617
+# digits; the ~680 left hold the factor by which a count of higher genus
+# exceeds 4^deg (5 digits at genus 2, degree 20; 7 at genus 3, degree 12).
+MAX_ANSWER_DEGREE = 6000
+
+
+def _require_answer_degree(d: int, what: str) -> None:
+    if d > MAX_ANSWER_DEGREE:
+        raise DomainError(
+            f"{what}: degree {d} exceeds the bound {MAX_ANSWER_DEGREE} "
+            f"on counts that grow as 4^degree"
+        )
+
+
 def weighted_count(t: Genus1Tuple) -> int:
     """Weighted count of pencils: 12 C_{deg-2}/deg times prod (d_i - 1)."""
     d = t.degree
+    _require_answer_degree(d, "weighted_count")
     num = 12 * catalan(d - 2)
     for di in t.orders():
         num *= di - 1
@@ -118,23 +137,12 @@ def weighted_fixed_first(t: Genus1Tuple) -> int:
     The first point carries no base point; the other three orders are
     weighted total-vanishing conditions.
     """
-    d = t.degree
-    if not 1 <= t.d1 <= d:
-        raise DomainError(
-            f"weighted_fixed_first: first order {t.d1} outside 1..degree={d}"
-        )
-    return exact_div(
-        2
-        * t.d1
-        * (t.d1 + 1)
-        * (t.d1 - 1)
-        * (t.d2 - 1)
-        * (t.d3 - 1)
-        * (t.d4 - 1)
-        * binomial(2 * d - t.d1 - 2, d - t.d1),
-        d * (d - 1),
-        "weighted_fixed_first",
-    )
+    d, (d1, d2, d3, d4) = t.degree, t.orders()
+    _require_answer_degree(d, "weighted_fixed_first")
+    if not 1 <= d1 <= d:
+        raise DomainError(f"weighted_fixed_first: first order {d1} outside 1..degree={d}")
+    num = 2 * d1 * (d1 + 1) * (d1 - 1) * (d2 - 1) * (d3 - 1) * (d4 - 1)
+    return exact_div(num * binomial(2 * d - d1 - 2, d - d1), d * (d - 1), "weighted_fixed_first")
 
 
 # Each pipeline's cost on one core of an Intel Xeon server, worst shape of
@@ -214,137 +222,27 @@ def count_laurent(t: Genus1Tuple) -> int:
     return laurent_pairing(p1 * p2, p3 * p4)
 
 
-def _parse_polynomial(table: str) -> tuple[int, tuple[tuple[int, tuple[int, ...]], ...]]:
-    """A table's integer numerators over the least common denominator."""
-    rows = []
-    for line in table.strip().splitlines():
-        parts = line.split()
-        num, _, den = parts[0].partition("/")
-        exps = [0, 0, 0, 0]
-        for factor in parts[1:]:
-            name, _, power = factor.partition("^")
-            exps[int(name[1]) - 1] += int(power or 1)
-        rows.append((int(num), int(den or 1), tuple(exps)))
-    common = math.lcm(*(den for _, den, _ in rows))
-    return common, tuple((num * (common // den), exps) for num, den, exps in rows)
+def _bottom_gap_value(orders: tuple[int, int, int, int]) -> int:
+    """The degree-7 closed form on sorted orders with d1 - d2 <= d3 - d4.
 
-
-# Degree-7 closed form on the branch where the sorted orders satisfy
-# d1 - d2 >= d3 - d4 (top gap at least the bottom gap); count_polynomial
-# reaches the other branch through the degree reflection.
-_TOP_GAP_TERMS = _parse_polynomial("""
--1/3360 d1^7
-+1/240 d1^5 d2^2
--1/96 d1^4 d2^3
-+1/96 d1^3 d2^4
--1/240 d1^2 d2^5
-+1/3360 d2^7
-+1/240 d1^5 d3^2
--1/48 d1^3 d2^2 d3^2
-+1/48 d1^2 d2^3 d3^2
--1/240 d2^5 d3^2
--1/96 d1^4 d3^3
-+1/48 d1^2 d2^2 d3^3
--1/96 d2^4 d3^3
-+1/96 d1^3 d3^4
--1/96 d2^3 d3^4
--1/240 d1^2 d3^5
--1/240 d2^2 d3^5
-+1/3360 d3^7
-+1/240 d1^5 d4^2
--1/48 d1^3 d2^2 d4^2
-+1/48 d1^2 d2^3 d4^2
--1/240 d2^5 d4^2
--1/48 d1^3 d3^2 d4^2
-+1/48 d2^3 d3^2 d4^2
-+1/48 d1^2 d3^3 d4^2
-+1/48 d2^2 d3^3 d4^2
--1/240 d3^5 d4^2
--1/96 d1^4 d4^3
-+1/48 d1^2 d2^2 d4^3
--1/96 d2^4 d4^3
-+1/48 d1^2 d3^2 d4^3
-+1/48 d2^2 d3^2 d4^3
--1/96 d3^4 d4^3
-+1/96 d1^3 d4^4
--1/96 d2^3 d4^4
--1/96 d3^3 d4^4
--1/240 d1^2 d4^5
--1/240 d2^2 d4^5
--1/240 d3^2 d4^5
-+1/3360 d4^7
--1/480 d1^5
-+1/96 d1^4 d2
--1/48 d1^3 d2^2
-+1/48 d1^2 d2^3
--1/96 d1 d2^4
-+1/480 d2^5
-+1/96 d1^4 d3
--1/48 d1^2 d2^2 d3
-+1/96 d2^4 d3
--1/48 d1^3 d3^2
--1/48 d1^2 d2 d3^2
-+1/48 d1 d2^2 d3^2
-+1/48 d2^3 d3^2
-+1/48 d1^2 d3^3
-+1/48 d2^2 d3^3
--1/96 d1 d3^4
-+1/96 d2 d3^4
-+1/480 d3^5
-+1/96 d1^4 d4
--1/48 d1^2 d2^2 d4
-+1/96 d2^4 d4
--1/48 d1^2 d3^2 d4
--1/48 d2^2 d3^2 d4
-+1/96 d3^4 d4
--1/48 d1^3 d4^2
--1/48 d1^2 d2 d4^2
-+1/48 d1 d2^2 d4^2
-+1/48 d2^3 d4^2
--1/48 d1^2 d3 d4^2
--1/48 d2^2 d3 d4^2
-+1/48 d1 d3^2 d4^2
--1/48 d2 d3^2 d4^2
-+1/48 d3^3 d4^2
-+1/48 d1^2 d4^3
-+1/48 d2^2 d4^3
-+1/48 d3^2 d4^3
--1/96 d1 d4^4
-+1/96 d2 d4^4
-+1/96 d3 d4^4
-+1/480 d4^5
-+1/60 d1^3
--1/60 d1^2 d2
-+1/60 d1 d2^2
--1/60 d2^3
--1/60 d1^2 d3
--1/60 d2^2 d3
-+1/60 d1 d3^2
--1/60 d2 d3^2
--1/60 d3^3
--1/60 d1^2 d4
--1/60 d2^2 d4
--1/60 d3^2 d4
-+1/60 d1 d4^2
--1/60 d2 d4^2
--1/60 d3 d4^2
--1/60 d4^3
--1/70 d1
-+1/70 d2
-+1/70 d3
-+1/70 d4
-""")
-
-def _evaluate_terms(orders: tuple[int, int, int, int]) -> int:
-    """The top-gap polynomial at the orders, from one power table per order."""
-    den, terms = _TOP_GAP_TERMS
-    p1, p2, p3, p4 = ([o**e for e in range(8)] for o in orders)  # degree 7
-    total = sum(num * p1[e1] * p2[e2] * p3[e3] * p4[e4] for num, (e1, e2, e3, e4) in terms)
-    return exact_div(total, den, "count_polynomial")
+    With p2 = d1^2 + d2^2 + d3^2 and p4 = d1^4 + d2^4 + d3^4 it is
+    (d4 - 1) d4 (d4 + 1) (35 p2^2 - 70 p4 - 14 d4^2 p2 + 56 p2 + d4^4
+    + 8 d4^2 - 48) / 1680, so it vanishes when the smallest order is 1.
+    """
+    d1, d2, d3, d4 = orders
+    p2 = d1 * d1 + d2 * d2 + d3 * d3
+    p4 = d1**4 + d2**4 + d3**4
+    s = d4 * d4
+    return exact_div(
+        (s - 1) * d4 * (35 * p2 * p2 - 70 * p4 - 14 * s * p2 + 56 * p2 + s * s + 8 * s - 48),
+        1680,
+        "count_polynomial",
+    )
 
 
 def _reflect(orders: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
-    """The involution d_i -> deg+2-d_i on sorted orders; it swaps the two gaps."""
+    """The involution d_i -> deg+2-d_i on sorted orders; it swaps the two
+    gaps, and the smallest reflected order is 1 when d1 = deg + 1."""
     half = sum(orders) // 2
     d1, d2, d3, d4 = orders
     return (half - d4, half - d3, half - d2, half - d1)
@@ -353,26 +251,26 @@ def _reflect(orders: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
 def count_polynomial(t: Genus1Tuple) -> int:
     """Piecewise degree-7 closed form, on the sorted orders.
 
-    One polynomial serves the branch where the top gap d1 - d2 is at
-    least the bottom gap d3 - d4; the other branch is the same polynomial
-    at the reflected orders, whose top gap is the original bottom gap.
+    One factored polynomial serves the branch where the top gap d1 - d2
+    is at most the bottom gap d3 - d4; the other branch is the same
+    polynomial at the reflected orders, whose bottom gap is the original
+    top gap.  Its factor (d4 - 1) d4 (d4 + 1) makes the count vanish at
+    an order 1 and, after the reflection, at an order deg + 1.
     """
     _require_in_domain(t, "count_polynomial")
     orders = t.sorted_desc()
-    if orders[0] - orders[1] < orders[2] - orders[3]:
+    if orders[0] - orders[1] > orders[2] - orders[3]:
         orders = _reflect(orders)
-    return _evaluate_terms(orders)
+    return _bottom_gap_value(orders)
 
 
 def polynomial_branch_values(t: Genus1Tuple) -> tuple[int, int]:
-    """Both closed-form branches on the sorted orders: direct and reflected.
-
-    Meaningful on the boundary d1 - d2 = d3 - d4, where the two must
-    agree; off the boundary only the branch picked by count_polynomial
-    is valid.
+    """Both closed-form branches on the sorted orders: top gap (the polynomial
+    at the reflected orders), then bottom gap.  They must agree on the boundary
+    d1 - d2 = d3 - d4; off it only the branch count_polynomial picks is valid.
     """
     orders = t.sorted_desc()
-    return _evaluate_terms(orders), _evaluate_terms(_reflect(orders))
+    return _bottom_gap_value(_reflect(orders)), _bottom_gap_value(orders)
 
 
 def count_series(t: Genus1Tuple) -> int:

@@ -196,7 +196,7 @@ def sigma1_power(k: int, ambient: int) -> SchubertClass:
     anchors of hyperelliptic_sextuple read (2d-2, d+1) for d <= level + 3,
     two keys past that property's range: 6 misses at the gate, 11 at
     level 13.  The 37 keys the consolidation sweep reads again and again
-    (101 at level 13) fit, so the gate misses 241 times and level 13 517
+    (101 at level 13) fit, so the gate misses 236 times and level 13 531
     times (measured with every memo cleared first).  An entry is
     0.6-1.1 KB on Gr(2, N), N <= 16, 7 KB at N = 101 and 99 KB at N = 801
     (measured with tracemalloc, at k near N), so 128 entries hold ~0.14 MB

@@ -314,7 +314,8 @@ def genus1_reduction(level: int) -> str:
     problems = 0
     for degree in range(2, level):
         for quad in on_shell_tuples(degree, min_order=2):
-            want = count_laurent(Genus1Tuple(*quad))
+            t = Genus1Tuple(*quad)
+            want, weighted = count_laurent(t), weighted_count(t)
             for pivot in {0, 3}:
                 rest = quad[:pivot] + quad[pivot + 1 :]
                 p = RamificationProblem(1, degree, (quad[pivot],), rest)
@@ -322,8 +323,13 @@ def genus1_reduction(level: int) -> str:
                     raise CrossCheckError(
                         f"tail assembly vs direct count on {quad} (pivot {pivot})"
                     )
+                if genus_g_weighted(p) != weighted:
+                    raise CrossCheckError(
+                        f"weighted tail assembly vs closed form on {quad} (pivot {pivot})"
+                    )
                 problems += 1
-    return f"{problems} single-tail problems through degree {max(2, level - 1)}"
+    return (f"{problems} single-tail problems through degree {max(2, level - 1)}, "
+            "unweighted and weighted")
 
 
 def total_ramification_family(level: int) -> str:
@@ -365,9 +371,16 @@ def hyperelliptic_sextuple(level: int) -> str:
             raise CrossCheckError(f"two total points on the line, degree {d}")
         if genus_g_weighted(total) != catalan(d - 1):
             raise CrossCheckError(f"weighted two total points on the line, degree {d}")
+    # Brill-Noether at genus 2: with six simple moving points each tail is a
+    # cusp, so the count is 6! times the integral of sigma1^2 * sigma1^(2d-4)
+    for d in range(3, level + 4):
+        simple = RamificationProblem(2, d, (2,) * (2 * d - 4), (2,) * 6)
+        if genus_g_count(simple) != 720 * catalan(d - 1):
+            raise CrossCheckError(f"{2 * d - 4} simple fixed points on genus 2, degree {d}")
     return ("720 = 6! labelings of the hyperelliptic branch points; worked example 16; genus 0 "
             f"to degree {level + 3}: Catalan(d-1) from 2d-2 simple points and weighted (d,d), "
-            "1 from (d,d)")
+            f"1 from (d,d); genus 2 to degree {level + 3}: 6! Catalan(d-1) from 2d-4 simple "
+            "fixed points")
 
 
 def weighted_consolidation_invariance(level: int) -> str:

@@ -8,13 +8,15 @@ Schubert products from the Jacobi-Trudi determinant, genus-0 integrals
 from the Pieri rule, genus-g problems from plain partitions, Schur polynomials
 and the unweighted count from their recursions, the q-series count with
 every factor multiplied in, Catalan powers by sequential convolution,
-and the closed form one power per factor.
+and the closed form's two branches as transcribed monomial tables, one
+power per factor.
 Slow is fine; these only run at test scale.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -248,9 +250,128 @@ def problems_with_fixed(g: int, d: int):
                 yield g, d, fixed, moving
 
 
-# The closed form's bottom-gap branch (sorted orders with d1 - d2 <= d3 - d4)
-# as it was transcribed before the package derived it from the top-gap branch
-# by the degree reflection.
+def parse_polynomial(table: str) -> tuple[int, tuple[tuple[int, tuple[int, ...]], ...]]:
+    """A table's integer numerators over the least common denominator."""
+    rows = []
+    for line in table.strip().splitlines():
+        parts = line.split()
+        num, _, den = parts[0].partition("/")
+        exps = [0, 0, 0, 0]
+        for factor in parts[1:]:
+            name, _, power = factor.partition("^")
+            exps[int(name[1]) - 1] += int(power or 1)
+        rows.append((int(num), int(den or 1), tuple(exps)))
+    common = math.lcm(*(den for _, den, _ in rows))
+    return common, tuple((num * (common // den), exps) for num, den, exps in rows)
+
+
+# The degree-7 closed form's top-gap branch (sorted orders with
+# d1 - d2 >= d3 - d4) as first transcribed, one monomial a line.
+TOP_GAP_TABLE = """
+-1/3360 d1^7
++1/240 d1^5 d2^2
+-1/96 d1^4 d2^3
++1/96 d1^3 d2^4
+-1/240 d1^2 d2^5
++1/3360 d2^7
++1/240 d1^5 d3^2
+-1/48 d1^3 d2^2 d3^2
++1/48 d1^2 d2^3 d3^2
+-1/240 d2^5 d3^2
+-1/96 d1^4 d3^3
++1/48 d1^2 d2^2 d3^3
+-1/96 d2^4 d3^3
++1/96 d1^3 d3^4
+-1/96 d2^3 d3^4
+-1/240 d1^2 d3^5
+-1/240 d2^2 d3^5
++1/3360 d3^7
++1/240 d1^5 d4^2
+-1/48 d1^3 d2^2 d4^2
++1/48 d1^2 d2^3 d4^2
+-1/240 d2^5 d4^2
+-1/48 d1^3 d3^2 d4^2
++1/48 d2^3 d3^2 d4^2
++1/48 d1^2 d3^3 d4^2
++1/48 d2^2 d3^3 d4^2
+-1/240 d3^5 d4^2
+-1/96 d1^4 d4^3
++1/48 d1^2 d2^2 d4^3
+-1/96 d2^4 d4^3
++1/48 d1^2 d3^2 d4^3
++1/48 d2^2 d3^2 d4^3
+-1/96 d3^4 d4^3
++1/96 d1^3 d4^4
+-1/96 d2^3 d4^4
+-1/96 d3^3 d4^4
+-1/240 d1^2 d4^5
+-1/240 d2^2 d4^5
+-1/240 d3^2 d4^5
++1/3360 d4^7
+-1/480 d1^5
++1/96 d1^4 d2
+-1/48 d1^3 d2^2
++1/48 d1^2 d2^3
+-1/96 d1 d2^4
++1/480 d2^5
++1/96 d1^4 d3
+-1/48 d1^2 d2^2 d3
++1/96 d2^4 d3
+-1/48 d1^3 d3^2
+-1/48 d1^2 d2 d3^2
++1/48 d1 d2^2 d3^2
++1/48 d2^3 d3^2
++1/48 d1^2 d3^3
++1/48 d2^2 d3^3
+-1/96 d1 d3^4
++1/96 d2 d3^4
++1/480 d3^5
++1/96 d1^4 d4
+-1/48 d1^2 d2^2 d4
++1/96 d2^4 d4
+-1/48 d1^2 d3^2 d4
+-1/48 d2^2 d3^2 d4
++1/96 d3^4 d4
+-1/48 d1^3 d4^2
+-1/48 d1^2 d2 d4^2
++1/48 d1 d2^2 d4^2
++1/48 d2^3 d4^2
+-1/48 d1^2 d3 d4^2
+-1/48 d2^2 d3 d4^2
++1/48 d1 d3^2 d4^2
+-1/48 d2 d3^2 d4^2
++1/48 d3^3 d4^2
++1/48 d1^2 d4^3
++1/48 d2^2 d4^3
++1/48 d3^2 d4^3
+-1/96 d1 d4^4
++1/96 d2 d4^4
++1/96 d3 d4^4
++1/480 d4^5
++1/60 d1^3
+-1/60 d1^2 d2
++1/60 d1 d2^2
+-1/60 d2^3
+-1/60 d1^2 d3
+-1/60 d2^2 d3
++1/60 d1 d3^2
+-1/60 d2 d3^2
+-1/60 d3^3
+-1/60 d1^2 d4
+-1/60 d2^2 d4
+-1/60 d3^2 d4
++1/60 d1 d4^2
+-1/60 d2 d4^2
+-1/60 d3 d4^2
+-1/60 d4^3
+-1/70 d1
++1/70 d2
++1/70 d3
++1/70 d4
+"""
+
+# Its bottom-gap branch (d1 - d2 <= d3 - d4), the branch the package
+# evaluates, in factored form, as genus1._bottom_gap_value.
 BOTTOM_GAP_TABLE = """
 -1/48 d1^4 d4^3
 +1/24 d1^2 d2^2 d4^3
@@ -341,3 +462,7 @@ def evaluate_terms(table, orders) -> Fraction:
             mono *= base**e
         total += mono
     return Fraction(total, den)
+
+
+TOP_GAP_TERMS = parse_polynomial(TOP_GAP_TABLE)
+BOTTOM_GAP_TERMS = parse_polynomial(BOTTOM_GAP_TABLE)

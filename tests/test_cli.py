@@ -13,13 +13,16 @@ from pencils import cli, verify
 from pencils.cli import argv_from_query, build_parser, main
 from pencils.errors import CrossCheckError, DomainError, IntegralityError
 from pencils.genus1 import (
+    MAX_ANSWER_DEGREE,
     MAX_LAURENT_DEGREE,
     MAX_SCHUBERT_DEGREE,
     MAX_SERIES_DEGREE,
     Genus1Tuple,
     count_laurent,
     on_shell_tuples,
+    weighted_count,
 )
+from pencils.exactmath import catalan
 from pencils.verify import run_suite
 
 from oracles import ordered_on_shell
@@ -111,7 +114,9 @@ def test_readme_examples_print_what_they_say(capsys):
         for line in block.splitlines()
         if "# ->" in line
     ]
-    assert len(examples) >= 3  # genus1, genus0 and genusg today
+    # genus1 twice (the second on the closed form's reflected branch), genus0
+    # and genusg today
+    assert len(examples) >= 4
     for argv, want in examples:
         code, out, _ = run(argv, capsys)
         assert (code, out.splitlines()[0]) == (0, want), argv
@@ -498,6 +503,37 @@ def test_table_degree_bound_exits_one(monkeypatch, capsys):
         code, out, err = run(["table", "--degree", str(top + 1), *extra], capsys)
         assert (code, out) == (1, "")
         assert f"degree {top + 1} exceeds the bound {top}" in err
+
+
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        (["weighted", "--ram", "7200,7200,2,2"], "weighted_count: degree 7200"),
+        (["weighted", "--ram", "2,7201,7201,2", "--fixed-first"],
+         "weighted_fixed_first: degree 7201"),
+        (["genusg", "--genus", "0", "--degree", "8000", "--fixed", "8000,8000", "--weighted"],
+         "genus_g_weighted: degree 8000"),
+        (["genusg", "--genus", "1", "--degree", "7500", "--fixed", "7500", "--moving", "7500",
+          "--weighted"], "genus_g_weighted: degree 7500"),
+    ],
+)
+def test_answers_past_the_answer_degree_bound_exit_one(argv, what, capsys):
+    # each once computed an answer past the 4300 digits Python prints, and died
+    # in str() with a ValueError traceback
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err == (
+        f"error: {what} exceeds the bound {MAX_ANSWER_DEGREE} on counts that grow as 4^degree\n"
+    )
+
+
+def test_answers_at_the_answer_degree_bound_print(capsys):
+    top = MAX_ANSWER_DEGREE
+    code, out, err = run(["weighted", "--ram", f"{top},{top},2,2"], capsys)
+    assert (code, out, err) == (0, f"{weighted_count(Genus1Tuple(top, top, 2, 2))}\n", "")
+    argv = ["genusg", "--genus", "0", "--degree", str(top), "--fixed", f"{top},{top}", "--weighted"]
+    code, out, err = run(argv, capsys)
+    assert (code, out, err) == (0, f"{catalan(top - 1)}\n", "")
 
 
 def test_python_dash_m_runs_the_cli():

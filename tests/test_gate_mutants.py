@@ -13,6 +13,7 @@ _sigma1_power = grassmann.sigma1_power
 _weighted_fixed_first = genus1.weighted_fixed_first
 _assemble = degeneration._assemble
 _count_schubert = genus1.count_schubert
+_bottom_gap_value = genus1._bottom_gap_value
 
 EXAMPLE = RamificationProblem(1, 4, (3, 2), (3, 3, 2))  # weighted count 72
 
@@ -31,8 +32,20 @@ def _assemble_plus_one_at_genus_0(p, weighted):
     return _assemble(p, weighted) + (p.g == 0)
 
 
+def _assemble_plus_one_weighted_at_genus_1(p, weighted):
+    return _assemble(p, weighted) + (weighted and p.g == 1)
+
+
+def _assemble_plus_one_at_genus_2_from_degree_6(p, weighted):
+    return _assemble(p, weighted) + (p.g == 2 and p.d >= 6)
+
+
 def _count_schubert_plus_one_from_degree_5(t):
     return _count_schubert(t) + (t.degree >= 5)
+
+
+def _bottom_gap_value_plus_one_from_order_3(orders):
+    return _bottom_gap_value(orders) + (orders[3] >= 3)
 
 
 ROWS = [
@@ -43,6 +56,8 @@ ROWS = [
         [
             ("sigma1_powers_match_tableau_counts",
              "sigma1^1 on Gr(2,3) at (1,0): 1 != 2"),
+            ("genus1_reduction",
+             "weighted tail assembly vs closed form on (2, 2, 2, 2) (pivot 0)"),
             ("hyperelliptic_sextuple", "weighted two total points on the line, degree 2"),
         ],
         id="sigma1_power",
@@ -53,6 +68,8 @@ ROWS = [
         [
             ("weighted_recursion_consistency",
              "base-point splitting vs closed form on (4, 3, 3, 2)"),
+            ("genus1_reduction",
+             "weighted tail assembly vs closed form on (4, 3, 3, 2) (pivot 0)"),
         ],
         id="weighted_fixed_first",
     ),
@@ -64,6 +81,20 @@ ROWS = [
         id="assemble-genus-0",
     ),
     pytest.param(
+        # the consolidation sweep reads the same wrong count on both sides
+        degeneration, "_assemble", _assemble_plus_one_weighted_at_genus_1,
+        lambda: degeneration.genus_g_weighted(EXAMPLE), 73,
+        [("genus1_reduction", "weighted tail assembly vs closed form on (2, 2, 2, 2) (pivot 0)")],
+        id="assemble-weighted-genus-1",
+    ),
+    pytest.param(
+        degeneration, "_assemble", _assemble_plus_one_at_genus_2_from_degree_6,
+        lambda: degeneration.genus_g_count(RamificationProblem(2, 6, (2,) * 8, (2,) * 6)),
+        720 * 42 + 1,
+        [("hyperelliptic_sextuple", "8 simple fixed points on genus 2, degree 6")],
+        id="assemble-genus-2",
+    ),
+    pytest.param(
         # METHODS binds the pipelines at import, so the mutant goes there
         genus1.METHODS, "schubert", _count_schubert_plus_one_from_degree_5,
         lambda: genus1.count(Genus1Tuple(5, 4, 3, 2)).values["schubert"], 73,
@@ -73,6 +104,17 @@ ROWS = [
              "{'schubert': 209, 'laurent': 208, 'polynomial': 208, 'series': 208}"),
         ],
         id="METHODS-schubert",
+    ),
+    pytest.param(
+        genus1, "_bottom_gap_value", _bottom_gap_value_plus_one_from_order_3,
+        lambda: genus1.count_polynomial(Genus1Tuple(3, 3, 3, 3)), 97,
+        [
+            ("four_method_agreement",
+             "methods disagree on (3, 3, 3, 3): "
+             "{'schubert': 96, 'laurent': 96, 'polynomial': 97, 'series': 96}"),
+            ("closed_form_branch_guard", "closed form vs constant term on (3, 3, 3, 3)"),
+        ],
+        id="bottom-gap-value",
     ),
 ]
 

@@ -33,6 +33,8 @@ from pencils.laurent import LaurentPolynomial, constant_term, p_poly
 
 from oracles import (
     BOTTOM_GAP_TABLE,
+    BOTTOM_GAP_TERMS,
+    TOP_GAP_TERMS,
     evaluate_terms,
     genus1_constant_term,
     ordered_on_shell,
@@ -362,19 +364,26 @@ def test_bottom_gap_branch_is_the_reflected_top_gap_branch():
         d4 = 2 * half - d1 - d2 - d3
         reflected = (half - d4, half - d3, half - d2, half - d1)
         assert polynomial_value(BOTTOM_GAP_TABLE, (d1, d2, d3, d4)) == evaluate_terms(
-            genus1._TOP_GAP_TERMS, reflected
+            TOP_GAP_TERMS, reflected
         ), (d1, d2, d3, d4)
 
 
-def test_power_table_matches_the_term_by_term_loop():
+def test_factored_form_is_the_bottom_gap_table():
+    # the same grid and degree argument: the factored form is the whole table
+    for d1, d2, d3, half in itertools.product(range(8), repeat=4):
+        orders = (d1, d2, d3, 2 * half - d1 - d2 - d3)
+        assert genus1._bottom_gap_value(orders) == evaluate_terms(BOTTOM_GAP_TERMS, orders), orders
+
+
+def test_branch_values_match_the_transcribed_top_gap_table():
     # both branches, on and off the boundary, against one base**e per factor
     cases = 0
     for degree in range(2, 21):
         for quad in rep_tuples(degree):
             reflected = genus1._reflect(quad)
             assert polynomial_branch_values(Genus1Tuple(*quad)) == (
-                evaluate_terms(genus1._TOP_GAP_TERMS, quad),
-                evaluate_terms(genus1._TOP_GAP_TERMS, reflected),
+                evaluate_terms(TOP_GAP_TERMS, quad),
+                evaluate_terms(TOP_GAP_TERMS, reflected),
             ), quad
             cases += 1
     assert cases == 1600

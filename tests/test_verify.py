@@ -148,7 +148,8 @@ def test_consolidation_builds_each_sigma1_power_once(fresh_memos):
 def test_suite_counts_each_laurent_tuple_once(fresh_memos):
     verify.run_suite("all", 7)
     info = genus1.count_laurent.cache_info()
-    assert (info.misses, info.hits) == (333, 297)
+    # each genus-2 anchor of degree 3..10 reads the tail factor (2, 2, 2, 2) again
+    assert (info.misses, info.hits) == (333, 305)
 
 
 def test_cached_tau_classes_stay_equal_to_the_oracle(monkeypatch, fresh_memos):
