@@ -54,7 +54,6 @@ from .degeneration import (
     distributions,
     genus_g_count,
     genus_g_weighted,
-    pad_moving,
 )
 
 __version__ = "0.1.0"
@@ -107,7 +106,6 @@ __all__ = [
     "distributions",
     "genus_g_count",
     "genus_g_weighted",
-    "pad_moving",
     "PropertyResult",
     "SUITES",
     "run_suite",

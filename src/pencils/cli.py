@@ -78,8 +78,19 @@ def _problem(args) -> RamificationProblem:
     return RamificationProblem(args.genus, args.degree, fixed, _orders(args, "moving"))
 
 
+def _text(answer: int) -> str:
+    """Every answer becomes decimal text here, within Python's digit limit."""
+    try:
+        return str(answer)
+    except ValueError:  # past sys.get_int_max_str_digits()
+        raise DomainError(
+            f"the answer has more than sys.get_int_max_str_digits() = "
+            f"{sys.get_int_max_str_digits()} digits, Python's limit on printing an int"
+        ) from None
+
+
 def _cmd_genus0(args) -> tuple[dict, int, list[str]]:
-    result = str(genus_g_count(RamificationProblem(0, args.degree, _orders(args, "ram"))))
+    result = _text(genus_g_count(RamificationProblem(0, args.degree, _orders(args, "ram"))))
     return {"result": result}, 0, [result]
 
 
@@ -91,8 +102,8 @@ def _cmd_genus1(args) -> tuple[dict, int, list[str]]:
         )
     args.degree = t.degree
     report = count(t, args.method)
-    values = {name: str(v) for name, v in report.values.items()}
-    common = str(next(iter(report.values.values()))) if report.agreed else None
+    values = {name: _text(v) for name, v in report.values.items()}
+    common = next(iter(values.values())) if report.agreed else None
     record = {"result": common, "methods": values, "agreed": report.agreed}
     lines = []
     if args.method == "all" or not report.agreed:
@@ -105,16 +116,16 @@ def _cmd_genus1(args) -> tuple[dict, int, list[str]]:
 
 def _cmd_weighted(args) -> tuple[dict, int, list[str]]:
     t = _genus1_tuple(args)
-    result = str(weighted_fixed_first(t) if args.fixed_first else weighted_count(t))
+    result = _text(weighted_fixed_first(t) if args.fixed_first else weighted_count(t))
     return {"result": result}, 0, [result]
 
 
 def _cmd_genusg(args) -> tuple[dict, int, list[str]]:
-    answer, raw, factor = count_with_padding(_problem(args), weighted=args.weighted)
-    lines = [str(answer)]
-    if factor != 1:
+    answer, raw, factor = map(_text, count_with_padding(_problem(args), weighted=args.weighted))
+    lines = [answer]
+    if factor != "1":
         lines.append(f"padded count {raw} divided by {factor}")
-    return {"result": str(answer), "padded": str(raw), "factor": str(factor)}, 0, lines
+    return {"result": answer, "padded": raw, "factor": factor}, 0, lines
 
 
 def _cmd_table(args) -> tuple[dict, int, list[str]]:
@@ -125,7 +136,7 @@ def _cmd_table(args) -> tuple[dict, int, list[str]]:
             f"table: degree {args.degree} exceeds the bound {MAX_TABLE_DEGREE} on tables"
         )
     # the count is symmetric in the four points, so a labeled row reads its multiset's
-    counts = {q: count_laurent(Genus1Tuple(*q)) for q in on_shell_tuples(args.degree)}
+    counts = {q: _text(count_laurent(Genus1Tuple(*q))) for q in on_shell_tuples(args.degree)}
     rows = [
         (q, counts[tuple(sorted(q, reverse=True))])
         for q in on_shell_tuples(args.degree, ordered=args.ordered)
@@ -133,7 +144,7 @@ def _cmd_table(args) -> tuple[dict, int, list[str]]:
     sep = "," if args.format == "csv" else " "
     lines = [sep.join(("d1", "d2", "d3", "d4", "count"))]
     lines += [sep.join(map(str, (*q, c))) for q, c in rows]
-    return {"rows": [{"ram": list(q), "count": str(c)} for q, c in rows]}, 0, lines
+    return {"rows": [{"ram": list(q), "count": c} for q, c in rows]}, 0, lines
 
 
 def _cmd_verify(args) -> tuple[dict, int, list[str]]:
@@ -162,14 +173,13 @@ def _cmd_dualprobe(args) -> tuple[dict, int, list[str]]:
             f"the reflection d_i -> deg+2-d_i, fixed {list(fixed)} and moving "
             f"{list(moving)}, is not a valid problem: {exc}"
         ) from None
-    a = count_with_padding(problem)[0]
-    b = count_with_padding(reflected)[0]
+    a, b = _text(genus_g_count(problem)), _text(genus_g_count(reflected))
     record = {
-        "result": str(a),
+        "result": a,
         "reflected": {
             "fixed": list(reflected.fixed),
             "moving": list(reflected.moving),
-            "result": str(b),
+            "result": b,
         },
         "equal": a == b,
     }

@@ -13,8 +13,8 @@ with the same triples share one integral.  The weighted variant
 replaces each fixed class by a power of the hyperplane class and each
 tail factor by the exact-vanishing weighted count.
 
-Problems with fewer than 3g moving conditions are padded with simple
-ones; the padded count overcounts the original by (3g-m)!.
+A problem with fewer than 3g moving conditions is counted with simple
+ones added; that padded count overcounts it by exactly (3g-m)!.
 ``on_shell_problems`` lists every on-shell problem of a genus and degree.
 """
 
@@ -36,7 +36,6 @@ __all__ = [
     "Distribution",
     "MAX_GENUS",
     "on_shell_problems",
-    "pad_moving",
     "distributions",
     "genus_g_count",
     "genus_g_weighted",
@@ -131,14 +130,6 @@ def on_shell_problems(g: int, d: int):
                 yield RamificationProblem(g, d, fixed, moving)
 
 
-def pad_moving(p: RamificationProblem) -> tuple[RamificationProblem, int]:
-    """Append simple moving conditions up to 3g; the padded count equals
-    (3g - m)! times the original one."""
-    extra = 3 * p.g - p.m
-    padded = RamificationProblem(p.g, p.d, p.fixed, p.moving + (2,) * extra)
-    return padded, math.factorial(extra)
-
-
 def distributions(labels, g: int) -> list[Distribution]:
     """All ordered assignments of the 3g labels into g disjoint triples.
 
@@ -208,12 +199,18 @@ def _tail_class(factor, triple: tuple[int, int, int], d: int) -> SchubertClass:
 
 
 def _assemble(p: RamificationProblem, weighted: bool) -> int:
+    """The degeneration sum with the moving labels padded by simple ones
+    up to 3g, so (3g - m)! times the count of p."""
+    if weighted:
+        # simple conditions are always meaningful, so the cap never bites below 2
+        cap = max(2, 2 * p.d - p.g - 1)
+        for o in p.moving:
+            if o > cap:
+                raise DomainError(
+                    f"weighted domain: moving order {o} exceeds "
+                    f"2*degree - genus - 1 = {2 * p.d - p.g - 1}"
+                )
     _require_answer_degree(p.d, "genus_g_weighted" if weighted else "genus_g_count")
-    if p.m != 3 * p.g:
-        raise DomainError(
-            f"need exactly 3*genus = {3 * p.g} moving conditions "
-            f"(pad with simple ones first); got {p.m}"
-        )
     d, ambient = p.d, p.d + 1
     if weighted:
         fixed_part = sigma1_power(sum(o - 1 for o in p.fixed), ambient)
@@ -226,12 +223,13 @@ def _assemble(p: RamificationProblem, weighted: bool) -> int:
     if fixed_part.is_zero():
         return 0
     factor = weighted_fixed_first if weighted else count_laurent
+    labels = tuple(sorted(p.moving + (2,) * (3 * p.g - p.m)))
     # the product and the integral are multilinear and the tail factors
     # symmetric in a triple, so each triple is one class and ordered
     # distributions with the same triples integrate alike; the integral of
     # the last tail against the rest is a pairing, not a product
     total = 0
-    for key, multiplicity in _triple_multisets(tuple(sorted(p.moving)), p.g):
+    for key, multiplicity in _triple_multisets(labels, p.g):
         cls = fixed_part
         for triple in key[:-1]:
             cls = mul(cls, _tail_class(factor, triple, d))
@@ -240,39 +238,31 @@ def _assemble(p: RamificationProblem, weighted: bool) -> int:
 
 
 def genus_g_count(p: RamificationProblem) -> int:
-    """Degeneration sum for the unweighted genus-g count.
-
-    Requires a full complement of 3g moving conditions; pad first if
-    there are fewer.  At genus 0 the sum is the integral of the fixed
-    classes s(o-1, 0) over Gr(2, d+1).
-    """
-    return _assemble(p, weighted=False)
+    """Degeneration count of pencils of degree d on a general genus-g
+    curve with p's fixed and moving conditions; any number m <= 3g of
+    moving conditions.  At genus 0 it is the integral of the fixed
+    classes s(o-1, 0) over Gr(2, d+1)."""
+    return count_with_padding(p)[0]
 
 
 def genus_g_weighted(p: RamificationProblem) -> int:
-    """Weighted variant of the degeneration sum: each fixed class becomes
-    sigma1^(o-1), so genus 0 gives Catalan(d-1) whatever the orders."""
-    # simple conditions are always meaningful, so the cap never bites below 2
-    cap = max(2, 2 * p.d - p.g - 1)
-    for o in p.moving:
-        if o > cap:
-            raise DomainError(
-                f"weighted domain: moving order {o} exceeds "
-                f"2*degree - genus - 1 = {2 * p.d - p.g - 1}"
-            )
-    return _assemble(p, weighted=True)
+    """Weighted variant of ``genus_g_count``: each fixed class becomes
+    sigma1^(o-1), so genus 0 gives Catalan(d-1) whatever the orders.
+    Moving orders above 2d - g - 1 are outside its domain."""
+    return count_with_padding(p, weighted=True)[0]
 
 
 def count_with_padding(
     p: RamificationProblem, weighted: bool = False
 ) -> tuple[int, int, int]:
-    """Pad, count, and divide the overcount back out.
+    """The count of p as (answer, padded count, factor).
 
-    Returns (answer, padded count, factorial factor); the padded count
-    must be an exact multiple of the factor.
+    The padded count adds 3g - m simple moving conditions to p, which
+    overcounts it by factor = (3g - m)!; a remainder on dividing it out
+    is a ``CrossCheckError``.
     """
-    padded, factor = pad_moving(p)
-    raw = genus_g_weighted(padded) if weighted else genus_g_count(padded)
+    raw = _assemble(p, weighted)
+    factor = math.factorial(3 * p.g - p.m)
     if raw % factor:
         raise CrossCheckError(
             f"padded count {raw} is not divisible by the label factor {factor}"

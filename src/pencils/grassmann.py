@@ -192,12 +192,12 @@ def sigma1_power(k: int, ambient: int) -> SchubertClass:
     Keyed by the exponent and the ambient; callers only read the class.
     The verify property that checks this closed form against Pieri steps
     reads each (k, N) once: 209 keys at the release gate (level 9), 405 at
-    the suite's bound (level 13), more than the bound holds.  The genus-0
-    anchors of hyperelliptic_sextuple read (2d-2, d+1) for d <= level + 3,
-    two keys past that property's range: 6 misses at the gate, 11 at
-    level 13.  The 37 keys the consolidation sweep reads again and again
-    (101 at level 13) fit, so the gate misses 236 times and level 13 531
-    times (measured with every memo cleared first).  An entry is
+    the suite's bound (level 13), more than the bound holds.  The weighted
+    Brill-Noether anchors of hyperelliptic_sextuple read (2d-g-2, d+1) for
+    g <= 2 and d <= level + 3, five keys past that property's range.  The
+    37 keys the consolidation sweep reads again and again (101 at level
+    13) fit, so the gate misses 242 times and level 13 545 times (measured
+    with every memo cleared first).  An entry is
     0.6-1.1 KB on Gr(2, N), N <= 16, 7 KB at N = 101 and 99 KB at N = 801
     (measured with tracemalloc, at k near N), so 128 entries hold ~0.14 MB
     on the sweeps' Gr(2, N) and ~0.9 MB at N = 101.

@@ -11,6 +11,7 @@ failure.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -348,11 +349,6 @@ def total_ramification_family(level: int) -> str:
 
 
 def hyperelliptic_sextuple(level: int) -> str:
-    p = RamificationProblem(2, 2, (), (2,) * 6)
-    if genus_g_count(p) != 720:
-        raise CrossCheckError("six labeled simple points on genus 2")
-    if genus_g_weighted(p) != 720:
-        raise CrossCheckError("weighted variant of the sextuple")
     answer, raw, factor = count_with_padding(RamificationProblem(2, 2, (), ()))
     if (answer, raw, factor) != (1, 720, 720):
         raise CrossCheckError(
@@ -361,26 +357,27 @@ def hyperelliptic_sextuple(level: int) -> str:
     worked = RamificationProblem(1, 3, (2, 2), (2, 2, 3))
     if genus_g_count(worked) != 16:
         raise CrossCheckError("two fixed points, three moving, degree 3")
-    # genus 0, the spine with no tails: Goldberg's 2d - 2 simple points and
-    # two total points, whose weighted count only sees the weight 2d - 2
+    # Brill-Noether: with 3g simple moving points each tail is a cusp, so
+    # 2d - g - 2 simple fixed points count (3g)! times the integral of
+    # sigma1^(2d-2), weighted alike; genus 0 is Goldberg's count
+    for g, d in itertools.product((0, 1, 2), range(2, level + 4)):
+        n = 2 * d - g - 2
+        simple = RamificationProblem(g, d, (2,) * n, (2,) * (3 * g))
+        want = math.factorial(3 * g) * catalan(d - 1)
+        if genus_g_count(simple) != want:
+            raise CrossCheckError(f"{n} simple fixed points on genus {g}, degree {d}")
+        if genus_g_weighted(simple) != want:
+            raise CrossCheckError(f"weighted, {n} simple fixed points on genus {g}, degree {d}")
+    # two total points on the line: the weighted count only sees the weight 2d - 2
     for d in range(2, level + 4):
-        if genus_g_count(RamificationProblem(0, d, (2,) * (2 * d - 2))) != catalan(d - 1):
-            raise CrossCheckError(f"{2 * d - 2} simple points on the line, degree {d}")
         total = RamificationProblem(0, d, (d, d))
         if genus_g_count(total) != 1:
             raise CrossCheckError(f"two total points on the line, degree {d}")
         if genus_g_weighted(total) != catalan(d - 1):
             raise CrossCheckError(f"weighted two total points on the line, degree {d}")
-    # Brill-Noether at genus 2: with six simple moving points each tail is a
-    # cusp, so the count is 6! times the integral of sigma1^2 * sigma1^(2d-4)
-    for d in range(3, level + 4):
-        simple = RamificationProblem(2, d, (2,) * (2 * d - 4), (2,) * 6)
-        if genus_g_count(simple) != 720 * catalan(d - 1):
-            raise CrossCheckError(f"{2 * d - 4} simple fixed points on genus 2, degree {d}")
-    return ("720 = 6! labelings of the hyperelliptic branch points; worked example 16; genus 0 "
-            f"to degree {level + 3}: Catalan(d-1) from 2d-2 simple points and weighted (d,d), "
-            f"1 from (d,d); genus 2 to degree {level + 3}: 6! Catalan(d-1) from 2d-4 simple "
-            "fixed points")
+    return ("720 = 6! labelings of the hyperelliptic branch points; worked example 16; "
+            f"genus 0..2 to degree {level + 3}: (3g)! Catalan(d-1) from 2d-g-2 simple fixed "
+            "points, unweighted and weighted; genus 0: 1 from (d,d), Catalan(d-1) weighted")
 
 
 def weighted_consolidation_invariance(level: int) -> str:

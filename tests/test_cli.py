@@ -122,6 +122,11 @@ def test_readme_examples_print_what_they_say(capsys):
         assert (code, out.splitlines()[0]) == (0, want), argv
 
 
+def test_readme_library_block_runs():
+    block = README.read_text().split("## Library", 1)[1].split("```python", 1)[1]
+    exec(block.split("```", 1)[0], {})
+
+
 def test_genusg_sextuple(capsys):
     argv = ["genusg", "--genus", "2", "--degree", "2", "--moving", "2,2,2,2,2,2"]
     code, out, _ = run(argv, capsys)
@@ -534,6 +539,29 @@ def test_answers_at_the_answer_degree_bound_print(capsys):
     argv = ["genusg", "--genus", "0", "--degree", str(top), "--fixed", f"{top},{top}", "--weighted"]
     code, out, err = run(argv, capsys)
     assert (code, out, err) == (0, f"{catalan(top - 1)}\n", "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["weighted", "--ram", "2000,2000,2,2"],
+        ["genusg", "--genus", "0", "--degree", "2000", "--fixed", "2000,2000", "--weighted",
+         "--format", "json"],
+    ],
+)
+def test_answers_past_the_int_digit_limit_exit_one(argv, capsys):
+    # under the 6000-degree bound, but over a lowered limit on printing an int
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = run(argv, capsys)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: the answer has more than sys.get_int_max_str_digits() = 640 digits, "
+        "Python's limit on printing an int\n"
+    )
 
 
 def test_python_dash_m_runs_the_cli():

@@ -1,6 +1,7 @@
 """Degeneration pipeline: problem validation, the problem enumerator,
-genus-0 integrals, padding, distributions, and the genus-g assembly against
-the genus-1 pipelines and classical counts."""
+genus-0 integrals, problems with fewer than 3g moving points,
+distributions, and the genus-g assembly against the genus-1 pipelines and
+classical counts."""
 
 import itertools
 import math
@@ -18,7 +19,6 @@ from pencils.degeneration import (
     genus_g_count,
     genus_g_weighted,
     on_shell_problems,
-    pad_moving,
 )
 from pencils.errors import DomainError
 from pencils.exactmath import catalan
@@ -137,17 +137,6 @@ def test_classical_counts():
         assert count_with_padding(RamificationProblem(g, g, (), (g,)))[0] == g**3 - g
 
 
-def test_pad_moving():
-    p = RamificationProblem(1, 3, (3,), (3,))
-    padded, factor = pad_moving(p)
-    assert padded.moving == (3, 2, 2) and factor == 2
-    full = RamificationProblem(1, 3, (2, 2), (2, 2, 3))
-    assert pad_moving(full) == (full, 1)
-    q = RamificationProblem(2, 4, (3,), (3, 3, 2, 2))
-    padded, factor = pad_moving(q)
-    assert padded.moving == (3, 3, 2, 2, 2, 2) and factor == 2
-
-
 def test_distributions():
     assert distributions((2, 2, 3), 1) == [((2, 2, 3),)]
     twenty = distributions((4, 5, 6, 7, 8, 9), 2)
@@ -195,12 +184,25 @@ def test_genus1_weighted_reduction():
             assert genus_g_weighted(p) == weighted_count(Genus1Tuple(*quad)), quad
 
 
-def test_requires_full_moving_complement():
-    p = RamificationProblem(1, 3, (3,), (3,))
-    with pytest.raises(DomainError, match="pad with simple ones first"):
-        genus_g_count(p)
-    with pytest.raises(DomainError, match="pad with simple ones first"):
-        genus_g_weighted(p)
+def test_fewer_moving_points_divide_the_padded_count():
+    # dropping k trailing simple moving points divides the count by k!, and
+    # genus_g_count and genus_g_weighted take the shorter problem as it is
+    checked = 0
+    for g, top in ((1, 6), (2, 5), (3, 4)):
+        for d in range(2, top + 1):
+            for p in on_shell_problems(g, d):
+                counts = [(genus_g_count, False)]
+                if p.moving[0] <= max(2, 2 * d - g - 1):  # the weighted domain
+                    counts.append((genus_g_weighted, True))
+                for k in range(1, p.moving.count(2) + 1):
+                    q = RamificationProblem(g, d, p.fixed, p.moving[:-k])
+                    factor = math.factorial(k)
+                    for count, weighted in counts:
+                        raw = count(p)
+                        assert count_with_padding(q, weighted) == (raw // factor, raw, factor), q
+                        assert count(q) == count_with_padding(q, weighted)[0], q
+                        checked += 1
+    assert checked == 1929
 
 
 def test_weighted_moving_order_cap():

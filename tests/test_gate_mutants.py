@@ -36,6 +36,10 @@ def _assemble_plus_one_weighted_at_genus_1(p, weighted):
     return _assemble(p, weighted) + (weighted and p.g == 1)
 
 
+def _assemble_plus_one_at_genus_1_with_two_fixed_from_degree_4(p, weighted):
+    return _assemble(p, weighted) + (not weighted and p.g == 1 and p.n >= 2 and p.d >= 4)
+
+
 def _assemble_plus_one_at_genus_2_from_degree_6(p, weighted):
     return _assemble(p, weighted) + (p.g == 2 and p.d >= 6)
 
@@ -58,7 +62,7 @@ ROWS = [
              "sigma1^1 on Gr(2,3) at (1,0): 1 != 2"),
             ("genus1_reduction",
              "weighted tail assembly vs closed form on (2, 2, 2, 2) (pivot 0)"),
-            ("hyperelliptic_sextuple", "weighted two total points on the line, degree 2"),
+            ("hyperelliptic_sextuple", "weighted, 2 simple fixed points on genus 0, degree 2"),
         ],
         id="sigma1_power",
     ),
@@ -77,15 +81,26 @@ ROWS = [
         # no other property counts at genus 0
         degeneration, "_assemble", _assemble_plus_one_at_genus_0,
         lambda: degeneration.genus_g_count(RamificationProblem(0, 3, (2, 2, 2, 2))), 3,
-        [("hyperelliptic_sextuple", "2 simple points on the line, degree 2")],
+        [("hyperelliptic_sextuple", "2 simple fixed points on genus 0, degree 2")],
         id="assemble-genus-0",
     ),
     pytest.param(
         # the consolidation sweep reads the same wrong count on both sides
         degeneration, "_assemble", _assemble_plus_one_weighted_at_genus_1,
         lambda: degeneration.genus_g_weighted(EXAMPLE), 73,
-        [("genus1_reduction", "weighted tail assembly vs closed form on (2, 2, 2, 2) (pivot 0)")],
+        [
+            ("genus1_reduction",
+             "weighted tail assembly vs closed form on (2, 2, 2, 2) (pivot 0)"),
+            ("hyperelliptic_sextuple", "weighted, 1 simple fixed points on genus 1, degree 2"),
+        ],
         id="assemble-weighted-genus-1",
+    ),
+    pytest.param(
+        # the genus-1 reductions have one fixed point, the worked example degree 3
+        degeneration, "_assemble", _assemble_plus_one_at_genus_1_with_two_fixed_from_degree_4,
+        lambda: degeneration.genus_g_count(RamificationProblem(1, 4, (2,) * 5, (2, 2, 2))), 31,
+        [("hyperelliptic_sextuple", "5 simple fixed points on genus 1, degree 4")],
+        id="assemble-genus-1-fixed",
     ),
     pytest.param(
         degeneration, "_assemble", _assemble_plus_one_at_genus_2_from_degree_6,

@@ -148,7 +148,8 @@ def test_consolidation_builds_each_sigma1_power_once(fresh_memos):
 def test_suite_counts_each_laurent_tuple_once(fresh_memos):
     verify.run_suite("all", 7)
     info = genus1.count_laurent.cache_info()
-    # each genus-2 anchor of degree 3..10 reads the tail factor (2, 2, 2, 2) again
+    # each genus-1 Brill-Noether anchor of degree 3..10 reads the tail factor
+    # (2, 2, 2, 2) again, and the genus-2 anchor of its degree reuses its tail class
     assert (info.misses, info.hits) == (333, 305)
 
 
