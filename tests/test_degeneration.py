@@ -184,6 +184,29 @@ def test_genus1_weighted_reduction():
             assert genus_g_weighted(p) == weighted_count(Genus1Tuple(*quad)), quad
 
 
+def test_pad_moving():
+    # the assembly pads the moving labels with 3g - m simple ones itself;
+    # count_with_padding reports the padded count and the (3g - m)! it divides
+    p = RamificationProblem(1, 3, (3,), (3,))
+    padded = RamificationProblem(1, 3, (3,), (3, 2, 2))
+    assert count_with_padding(p) == (genus_g_count(padded) // 2, genus_g_count(padded), 2)
+    full = RamificationProblem(1, 3, (2, 2), (2, 2, 3))
+    assert count_with_padding(full) == (genus_g_count(full), genus_g_count(full), 1)
+    q = RamificationProblem(2, 4, (3,), (3, 3, 2, 2))
+    padded = RamificationProblem(2, 4, (3,), (3, 3, 2, 2, 2, 2))
+    for count, weighted in ((genus_g_count, False), (genus_g_weighted, True)):
+        raw = count(padded)
+        assert count_with_padding(q, weighted) == (raw // 2, raw, 2)
+
+
+def test_requires_full_moving_complement():
+    # the degeneration still counts a full complement of 3g moving points, but
+    # genus_g_count and genus_g_weighted now supply it rather than refuse
+    p = RamificationProblem(1, 3, (3,), (3,))
+    assert genus_g_count(p) == count_with_padding(p)[0] == 8
+    assert genus_g_weighted(p) == count_with_padding(p, True)[0] == 8
+
+
 def test_fewer_moving_points_divide_the_padded_count():
     # dropping k trailing simple moving points divides the count by k!, and
     # genus_g_count and genus_g_weighted take the shorter problem as it is
