@@ -65,31 +65,31 @@ class RamificationProblem:
     moving: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "fixed", tuple(self.fixed))
-        object.__setattr__(self, "moving", tuple(self.moving))
-        if self.g < 0:
-            raise DomainError(f"genus must be >= 0, got {self.g}")
-        if self.d < 2:
-            raise DomainError(f"degree must be >= 2, got {self.d}")
-        for o in self.fixed + self.moving:
+        g, d = self.g, self.d
+        fixed, moving = tuple(self.fixed), tuple(self.moving)
+        object.__setattr__(self, "fixed", fixed)
+        object.__setattr__(self, "moving", moving)
+        if g < 0:
+            raise DomainError(f"genus must be >= 0, got {g}")
+        if d < 2:
+            raise DomainError(f"degree must be >= 2, got {d}")
+        for o in fixed + moving:
             if o < 2:
                 raise DomainError(f"order {o} < 2 imposes no condition")
-        if self.m > 3 * self.g:
+        n, m = len(fixed), len(moving)
+        if m > 3 * g:
+            raise DomainError(f"{m} moving conditions exceed 3*genus = {3 * g}")
+        if g and 2 * g - 2 + n <= 0:
             raise DomainError(
-                f"{self.m} moving conditions exceed 3*genus = {3 * self.g}"
+                f"unstable: need 2*genus - 2 + #fixed > 0, got {2 * g - 2 + n}"
             )
-        if self.g and 2 * self.g - 2 + self.n <= 0:
-            raise DomainError(
-                f"unstable: need 2*genus - 2 + #fixed > 0, got "
-                f"{2 * self.g - 2 + self.n}"
-            )
-        imposed = self.conditions_imposed()
-        moduli = self.moduli_dimension()
+        # conditions_imposed() and moduli_dimension(), inlined
+        imposed = sum(fixed) - n + sum(moving) - 2 * m
+        moduli = g + 2 * (d - g - 1)
         if imposed != moduli:
             raise DomainError(
                 f"off-shell: conditions impose {imposed} but pencils of "
-                f"degree {self.d} on a genus-{self.g} curve move in "
-                f"dimension {moduli}"
+                f"degree {d} on a genus-{g} curve move in dimension {moduli}"
             )
 
     @property

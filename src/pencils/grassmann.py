@@ -55,6 +55,18 @@ class SchubertClass:
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "terms", clean)
 
+    @classmethod
+    def _of(cls, ambient: int, terms: dict[Partition, int]) -> "SchubertClass":
+        """An arithmetic result: its keys are in the box already, so only
+        zero coefficients are dropped.  Keeps ``terms``, which every
+        caller builds fresh."""
+        if 0 in terms.values():
+            terms = {k: c for k, c in terms.items() if c}
+        out = object.__new__(cls)
+        object.__setattr__(out, "ambient", ambient)
+        object.__setattr__(out, "terms", terms)
+        return out
+
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("SchubertClass is immutable")
 
@@ -75,17 +87,17 @@ class SchubertClass:
         out = dict(self.terms)
         for key, c in other.terms.items():
             out[key] = out.get(key, 0) + c
-        return SchubertClass(self.ambient, out)
+        return SchubertClass._of(self.ambient, out)
 
     def __neg__(self) -> "SchubertClass":
-        return SchubertClass(self.ambient, {k: -c for k, c in self.terms.items()})
+        return SchubertClass._of(self.ambient, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other: "SchubertClass") -> "SchubertClass":
         return self + (-other)
 
     def __mul__(self, other: "SchubertClass | int") -> "SchubertClass":
         if isinstance(other, int):
-            return SchubertClass(
+            return SchubertClass._of(
                 self.ambient, {k: c * other for k, c in self.terms.items()}
             )
         return mul(self, other)
@@ -132,7 +144,8 @@ def _pieri_into(
     """Add coeff * s(a,b) * s(k,0) into ``out``, dropping rows above ``top``.
 
     Pieri rule: the sum of s(a', b') over a' + b' = a + b + k with
-    a' >= a >= b' >= b.
+    a' >= a >= b' >= b.  The bounds on b' give a' >= b' >= 0 and
+    a' <= top, so every key added is a partition in the box.
     """
     for bp in range(max(b, a + b + k - top), min(a, b + k) + 1):
         key = (a + b + k - bp, bp)
@@ -147,7 +160,7 @@ def pieri_mul(c: SchubertClass, k: int) -> SchubertClass:
     top = c.ambient - 2
     for (a, b), coeff in c.terms.items():
         _pieri_into(out, top, a, b, coeff, k)
-    return SchubertClass(c.ambient, out)
+    return SchubertClass._of(c.ambient, out)
 
 
 def mul(c1: SchubertClass, c2: SchubertClass) -> SchubertClass:
@@ -163,7 +176,7 @@ def mul(c1: SchubertClass, c2: SchubertClass) -> SchubertClass:
         for (a, b), coeff in c1.terms.items():
             if a + e <= top:
                 _pieri_into(out, top, a + e, b + e, coeff * q, c - e)
-    return SchubertClass(c1.ambient, out)
+    return SchubertClass._of(c1.ambient, out)
 
 
 def pairing(c1: SchubertClass, c2: SchubertClass) -> int:

@@ -44,6 +44,13 @@ class TruncatedSeries:
             raise DomainError("a truncated series needs at least the q^0 coefficient")
         object.__setattr__(self, "coeffs", tuple(cs))
 
+    @classmethod
+    def _of(cls, coeffs: list[Fraction]) -> "TruncatedSeries":
+        """An arithmetic result: its coefficients are Fractions already."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "coeffs", tuple(coeffs))
+        return out
+
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("TruncatedSeries is immutable")
 
@@ -63,29 +70,28 @@ class TruncatedSeries:
         return TruncatedSeries([Fraction(value)], order=order)
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        t = min(self.order, other.order)
-        return TruncatedSeries(
-            [self.coeffs[n] + other.coeffs[n] for n in range(t + 1)]
-        )
+        return TruncatedSeries._of([a + b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries([-c for c in self.coeffs])
+        return TruncatedSeries._of([-c for c in self.coeffs])
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         return self + (-other)
 
     def __mul__(self, other) -> "TruncatedSeries":
         if isinstance(other, TruncatedSeries):
-            t = min(self.order, other.order)
-            out = [Fraction(0)] * (t + 1)
-            for i in range(t + 1):
-                a = self.coeffs[i]
+            left, right = self.coeffs, other.coeffs
+            t = min(len(left), len(right))
+            out = [Fraction(0)] * t
+            for i in range(t):
+                a = left[i]
                 if a == 0:
                     continue
-                for j in range(t + 1 - i):
-                    out[i + j] += a * other.coeffs[j]
-            return TruncatedSeries(out)
-        return TruncatedSeries([c * Fraction(other) for c in self.coeffs])
+                for j in range(t - i):
+                    out[i + j] += a * right[j]
+            return TruncatedSeries._of(out)
+        k = Fraction(other)
+        return TruncatedSeries._of([c * k for c in self.coeffs])
 
     def __rmul__(self, other) -> "TruncatedSeries":
         return self.__mul__(other)

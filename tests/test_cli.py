@@ -144,13 +144,14 @@ def test_genusg_padding_report(capsys):
 
 
 def test_dualprobe(capsys):
-    argv = [
-        "dualprobe", "--genus", "1", "--degree", "5",
-        "--fixed", "4", "--moving", "4,4,2",
-    ]
-    code, out, _ = run(argv, capsys)
-    assert code == 0
-    assert out.splitlines() == ["original: 96", "reflected: 96", "equal: yes"]
+    for args, count in (
+        (["--genus", "1", "--degree", "5", "--fixed", "4", "--moving", "4,4,2"], "96"),
+        # the reflection anchor beyond genus 1: (2,4,4,4) <-> (3,3,3,5)
+        (["--genus", "2", "--degree", "5", "--moving", "2,4,4,4"], "26496"),
+    ):
+        code, out, _ = run(["dualprobe", *args], capsys)
+        assert code == 0
+        assert out.splitlines() == [f"original: {count}", f"reflected: {count}", "equal: yes"]
     code, _, err = run(["dualprobe", "--genus", "1", "--degree", "3", "--fixed", "4"], capsys)
     assert code == 1
     assert "below the minimum order 2" in err

@@ -21,7 +21,7 @@ from pencils.degeneration import (
     on_shell_problems,
 )
 from pencils.errors import DomainError
-from pencils.exactmath import catalan
+from pencils.exactmath import catalan, syt_count
 from pencils.genus1 import (
     Genus1Tuple,
     count_laurent,
@@ -35,21 +35,27 @@ from oracles import genus0_integral, problems_with_fixed
 
 
 def test_problem_validation():
-    with pytest.raises(DomainError, match="genus"):
-        RamificationProblem(-1, 3, (2, 2), (2, 2, 3))
-    with pytest.raises(DomainError, match="degree"):
-        RamificationProblem(1, 1, (2, 2), (2, 2, 3))
-    with pytest.raises(DomainError, match="imposes no condition"):
-        RamificationProblem(1, 3, (1, 3), (2, 2, 3))
-    with pytest.raises(DomainError, match="moving conditions exceed"):
-        RamificationProblem(0, 3, (2, 2), (2,))
-    with pytest.raises(DomainError, match="unstable"):
-        RamificationProblem(1, 2, (), (2, 2, 2))
+    # each problem also fails every later check it can, so the text must be
+    # the first check's, in the order genus, degree, orders, moving count,
+    # stability, dimension
+    cases = [
+        ((-1, 1, (1,), (2,) * 4), "genus must be >= 0, got -1"),
+        ((0, 1, (1,), (2,)), "degree must be >= 2, got 1"),
+        ((0, 3, (1, 3), (2,)), "order 1 < 2 imposes no condition"),
+        ((1, 3, (2,), (1, 2)), "order 1 < 2 imposes no condition"),
+        ((1, 2, (), (2,) * 4), "4 moving conditions exceed 3*genus = 3"),
+        ((1, 2, (), (2, 2, 2)), "unstable: need 2*genus - 2 + #fixed > 0, got 0"),
+        ((1, 3, (2, 2), (2, 2)),
+         "off-shell: conditions impose 2 but pencils of degree 3 on a genus-1 "
+         "curve move in dimension 3"),
+    ]
+    for args, text in cases:
+        with pytest.raises(DomainError) as err:
+            RamificationProblem(*args)
+        assert str(err.value) == text, args
     # genus 0 has no tails to stabilize: one or two fixed points are an integral
     assert RamificationProblem(0, 3, (3, 3)).n == 2
     assert RamificationProblem(0, 3, (5,)).n == 1
-    with pytest.raises(DomainError, match="off-shell"):
-        RamificationProblem(1, 3, (2, 2), (2, 2))
 
 
 def test_problem_properties():
@@ -182,6 +188,39 @@ def test_genus1_weighted_reduction():
         for quad in on_shell_tuples(degree, min_order=2):
             p = RamificationProblem(1, degree, quad[:1], quad[1:])
             assert genus_g_weighted(p) == weighted_count(Genus1Tuple(*quad)), quad
+
+
+def _split_term(g, d, fixed, moving):
+    """The unweighted count after base points took k from each order: a
+    fixed point left with order 1 imposes nothing and is dropped, a moving
+    point left with order 1 kills the term, and so do genus 1 with no fixed
+    point and a degree below 2."""
+    fixed = tuple(o for o in fixed if o > 1)
+    if d < 2 or 1 in moving or (g == 1 and not fixed):
+        return 0
+    return genus_g_count(RamificationProblem(g, d, fixed, moving))
+
+
+def test_base_point_splitting_at_genus_1_and_2():
+    # weighted(g, d, o) = sum over k of prod_i syt(o_i - k_i - 1, k_i) times
+    # count(g, d - sum k, o_i - 2 k_i): the weighted count splits off base
+    # points as at genus 1, linking count_laurent to weighted_fixed_first
+    checked = 0
+    for g, top in ((1, 6), (2, 5)):
+        for d in range(2, top + 1):
+            cap = max(2, 2 * d - g - 1)
+            for p in on_shell_problems(g, d):
+                orders = p.fixed + p.moving
+                if p.n > 2 or max(orders) > cap:
+                    continue
+                total = 0
+                for ks in itertools.product(*(range((o - 1) // 2 + 1) for o in orders)):
+                    weight = math.prod(syt_count(o - k - 1, k) for o, k in zip(orders, ks))
+                    left = [o - 2 * k for o, k in zip(orders, ks)]
+                    total += weight * _split_term(g, d - sum(ks), left[: p.n], left[p.n :])
+                assert genus_g_weighted(p) == total, p
+                checked += 1
+    assert checked == 239
 
 
 def test_pad_moving():

@@ -103,6 +103,28 @@ def test_mul_and_pairing_match_jacobi_trudi_on_integer_classes(ambient, data):
     assert pairing(c1, c2) == integrate(mul(c1, c2)) == want.get((top, top), 0)
 
 
+def _assert_canonical(c):
+    """The result a public constructor would build: no zero term and no key
+    outside a >= b >= 0, a <= N - 2."""
+    top = c.ambient - 2
+    assert all(top >= a >= b >= 0 and q != 0 for (a, b), q in c.terms.items()), c.terms
+    assert c == SchubertClass(c.ambient, c.terms)
+
+
+@given(st.integers(min_value=2, max_value=9), st.data())
+@settings(max_examples=150, deadline=None)
+def test_arithmetic_results_are_canonical(ambient, data):
+    # zero coefficients and scalars, so that sums and products can cancel
+    terms = st.dictionaries(st.sampled_from(box(ambient)), st.integers(-3, 3))
+    c1 = SchubertClass(ambient, data.draw(terms))
+    c2 = SchubertClass(ambient, data.draw(terms))
+    k = data.draw(st.integers(-2, 2))
+    results = [c1 + c2, -c1, c1 - c2, c1 - c1, k * c1, c1 * k, mul(c1, c2)]
+    results += [pieri_mul(c1, j) for j in range(ambient)]
+    for c in results:
+        _assert_canonical(c)
+
+
 def test_pairing_ambient_mismatch_raises():
     with pytest.raises(DomainError):
         pairing(sigma(1, 0, 4), sigma(1, 0, 5))

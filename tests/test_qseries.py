@@ -4,6 +4,7 @@ identities, and the series route to the genus-1 count."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pencils.errors import DomainError
 from pencils.exactmath import catalan, syt_count
@@ -49,6 +50,26 @@ def test_series_arithmetic_truncates_to_min_order():
     assert (a + b).coefficient(1) == 0
     assert (a * b).coefficient(2) == -1
     assert (2 * a).coefficient(1) == 2
+
+
+def _series(order):
+    coefficient = st.one_of(
+        st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=5)
+    )
+    return st.lists(coefficient, max_size=order + 2).map(
+        lambda cs: TruncatedSeries(cs, order=order)
+    )
+
+
+@given(st.integers(0, 6), st.integers(0, 6), st.data())
+@settings(max_examples=150, deadline=None)
+def test_arithmetic_results_are_canonical(m, n, data):
+    a, b = data.draw(_series(m)), data.draw(_series(n))
+    k = data.draw(st.one_of(st.integers(-2, 2), st.fractions(max_denominator=3)))
+    for s in (a * b, b * a, a + b, -a, a - b, k * a, a * k):
+        assert all(type(c) is Fraction for c in s.coeffs), s
+        assert s == TruncatedSeries(s.coeffs)
+    assert (a * b).order == (a + b).order == min(m, n)
 
 
 def test_sqrt_series_coefficients():
