@@ -33,7 +33,6 @@ from .grassmann import SchubertClass, integrate, mul, pairing, sigma, sigma1_pow
 
 __all__ = [
     "RamificationProblem",
-    "Distribution",
     "MAX_GENUS",
     "on_shell_problems",
     "distributions",
@@ -83,7 +82,6 @@ class RamificationProblem:
             raise DomainError(
                 f"unstable: need 2*genus - 2 + #fixed > 0, got {2 * g - 2 + n}"
             )
-        # conditions_imposed() and moduli_dimension(), inlined
         imposed = sum(fixed) - n + sum(moving) - 2 * m
         moduli = g + 2 * (d - g - 1)
         if imposed != moduli:
@@ -99,12 +97,6 @@ class RamificationProblem:
     @property
     def m(self) -> int:
         return len(self.moving)
-
-    def conditions_imposed(self) -> int:
-        return sum(o - 1 for o in self.fixed) + sum(o - 2 for o in self.moving)
-
-    def moduli_dimension(self) -> int:
-        return self.g + 2 * (self.d - self.g - 1)
 
 
 def on_shell_problems(g: int, d: int):

@@ -16,7 +16,6 @@ from .errors import DomainError
 from .exactmath import syt_count
 
 __all__ = [
-    "Partition",
     "SchubertClass",
     "sigma",
     "unit",

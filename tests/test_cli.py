@@ -579,9 +579,10 @@ def test_import_pencils_leaves_verify_unloaded():
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); import pencils; "
         "assert 'pencils.verify' not in sys.modules; "
-        "results = pencils.run_suite('schubert', level=2); "
+        "assert 'pencils.cli' not in sys.modules; "
+        "from pencils.verify import run_suite; "
+        "results = run_suite('schubert', level=2); "
         "assert results and all(r.passed for r in results); "
-        "assert pencils.SUITES[0] == 'all' and pencils.PropertyResult; "
         "print('pencils.verify' in sys.modules)"
     )
     src = str(Path(pencils.__file__).resolve().parents[1])

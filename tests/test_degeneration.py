@@ -61,8 +61,6 @@ def test_problem_validation():
 def test_problem_properties():
     p = RamificationProblem(1, 3, (2, 2), (2, 2, 3))
     assert (p.n, p.m) == (2, 3)
-    assert p.conditions_imposed() == 3
-    assert p.moduli_dimension() == 3
     assert p.fixed == (2, 2) and p.moving == (2, 2, 3)
 
 
