@@ -233,7 +233,9 @@ _SUBCOMMANDS = {
     ), _cmd_table),
     "verify": ("run the self-verification suites", (
         ("--suite", {"choices": SUITES, "default": "all"}),
-        ("--max-degree", {"type": int, "default": 7}),
+        ("--max-degree", {"type": int, "default": 7, "help": (
+            "sweep level that scales every property's bounds, not a degree (the gate is 9)"
+        )}),
     ), _cmd_verify),
     "dualprobe": (
         "compare a genus-g problem against its degree reflection (no assertion)",

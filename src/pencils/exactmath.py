@@ -36,17 +36,8 @@ def exact_div(num: int, den: int, context: str) -> int:
 
 
 def binomial(n: int, k: int) -> int:
-    """Binomial coefficient; 0 for k < 0 or k > n >= 0.
-
-    A negative upper index follows the generalized convention
-    binomial(n, k) = (-1)^k binomial(k-n-1, k), so Pascal's rule holds
-    for all integer arguments.
-    """
-    if k < 0:
-        return 0
-    if n >= 0:
-        return comb(n, k) if k <= n else 0
-    return (-1) ** k * comb(k - n - 1, k)
+    """Binomial coefficient of n >= 0; 0 for k < 0 or k > n."""
+    return comb(n, k) if k >= 0 else 0
 
 
 def catalan(n: int) -> int:

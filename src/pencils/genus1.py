@@ -56,7 +56,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class Genus1Tuple:
     """Four total-vanishing orders with an even sum of at least 8."""
 

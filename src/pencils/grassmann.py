@@ -109,9 +109,6 @@ class SchubertClass:
             return NotImplemented
         return self.ambient == other.ambient and self.terms == other.terms
 
-    def __hash__(self) -> int:
-        return hash((self.ambient, frozenset(self.terms.items())))
-
     def __repr__(self) -> str:
         if not self.terms:
             return f"0 on Gr(2,{self.ambient})"

@@ -26,27 +26,10 @@ class LaurentPolynomial:
     def coefficient(self, e: int) -> int:
         return self.terms.get(e, 0)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def support(self) -> list[int]:
         return sorted(self.terms)
 
-    def __add__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, 0) + c
-        return LaurentPolynomial(out)
-
-    def __neg__(self) -> "LaurentPolynomial":
-        return LaurentPolynomial({e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
-        return self + (-other)
-
-    def __mul__(self, other: "LaurentPolynomial | int") -> "LaurentPolynomial":
-        if isinstance(other, int):
-            return LaurentPolynomial({e: c * other for e, c in self.terms.items()})
+    def __mul__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
         out: dict[int, int] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -54,24 +37,10 @@ class LaurentPolynomial:
                 out[e] = out.get(e, 0) + c1 * c2
         return LaurentPolynomial(out)
 
-    def __rmul__(self, other: int) -> "LaurentPolynomial":
-        return self.__mul__(other)
-
-    def __pow__(self, n: int) -> "LaurentPolynomial":
-        if n < 0:
-            raise DomainError("LaurentPolynomial: negative powers not supported")
-        out = LaurentPolynomial({0: 1})
-        for _ in range(n):
-            out = out * self
-        return out
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LaurentPolynomial):
             return NotImplemented
         return self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
 
     def __repr__(self) -> str:
         if not self.terms:

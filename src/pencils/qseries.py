@@ -72,37 +72,22 @@ class TruncatedSeries:
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         return TruncatedSeries._of([a + b for a, b in zip(self.coeffs, other.coeffs)])
 
-    def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries._of([-c for c in self.coeffs])
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return self + (-other)
-
-    def __mul__(self, other) -> "TruncatedSeries":
-        if isinstance(other, TruncatedSeries):
-            left, right = self.coeffs, other.coeffs
-            t = min(len(left), len(right))
-            out = [Fraction(0)] * t
-            for i in range(t):
-                a = left[i]
-                if a == 0:
-                    continue
-                for j in range(t - i):
-                    out[i + j] += a * right[j]
-            return TruncatedSeries._of(out)
-        k = Fraction(other)
-        return TruncatedSeries._of([c * k for c in self.coeffs])
-
-    def __rmul__(self, other) -> "TruncatedSeries":
-        return self.__mul__(other)
+    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        left, right = self.coeffs, other.coeffs
+        t = min(len(left), len(right))
+        out = [Fraction(0)] * t
+        for i in range(t):
+            a = left[i]
+            if a == 0:
+                continue
+            for j in range(t - i):
+                out[i + j] += a * right[j]
+        return TruncatedSeries._of(out)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
 
     def __repr__(self) -> str:
         return "TruncatedSeries(%s)" % (list(self.coeffs),)

@@ -40,6 +40,7 @@ from .genus1 import (
     weighted_from_unweighted,
 )
 from .grassmann import (
+    SchubertClass,
     fourfold_integral,
     integrate,
     magic_integral,
@@ -96,16 +97,22 @@ def sigma1_top_power_is_catalan(level: int) -> str:
     return f"top self-intersections for degrees 2..{level + 5}"
 
 
+def _quadruple_integrals(start: SchubertClass, total: int):
+    """Each sorted quadruple of special classes s(n, 0) with indices summing
+    to ``total``, with the integral of their product times ``start``."""
+    special = [sigma(n, 0, start.ambient) for n in range(total + 1)]
+    for quad in bounded_partitions(total, 4, total):
+        cls = start
+        for n in quad:
+            cls = mul(cls, special[n])
+        yield quad, integrate(cls)
+
+
 def fourfold_closed_form_matches_engine(level: int) -> str:
     cases = 0
     for ambient in range(2, level + 6):
-        total = 2 * ambient - 4
-        special = [sigma(n, 0, ambient) for n in range(total + 1)]
-        for quad in bounded_partitions(total, 4, total):
-            cls = unit(ambient)
-            for n in quad:
-                cls = mul(cls, special[n])
-            if integrate(cls) != fourfold_integral(*quad, ambient):
+        for quad, got in _quadruple_integrals(unit(ambient), 2 * ambient - 4):
+            if got != fourfold_integral(*quad, ambient):
                 raise CrossCheckError(f"fourfold {quad} on Gr(2,{ambient})")
             cases += 1
     return f"{cases} quadruples on Gr(2,N), N <= {level + 5}"
@@ -114,15 +121,10 @@ def fourfold_closed_form_matches_engine(level: int) -> str:
 def special_quadratic_integral_matches_engine(level: int) -> str:
     cases = 0
     for ambient in range(3, level + 6):
-        total = 2 * (ambient - 1) - 4
         s1 = sigma(1, 0, ambient)
         correction = 8 * sigma(1, 1, ambient) - 2 * mul(s1, s1)
-        special = [sigma(n, 0, ambient) for n in range(total + 1)]
-        for quad in bounded_partitions(total, 4, total):
-            cls = correction
-            for n in quad:
-                cls = mul(cls, special[n])
-            if integrate(cls) != magic_integral(*quad, ambient):
+        for quad, got in _quadruple_integrals(correction, 2 * (ambient - 1) - 4):
+            if got != magic_integral(*quad, ambient):
                 raise CrossCheckError(f"quadratic correction {quad} on Gr(2,{ambient})")
             cases += 1
     return f"{cases} quadruples against the 6/4/2/-2/0 table, N <= {level + 5}"

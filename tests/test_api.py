@@ -1,7 +1,10 @@
-"""The public surface: one import path per name."""
+"""The public surface: one import path per name, and no import or
+definition that nothing in the package uses."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pencils
 
@@ -31,3 +34,58 @@ def test_every_module_exports_what_it_lists():
         module = importlib.import_module(f"pencils.{name}")
         for public in getattr(module, "__all__", ()):
             assert hasattr(module, public), (name, public)
+
+
+SOURCES = {
+    path.stem: ast.parse(path.read_text())
+    for path in sorted(Path(pencils.__file__).parent.glob("*.py"))
+}
+# public, and called only from outside the package
+OUTSIDE_ONLY = {("cli", "argv_from_query")}
+
+
+def _listed(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def _read(node):
+    """The names a node reads."""
+    return {sub.id for sub in ast.walk(node) if isinstance(sub, ast.Name)}
+
+
+def test_every_import_is_used_or_exported():
+    for module, tree in SOURCES.items():
+        used = _read(tree) | _listed(tree)
+        for node in tree.body:
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name.partition(".")[0]
+                assert bound in used, (module, bound)
+
+
+def test_every_function_and_class_is_referenced():
+    # by its own module, or imported by name into another (the package's only
+    # cross-module access); methods are not checked, as an operator names none
+    for module, tree in SOURCES.items():
+        imported = {
+            alias.name
+            for other in SOURCES.values()
+            for node in ast.walk(other)
+            if isinstance(node, ast.ImportFrom) and node.module == module
+            for alias in node.names
+        }
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if (module, node.name) in OUTSIDE_ONLY:
+                continue
+            local = any(node.name in _read(stmt) for stmt in tree.body if stmt is not node)
+            assert local or node.name in imported, (module, node.name)

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import pencils
-from pencils import cli, verify
+from pencils import cli, degeneration, verify
 from pencils.cli import argv_from_query, build_parser, main
 from pencils.errors import CrossCheckError, DomainError, IntegralityError
 from pencils.genus1 import (
@@ -482,6 +482,23 @@ def test_genus1_single_method_degree_bound_exits_one(pipeline, top, monkeypatch,
         f"error: count_{pipeline}: degree {top + 1} exceeds the bound {top} "
         f"on the {pipeline} pipeline\n"
     )
+
+
+def test_genusg_degree_bound_exits_one(monkeypatch, capsys):
+    def never(*args):
+        raise AssertionError("the degeneration ran before its degree check")
+
+    monkeypatch.setattr(degeneration, "unit", never)
+    monkeypatch.setattr(degeneration, "sigma1_power", never)
+    top = degeneration.MAX_DEGENERATION_DEGREE
+    argv = ["genusg", "--genus", "1", "--degree", "3000", "--fixed", "1501",
+            "--moving", "1501,1501,1501"]
+    for extra, what in (([], "genus_g_count"), (["--weighted"], "genus_g_weighted")):
+        code, out, err = run(argv + extra, capsys)
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: {what}: degree 3000 exceeds the bound {top} on the degeneration at genus >= 1\n"
+        )
 
 
 def test_verify_level_bound_exits_one(monkeypatch, capsys):

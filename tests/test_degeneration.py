@@ -12,6 +12,7 @@ import pytest
 
 from pencils import degeneration
 from pencils.degeneration import (
+    MAX_DEGENERATION_DEGREE,
     RamificationProblem,
     consolidate_fixed,
     count_with_padding,
@@ -219,6 +220,39 @@ def test_base_point_splitting_at_genus_1_and_2():
                 assert genus_g_weighted(p) == total, p
                 checked += 1
     assert checked == 239
+
+
+def test_degeneration_degree_bound():
+    top = MAX_DEGENERATION_DEGREE
+    assert top > 16  # the gate at its top level, 13, counts genus >= 1 to degree 16
+    k = (top - 1) // 2  # top is odd: the nearest to balanced genus-1 shape
+    at_top = RamificationProblem(1, top, (k + 2,), (k + 1, k + 1, k + 2))
+    m = (top + 1) // 2 + 1
+    above = RamificationProblem(1, top + 1, (m,), (m, m, m))
+    for count in (genus_g_count, genus_g_weighted):
+        assert count(at_top) > 0
+        with pytest.raises(DomainError) as info:
+            count(above)
+        assert str(info.value) == (
+            f"{count.__name__}: degree {top + 1} exceeds the bound {top} "
+            f"on the degeneration at genus >= 1"
+        )
+
+
+def test_weighted_counts_divide_by_the_moving_weights():
+    # weighted(p) is a multiple of prod(m - 1) over the moving orders: each
+    # weighted tail class is prod(t - 1) over its triple times a class that
+    # depends only on the triple's sum and the degree
+    checked = 0
+    for g, top in ((1, 8), (2, 6), (3, 5)):
+        for d in range(2, top + 1):
+            cap = max(2, 2 * d - g - 1)
+            for p in on_shell_problems(g, d):
+                if max(p.moving) > cap:
+                    continue
+                assert genus_g_weighted(p) % math.prod(m - 1 for m in p.moving) == 0, p
+                checked += 1
+    assert checked == 2207
 
 
 def test_pad_moving():
