@@ -8,8 +8,10 @@ a vanishing sequence 0 <= a_j < b_j <= d at each node, contributes a
 genus-0 integral against the fixed and node classes times a genus-1
 factor per tail.  Genus 0 is the case with no tails, where the sum is
 the Grassmannian integral of the fixed classes alone.  By multilinearity
-each triple's node choices fold into one tail class, and distributions
-with the same triples share one integral.  The weighted variant
+each triple's node choices fold into one tail class, distributions with
+the same triples into one product, and all the products of one set of
+labels and degree into one tails class, paired once with the fixed
+classes.  The weighted variant
 replaces each fixed class by a power of the hyperplane class and each
 tail factor by the exact-vanishing weighted count.
 
@@ -45,7 +47,9 @@ __all__ = [
 
 Distribution = tuple[tuple[int, int, int], ...]
 
-MAX_GENUS = 4  # genus 5 would list 168,168,000 distributions
+# genus 4 lists 369,600 distributions (the trigonal count takes 1.4-2.1 s and
+# ~93 MB on the host below); genus 5 would list 168,168,000
+MAX_GENUS = 4
 # The slowest shapes found at degree 89 took 1.6-2.9 s at genus 3 (nine evenly
 # spaced moving orders), 0.4 s at genus 2 and 0.03 s at genus 1 (which costs
 # about deg^3), on a shared 2-core Intel Xeon host
@@ -146,16 +150,28 @@ def distributions(labels, g: int) -> list[Distribution]:
             f"distributions: need 3*genus = {3 * g} labels, got {len(labels)}"
         )
 
-    def rec(positions: tuple[int, ...]):
-        if not positions:
-            yield ()
-            return
-        for combo in itertools.combinations(positions, 3):
-            rest = tuple(x for x in positions if x not in combo)
-            for tail in rec(rest):
-                yield (tuple(labels[i] for i in combo),) + tail
+    out: list[Distribution] = []
+    _extend(out, labels, tuple(range(3 * g)), ())
+    return out
 
-    return list(rec(tuple(range(3 * g))))
+
+def _extend(
+    out: list, labels: tuple[int, ...], positions: tuple[int, ...], prefix: tuple
+) -> None:
+    """Append to ``out`` every ``prefix`` followed by a distribution of the
+    labels at ``positions``, first triple varying slowest.
+
+    Each triple is built once per choice of positions and shared by every
+    distribution below it.  ``out`` comes in as an argument: a nested
+    function appending to an enclosing list would hold it in a reference
+    cycle, alive until the collector runs.
+    """
+    if not positions:
+        out.append(prefix)
+        return
+    for i, j, k in itertools.combinations(positions, 3):
+        rest = tuple(x for x in positions if x != i and x != j and x != k)
+        _extend(out, labels, rest, prefix + ((labels[i], labels[j], labels[k]),))
 
 
 @lru_cache(maxsize=128)
@@ -164,17 +180,16 @@ def _triple_multisets(labels: tuple[int, ...], g: int):
     sorted triples, as (multiset, multiplicity) pairs.
 
     Permuting the labels permutes the distributions, so callers key this
-    by the sorted labels.  The bound covers the 80 distinct label tuples
-    of a genusg-mix pass and the at most 90 per (g, d) of the verify
-    gate.  An entry of genus <= 2 holds at most 10 multisets and one of
-    genus 3 at most 280 (~90 KB), so 128 entries hold ~11 MB; a genus-4
-    entry with 12 distinct labels holds 15,400 (~5.9 MB, measured with
-    tracemalloc), which puts the worst case at ~750 MB.
+    by the sorted labels; ``distributions`` takes positions in increasing
+    order, so each triple of sorted labels comes sorted and only the
+    multiset itself is sorted.  Genus 1 never reads it, so the bound
+    covers the 47-50 distinct label tuples of a genusg-mix pass and the 90
+    of the verify gate.  An entry of genus 2 holds at most 10 multisets
+    and one of genus 3 at most 280 (~74 KB), so 128 entries hold ~9.4 MB;
+    a genus-4 entry with 12 distinct labels holds 15,400 (~4.6 MB,
+    measured with tracemalloc), which puts the worst case at ~590 MB.
     """
-    return tuple(Counter(
-        tuple(sorted(tuple(sorted(triple)) for triple in dist))
-        for dist in distributions(labels, g)
-    ).items())
+    return tuple(Counter(map(tuple, map(sorted, distributions(labels, g)))).items())
 
 
 @lru_cache(maxsize=512)
@@ -193,6 +208,37 @@ def _tail_class(factor, triple: tuple[int, int, int], d: int) -> SchubertClass:
         (d - a - 1, d - s + a): factor(Genus1Tuple(s - 2 * a, *triple))
         for a in range(max(0, s - d), min((s - 1) // 2, d - 2) + 1)
     })
+
+
+@lru_cache(maxsize=1024)
+def _tails_class(factor, labels: tuple[int, ...], d: int) -> SchubertClass:
+    """The tails of every distribution of ``labels`` in one class: the sum
+    over the multisets of sorted triples of multiplicity times the product
+    of the tail classes.
+
+    The product and the integral are multilinear and the tail factors
+    symmetric in a triple, so ordered distributions with the same triples
+    multiply alike, and problems that differ only in their fixed points
+    share this class and cost one pairing each.  ``labels`` are sorted,
+    as ``_triple_multisets`` needs.  The bound covers the 200 distinct
+    (factor, labels, d) keys of a genusg-mix pass and the 472 of the
+    verify gate (level 9); the suite at its bound (level 13) reads 3,351.
+    Entries average 0.2-0.4 KB up to degree 16 (a genus-1 entry is its
+    tail class) and a genus-3 one at degree 89, the degeneration's bound,
+    takes ~6.3 KB (measured with tracemalloc), so 1024 entries hold
+    ~0.4 MB on the sweeps and ~6.4 MB at that bound.
+    """
+    g = len(labels) // 3
+    if g == 1:  # one distribution of one triple
+        return _tail_class(factor, labels, d)
+    terms: dict[tuple[int, int], int] = {}
+    for key, multiplicity in _triple_multisets(labels, g):
+        cls = _tail_class(factor, key[0], d)
+        for triple in key[1:]:
+            cls = mul(cls, _tail_class(factor, triple, d))
+        for partition, c in cls.terms.items():
+            terms[partition] = terms.get(partition, 0) + multiplicity * c
+    return SchubertClass(d + 1, terms)
 
 
 def _assemble(p: RamificationProblem, weighted: bool) -> int:
@@ -227,17 +273,9 @@ def _assemble(p: RamificationProblem, weighted: bool) -> int:
         return 0
     factor = weighted_fixed_first if weighted else count_laurent
     labels = tuple(sorted(p.moving + (2,) * (3 * p.g - p.m)))
-    # the product and the integral are multilinear and the tail factors
-    # symmetric in a triple, so each triple is one class and ordered
-    # distributions with the same triples integrate alike; the integral of
-    # the last tail against the rest is a pairing, not a product
-    total = 0
-    for key, multiplicity in _triple_multisets(labels, p.g):
-        cls = fixed_part
-        for triple in key[:-1]:
-            cls = mul(cls, _tail_class(factor, triple, d))
-        total += multiplicity * pairing(cls, _tail_class(factor, key[-1], d))
-    return total
+    # the integral is bilinear, so the tails of every distribution pair
+    # with the fixed classes at once
+    return pairing(fixed_part, _tails_class(factor, labels, d))
 
 
 def genus_g_count(p: RamificationProblem) -> int:

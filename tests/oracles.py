@@ -5,7 +5,8 @@ tableau counts come from brute-force backtracking, binomials from a
 literal Pascal triangle, series coefficients from the generalized
 binomial expansion, Laurent products from naive dict convolution,
 Schubert products from the Jacobi-Trudi determinant, genus-0 integrals
-from the Pieri rule, genus-g problems from plain partitions, Schur polynomials
+from the Pieri rule, genus-g problems from plain partitions, ordered
+distributions into triples from a chain of generators, Schur polynomials
 and the unweighted count from their recursions, the q-series count with
 every factor multiplied in, Catalan powers by sequential convolution,
 and the closed form's two branches as transcribed monomial tables, one
@@ -248,6 +249,24 @@ def problems_with_fixed(g: int, d: int):
                 moving = tuple(x + 2 for x in moving_parts)
                 moving += (2,) * (3 * g - len(moving))
                 yield g, d, fixed, moving
+
+
+def ordered_distributions(labels, g: int) -> list:
+    """Every ordered assignment of the 3g labels (by position) into g
+    disjoint triples, first triple varying slowest: the package's first
+    enumerator, each distribution re-yielded through every level."""
+    labels = tuple(labels)
+
+    def rec(positions):
+        if not positions:
+            yield ()
+            return
+        for combo in itertools.combinations(positions, 3):
+            rest = tuple(x for x in positions if x not in combo)
+            for tail in rec(rest):
+                yield (tuple(labels[i] for i in combo),) + tail
+
+    return list(rec(tuple(range(3 * g))))
 
 
 def parse_polynomial(table: str) -> tuple[int, tuple[tuple[int, tuple[int, ...]], ...]]:

@@ -3,6 +3,7 @@ genus-0 integrals, problems with fewer than 3g moving points,
 distributions, and the genus-g assembly against the genus-1 pipelines and
 classical counts."""
 
+import gc
 import itertools
 import math
 import re
@@ -32,7 +33,7 @@ from pencils.genus1 import (
 )
 from pencils.grassmann import integrate, mul, sigma, sigma1_power, unit
 
-from oracles import genus0_integral, problems_with_fixed
+from oracles import genus0_integral, ordered_distributions, problems_with_fixed
 
 
 def test_problem_validation():
@@ -152,6 +153,39 @@ def test_distributions():
     assert len(distributions((2,) * 9, 3)) == 1680
     with pytest.raises(DomainError, match="labels"):
         distributions((2, 2), 1)
+
+
+def test_distributions_match_the_generator_oracle():
+    # the flat enumerator returns the generator chain's list, order included
+    checked = set()
+    for g in range(0, 4):
+        for d in range(2, 7):
+            for p in on_shell_problems(g, d):
+                labels = tuple(sorted(p.moving))
+                if (labels, g) not in checked:
+                    assert distributions(labels, g) == ordered_distributions(labels, g), labels
+                    checked.add((labels, g))
+    assert len(checked) == 151
+    # genus 4 only by length: (3g)!/6^g
+    assert len(distributions(tuple(range(2, 14)), 4)) == math.factorial(12) // 6**4 == 369_600
+
+
+def test_enumeration_leaves_no_reference_cycle():
+    # a nested helper appending to an enclosing list would hold the list in
+    # a closure cycle, alive until the collector runs
+    labels = (2, 2, 2, 3, 3, 4, 5, 6, 7)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        found = distributions(labels, 3)
+        folded = degeneration._triple_multisets.__wrapped__(labels, 3)
+        assert len(found) == 1680 and sum(n for _, n in folded) == 1680
+        del found, folded
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_distributions_genus_bound():
@@ -433,6 +467,23 @@ def test_assembly_matches_enumeration():
     assert all(genus_g_count(p) > 0 for p in _MIXED_GENUS3)
 
 
+def test_assemble_is_the_enumerated_sum():
+    # the padded count pairs the fixed classes with one tails class, whether
+    # the simple moving points are written out or left to the padding
+    problems = [p for d in range(2, 6) for p in on_shell_problems(2, d)]
+    checked = 0
+    for p in problems + list(_MIXED_GENUS3):
+        short = RamificationProblem(p.g, p.d, p.fixed, tuple(o for o in p.moving if o > 2))
+        for weighted in (False, True):
+            if weighted and max(p.moving) > max(2, 2 * p.d - p.g - 1):
+                continue  # outside the weighted domain
+            want = _enumerated(p, weighted)
+            assert degeneration._assemble(p, weighted) == want, (p, weighted)
+            assert degeneration._assemble(short, weighted) == want, (short, weighted)
+            checked += 1
+    assert checked == 185
+
+
 def _counting(monkeypatch, names):
     """Count the calls the degeneration makes through each named binding."""
     calls = Counter()
@@ -450,7 +501,7 @@ def _counting(monkeypatch, names):
 
 
 def test_assembly_calls_once_per_triple_and_multiset(monkeypatch, fresh_memos):
-    calls = _counting(monkeypatch, ("count_laurent", "pairing", "distributions"))
+    calls = _counting(monkeypatch, ("count_laurent", "pairing", "distributions", "mul"))
     p = _MIXED_GENUS3[2]
     multisets = {
         tuple(sorted(tuple(sorted(t)) for t in dist))
@@ -462,16 +513,19 @@ def test_assembly_calls_once_per_triple_and_multiset(monkeypatch, fresh_memos):
         s = 2 * p.d + 4 - sum(triple)
         node_choices += len(range(max(0, s - p.d), min((s - 1) // 2, p.d - 2) + 1))
     want = genus_g_count(p)
+    # one product per fixed class, g - 1 per multiset of tails, and one
+    # pairing of the fixed classes with the tails class
     assert calls == {
         "count_laurent": node_choices,
-        "pairing": len(multisets),
+        "mul": p.n + sum(len(key) - 1 for key in multisets),
+        "pairing": 1,
         "distributions": 1,
     }
     assert len(multisets) < len(distributions(p.moving, p.g)) == 1680
-    # a repeat reuses both memos: no tail factor and no distributions
+    # a repeat reuses the tails class: only the fixed classes are rebuilt
     calls.clear()
     assert genus_g_count(p) == want
-    assert calls == {"pairing": len(multisets)}
+    assert calls == {"mul": p.n, "pairing": 1}
 
 
 def test_permuted_moving_labels_reuse_the_memo(monkeypatch, fresh_memos):
@@ -486,7 +540,9 @@ def test_permuted_moving_labels_reuse_the_memo(monkeypatch, fresh_memos):
     assert want[0] == _enumerated(reversed_p, weighted=False)
 
 
-@pytest.mark.parametrize("memo", [degeneration._triple_multisets, degeneration._tail_class])
+@pytest.mark.parametrize(
+    "memo", [degeneration._triple_multisets, degeneration._tail_class, degeneration._tails_class]
+)
 def test_memo_bound_is_the_documented_one(memo):
     documented = re.search(r"(\d+) entries hold", memo.__doc__)
     assert memo.cache_info().maxsize == int(documented.group(1))

@@ -22,6 +22,7 @@ def test_every_memo_has_its_documented_bound(package_memos):
     assert found >= {
         "_triple_multisets",
         "_tail_class",
+        "_tails_class",
         "_convolution",
         "power_3_2",
         "_tau",

@@ -145,6 +145,14 @@ def test_consolidation_builds_each_sigma1_power_once(fresh_memos):
     assert (info.misses, info.hits) == (16, 496)
 
 
+def test_consolidation_multiplies_each_tails_class_once(monkeypatch, fresh_memos):
+    calls = _counted(monkeypatch, degeneration, "mul")
+    verify.weighted_consolidation_invariance(7)
+    # a weighted fixed part is a sigma1 power, not a product, so every
+    # product is a tail product: g - 1 per multiset of each tails class
+    assert len(calls) == 47
+
+
 def test_suite_counts_each_laurent_tuple_once(fresh_memos):
     verify.run_suite("all", 7)
     info = genus1.count_laurent.cache_info()
