@@ -2,7 +2,8 @@
 
 Subcommands map onto the computation modules: ``genus0``, ``genus1``,
 ``weighted``, ``genusg``, ``table``, ``verify``, and ``dualprobe`` (a
-no-assertion probe of the degree reflection on genus-g problems).
+no-assertion probe of ``RamificationProblem.reflected``, the degree
+reflection, on genus-g problems).
 Counts are emitted as decimal strings in machine formats so consumers
 without big-integer support survive.
 
@@ -18,7 +19,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import asdict
 
 from .degeneration import RamificationProblem, count_with_padding, genus_g_count
 from .errors import CrossCheckError, DomainError, IntegralityError
@@ -158,21 +159,7 @@ def _cmd_verify(args) -> tuple[dict, int, list[str]]:
 
 def _cmd_dualprobe(args) -> tuple[dict, int, list[str]]:
     problem = _problem(args)
-    d = problem.d
-    for o in problem.fixed + problem.moving:
-        if d + 2 - o < 2:
-            raise DomainError(
-                f"reflection sends order {o} to {d + 2 - o}, below the minimum order 2"
-            )
-    fixed = tuple(d + 2 - o for o in problem.fixed)
-    moving = tuple(d + 2 - o for o in problem.moving)
-    try:
-        reflected = replace(problem, fixed=fixed, moving=moving)
-    except DomainError as exc:
-        raise DomainError(
-            f"the reflection d_i -> deg+2-d_i, fixed {list(fixed)} and moving "
-            f"{list(moving)}, is not a valid problem: {exc}"
-        ) from None
+    reflected = problem.reflected()
     a, b = _text(genus_g_count(problem)), _text(genus_g_count(reflected))
     record = {
         "result": a,

@@ -18,6 +18,8 @@ tail factor by the exact-vanishing weighted count.
 A problem with fewer than 3g moving conditions is counted with simple
 ones added; that padded count overcounts it by exactly (3g-m)!.
 ``on_shell_problems`` lists every on-shell problem of a genus and degree.
+``RamificationProblem.reflected`` is the paper's involution d_i -> d + 2 - d_i;
+the tests pin the classes of problems whose counts it keeps.
 """
 
 from __future__ import annotations
@@ -106,6 +108,26 @@ class RamificationProblem:
     @property
     def m(self) -> int:
         return len(self.moving)
+
+    def reflected(self) -> RamificationProblem:
+        """The paper's involution d_i -> d + 2 - d_i on every fixed and
+        moving order, refused when an image order falls below 2 or the
+        image is not a valid problem."""
+        d = self.d
+        fixed = tuple(d + 2 - o for o in self.fixed)
+        moving = tuple(d + 2 - o for o in self.moving)
+        for o, image in zip(self.fixed + self.moving, fixed + moving):
+            if image < 2:
+                raise DomainError(
+                    f"reflection sends order {o} to {image}, below the minimum order 2"
+                )
+        try:
+            return RamificationProblem(self.g, d, fixed, moving)
+        except DomainError as exc:
+            raise DomainError(
+                f"the reflection d_i -> deg+2-d_i, fixed {list(fixed)} and moving "
+                f"{list(moving)}, is not a valid problem: {exc}"
+            ) from None
 
 
 def on_shell_problems(g: int, d: int):

@@ -17,7 +17,8 @@ The weighted count (base-point configurations counted with tableau
 multiplicities) has a product closed form, a variant with the first
 point carrying an exact vanishing sequence, and a recursion linking the
 weighted and unweighted counts in both directions.  The count is also
-invariant under the degree reflection d_i -> deg + 2 - d_i.
+invariant under the paper's involution d_i -> deg + 2 - d_i, written once
+as ``Genus1Tuple.reflected``.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ __all__ = [
     "count_schubert",
     "count_laurent",
     "count_polynomial",
-    "polynomial_branch_values",
     "count_series",
     "MAX_SERIES_DEGREE",
     "MAX_SCHUBERT_DEGREE",
@@ -50,7 +50,6 @@ __all__ = [
     "count",
     "weighted_from_unweighted",
     "unweighted_from_weighted",
-    "duality_check",
     "on_shell_tuples",
     "METHODS",
 ]
@@ -87,6 +86,12 @@ class Genus1Tuple:
     def sorted_desc(self) -> tuple[int, int, int, int]:
         a, b, c, d = sorted(self.orders(), reverse=True)
         return (a, b, c, d)
+
+    def reflected(self) -> Genus1Tuple:
+        """The paper's involution d_i -> deg + 2 - d_i; it keeps the degree
+        and, on sorted orders, swaps the top and bottom gaps."""
+        d = self.degree
+        return Genus1Tuple(*(d + 2 - di for di in self.orders()))
 
 
 @dataclass(frozen=True)
@@ -240,14 +245,6 @@ def _bottom_gap_value(orders: tuple[int, int, int, int]) -> int:
     )
 
 
-def _reflect(orders: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
-    """The involution d_i -> deg+2-d_i on sorted orders; it swaps the two
-    gaps, and the smallest reflected order is 1 when d1 = deg + 1."""
-    half = sum(orders) // 2
-    d1, d2, d3, d4 = orders
-    return (half - d4, half - d3, half - d2, half - d1)
-
-
 def count_polynomial(t: Genus1Tuple) -> int:
     """Piecewise degree-7 closed form, on the sorted orders.
 
@@ -260,17 +257,8 @@ def count_polynomial(t: Genus1Tuple) -> int:
     _require_in_domain(t, "count_polynomial")
     orders = t.sorted_desc()
     if orders[0] - orders[1] > orders[2] - orders[3]:
-        orders = _reflect(orders)
+        orders = t.reflected().sorted_desc()
     return _bottom_gap_value(orders)
-
-
-def polynomial_branch_values(t: Genus1Tuple) -> tuple[int, int]:
-    """Both closed-form branches on the sorted orders: top gap (the polynomial
-    at the reflected orders), then bottom gap.  They must agree on the boundary
-    d1 - d2 = d3 - d4; off it only the branch count_polynomial picks is valid.
-    """
-    orders = t.sorted_desc()
-    return _bottom_gap_value(_reflect(orders)), _bottom_gap_value(orders)
 
 
 def count_series(t: Genus1Tuple) -> int:
@@ -361,22 +349,6 @@ def unweighted_from_weighted(t: Genus1Tuple) -> int:
     den = math.lcm(*range(2, d + 1))
     num = sum(c * 12 * catalan(d - j - 2) * (den // (d - j)) for j, c in enumerate(poly))
     return exact_div(num, den, "unweighted_from_weighted")
-
-
-def duality_check(t: Genus1Tuple) -> tuple[int, int, bool]:
-    """Counts of a tuple and of its degree reflection d_i -> deg+2-d_i."""
-    d = t.degree
-    _require_in_domain(t, "duality_check")
-    image_orders = tuple(d + 2 - di for di in t.orders())
-    for di in image_orders:
-        if not 1 <= di <= d:
-            raise DomainError(
-                f"duality_check: reflected order {di} outside 1..degree={d}"
-            )
-    image = Genus1Tuple(*image_orders)
-    n1 = count_laurent(t)
-    n2 = count_laurent(image)
-    return n1, n2, n1 == n2
 
 
 def on_shell_tuples(

@@ -31,9 +31,7 @@ from .genus1 import (
     count,
     count_laurent,
     count_polynomial,
-    duality_check,
     on_shell_tuples,
-    polynomial_branch_values,
     unweighted_from_weighted,
     weighted_count,
     weighted_fixed_first,
@@ -199,9 +197,9 @@ def closed_form_branch_guard(level: int) -> str:
             if count_polynomial(t) != count_laurent(t):
                 raise CrossCheckError(f"closed form vs constant term on {quad}")
             d1, d2, d3, d4 = t.sorted_desc()
+            # on the boundary neither call reflects: the top-gap branch, then the bottom
             if d1 - d2 == d3 - d4:
-                lo, hi = polynomial_branch_values(t)
-                if lo != hi:
+                if count_polynomial(t.reflected()) != count_polynomial(t):
                     raise CrossCheckError(f"branch mismatch on boundary tuple {quad}")
                 boundary += 1
             tuples += 1
@@ -270,14 +268,19 @@ def series_coefficient_identities(level: int) -> str:
 
 
 def degree_reflection_duality(level: int) -> str:
-    n1, n2, flag = duality_check(Genus1Tuple(4, 4, 4, 2))
-    if not (flag and n1 == 96):
+    anchor = Genus1Tuple(4, 4, 4, 2)
+    image = anchor.reflected()
+    if image != Genus1Tuple(3, 3, 3, 5):
+        raise CrossCheckError(f"reflection of (4,4,4,2) gives {image.orders()}")
+    n1, n2 = count_laurent(anchor), count_laurent(image)
+    if not n1 == n2 == 96:
         raise CrossCheckError(f"anchor (4,4,4,2) vs reflection: {n1}, {n2}")
     tuples = 0
     for degree in range(2, level + 3):
         for quad in on_shell_tuples(degree, min_order=2):
-            a, b, flag = duality_check(Genus1Tuple(*quad))
-            if not flag:
+            t = Genus1Tuple(*quad)
+            a, b = count_laurent(t), count_laurent(t.reflected())
+            if a != b:
                 raise CrossCheckError(f"reflection breaks on {quad}: {a} != {b}")
             tuples += 1
     return f"{tuples} tuples through degree {level + 2}, reflection preserves counts"

@@ -1,13 +1,14 @@
 """Degeneration pipeline: problem validation, the problem enumerator,
 genus-0 integrals, problems with fewer than 3g moving points,
-distributions, and the genus-g assembly against the genus-1 pipelines and
-classical counts."""
+distributions, the genus-g assembly against the genus-1 pipelines and
+classical counts, and the facts found so far about the reflection and the
+weighted counts."""
 
 import gc
 import itertools
 import math
 import re
-from collections import Counter
+from collections import Counter, defaultdict
 
 import pytest
 
@@ -287,6 +288,80 @@ def test_weighted_counts_divide_by_the_moving_weights():
                 assert genus_g_weighted(p) % math.prod(m - 1 for m in p.moving) == 0, p
                 checked += 1
     assert checked == 2207
+
+
+
+def test_genus2_weighted_quotient_is_linear_in_the_square_sum():
+    # weighted(p) / prod(m - 1) = alpha(d, W) - beta(d) * sum(m^2) over the six
+    # moving orders, W = sum(fixed - 1), beta(d) = 2 * 6! * Catalan(d - 3) / (d(d - 1));
+    # alpha is read off the first problem of each (d, W)
+    betas = {d: 2 * math.factorial(6) * catalan(d - 3) // (d * (d - 1)) for d in range(4, 9)}
+    assert list(betas.values()) == [120, 144, 240, 480, 1080]
+    alphas, squares = {}, defaultdict(set)
+    for d, beta in betas.items():
+        for p in on_shell_problems(2, d):
+            if max(p.moving) > 2 * d - 3:  # outside the weighted domain
+                continue
+            quotient, rest = divmod(genus_g_weighted(p), math.prod(m - 1 for m in p.moving))
+            s2 = sum(m * m for m in p.moving)
+            key = (d, sum(o - 1 for o in p.fixed))
+            alpha = alphas.setdefault(key, quotient + beta * s2)
+            assert (rest, quotient) == (0, alpha - beta * s2), p
+            squares[key].add(s2)
+    assert len(alphas) == 45
+    assert sum(len(found) >= 3 for found in squares.values()) == 30
+
+
+def test_genus3_weighted_quotient_is_not_a_function_of_the_square_sum():
+    # the genus-2 law has no genus-3 analogue in sum(m^2) alone: at d = 6 with
+    # no fixed point these two share sum(m^2) = 77 and differ in the quotient
+    quotients = []
+    for moving in ((5, 3, 3, 3, 3, 2, 2, 2, 2), (4, 4, 4, 3, 2, 2, 2, 2, 2)):
+        assert sum(m * m for m in moving) == 77
+        weighted = genus_g_weighted(RamificationProblem(3, 6, (), moving))
+        quotients.append(weighted // math.prod(m - 1 for m in moving))
+    assert quotients == [7_499_520, 7_620_480]
+
+
+def _sorted_orders(p):
+    return p.g, p.d, tuple(sorted(p.fixed)), tuple(sorted(p.moving))
+
+
+def test_reflection_invariance_holds_in_two_classes_only():
+    # every problem of on_shell_problems, and each with k of its simple moving
+    # points dropped, with at most 2 fixed points, all of order <= d, paired with
+    # its reflection unless that is refused or only relabels the orders
+    pairs = {}
+    for g, top in ((1, 10), (2, 10), (3, 7)):
+        for d in range(2, top + 1):
+            for q in on_shell_problems(g, d):
+                for k in range(q.moving.count(2) + 1):
+                    p = RamificationProblem(g, d, q.fixed, q.moving[: q.m - k])
+                    if p.n > 2 or max(p.fixed, default=0) > d:
+                        continue
+                    try:
+                        r = p.reflected()
+                    except DomainError:
+                        continue
+                    if _sorted_orders(r) != _sorted_orders(p):
+                        pairs.setdefault(frozenset((_sorted_orders(p), _sorted_orders(r))), (p, r))
+    tally = Counter()
+    for p, r in pairs.values():
+        assert p.reflected().reflected() == p
+        tally[p.g, p.n, genus_g_count(p) == genus_g_count(r)] += 1
+    # invariant at genus 1 with one fixed point and genus 2 with none;
+    # every other class fails on every pair
+    assert tally == {
+        (1, 1, True): 145,
+        (2, 0, True): 25,
+        (1, 2, False): 1,
+        (2, 1, False): 2,
+        (2, 2, False): 4,
+        (3, 1, False): 5,
+    }
+    p = RamificationProblem(1, 4, (3, 2), (4,))
+    assert p.reflected() == RamificationProblem(1, 4, (3, 4), (2,))
+    assert (genus_g_count(p), genus_g_count(p.reflected())) == (15, 3)
 
 
 def test_pad_moving():

@@ -52,6 +52,10 @@ def _bottom_gap_value_plus_one_from_order_3(orders):
     return _bottom_gap_value(orders) + (orders[3] >= 3)
 
 
+def _identity_reflection(t):
+    return t
+
+
 ROWS = [
     pytest.param(
         # the consolidation sweep reads the same wrong class on both sides
@@ -131,12 +135,28 @@ ROWS = [
         ],
         id="bottom-gap-value",
     ),
+    pytest.param(
+        # the closed form's top-gap branch and the duality sweep share the involution
+        Genus1Tuple, "reflected", _identity_reflection,
+        lambda: genus1.count_polynomial(Genus1Tuple(8, 4, 4, 4)), -564,
+        [
+            ("four_method_agreement",
+             "methods disagree on (8, 4, 4, 4): "
+             "{'schubert': 486, 'laurent': 486, 'polynomial': -564, 'series': 486}"),
+            ("closed_form_branch_guard", "closed form vs constant term on (8, 4, 4, 4)"),
+            ("degree_reflection_duality", "reflection of (4,4,4,2) gives (4, 4, 4, 2)"),
+        ],
+        id="Genus1Tuple-reflected",
+    ),
 ]
 
 
 def _patch(monkeypatch, package_memos, target, name, mutant):
     if isinstance(target, dict):
         monkeypatch.setitem(target, name, mutant)
+        return
+    if isinstance(target, type):  # a method: every instance reads it from the class
+        monkeypatch.setattr(target, name, mutant)
         return
     # every package namespace that binds the name, so no caller keeps the original
     original = getattr(target, name)

@@ -21,9 +21,7 @@ from pencils.genus1 import (
     count_polynomial,
     count_schubert,
     count_series,
-    duality_check,
     on_shell_tuples,
-    polynomial_branch_values,
     unweighted_from_weighted,
     weighted_count,
     weighted_fixed_first,
@@ -334,24 +332,36 @@ def test_recursion_shifted_tuple_below_degree_two_contributes_zero():
 
 
 def test_duality():
-    n1, n2, flag = duality_check(Genus1Tuple(4, 4, 4, 2))
-    assert (n1, n2, flag) == (96, 96, True)
+    anchor = Genus1Tuple(4, 4, 4, 2)
+    assert anchor.reflected() == Genus1Tuple(3, 3, 3, 5)
+    assert (count_laurent(anchor), count_laurent(anchor.reflected())) == (96, 96)
     for degree in range(2, 10):
         for quad in rep_tuples(degree, min_order=2):
-            a, b, flag = duality_check(Genus1Tuple(*quad))
-            assert flag, (quad, a, b)
-    with pytest.raises(DomainError):
-        duality_check(Genus1Tuple(3, 3, 3, 1))  # image order exceeds the degree
+            t = Genus1Tuple(*quad)
+            assert count_laurent(t) == count_laurent(t.reflected()), quad
+
+
+def test_reflection_is_an_involution_that_keeps_the_degree():
+    tuples = 0
+    for degree in range(2, 13):
+        for quad in on_shell_tuples(degree, ordered=True):
+            t = Genus1Tuple(*quad)
+            assert t.reflected().degree == degree, quad
+            assert t.reflected().reflected() == t, quad
+            tuples += 1
+    assert tuples == 3806
 
 
 def test_polynomial_branch_boundary_agreement():
+    # on the boundary neither call reflects: the top-gap branch, then the bottom
     boundary = 0
     for degree in range(2, 10):
         for quad in rep_tuples(degree):
             d1, d2, d3, d4 = quad
             if d1 - d2 == d3 - d4:
-                lo, hi = polynomial_branch_values(Genus1Tuple(*quad))
-                assert lo == hi == count_laurent(Genus1Tuple(*quad)), quad
+                t = Genus1Tuple(*quad)
+                lo, hi = count_polynomial(t.reflected()), count_polynomial(t)
+                assert lo == hi == count_laurent(t), quad
                 boundary += 1
     assert boundary > 20
 
@@ -380,8 +390,12 @@ def test_branch_values_match_the_transcribed_top_gap_table():
     cases = 0
     for degree in range(2, 21):
         for quad in rep_tuples(degree):
-            reflected = genus1._reflect(quad)
-            assert polynomial_branch_values(Genus1Tuple(*quad)) == (
+            t = Genus1Tuple(*quad)
+            reflected = t.reflected().sorted_desc()
+            assert (
+                genus1._bottom_gap_value(reflected),
+                genus1._bottom_gap_value(t.sorted_desc()),
+            ) == (
                 evaluate_terms(TOP_GAP_TERMS, quad),
                 evaluate_terms(TOP_GAP_TERMS, reflected),
             ), quad
