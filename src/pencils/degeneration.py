@@ -53,7 +53,7 @@ Distribution = tuple[tuple[int, int, int], ...]
 # ~93 MB on the host below); genus 5 would list 168,168,000
 MAX_GENUS = 4
 # The slowest shapes found at degree 89 took 1.6-2.9 s at genus 3 (nine evenly
-# spaced moving orders), 0.4 s at genus 2 and 0.03 s at genus 1 (which costs
+# spaced moving orders), 0.06 s at genus 2 and 0.02 s at genus 1 (which costs
 # about deg^3), on a shared 2-core Intel Xeon host
 MAX_DEGENERATION_DEGREE = 89
 

@@ -210,6 +210,41 @@ def count_schubert(t: Genus1Tuple) -> int:
     return pairing(acc, _tau(t.d4 - 2, ambient))
 
 
+def _unweighted_block(di: int) -> LaurentPolynomial:
+    """P_{d-1}, the building block of an unweighted order d."""
+    return p_poly(di - 1)
+
+
+@lru_cache(maxsize=512)
+def _block_pair(block, a: int, b: int) -> LaurentPolynomial:
+    """block(a) * block(b), called with a <= b so each unordered pair is one key.
+
+    Keyed by the block (P or W) and the two orders, so the counts of the
+    verify sweeps, of a table and of the tail factors that meet one order
+    pair again read its product.  The bound covers the 412 keys of the
+    verify suite at its bound (level 13) and the 318 of a degree-30 table;
+    the release gate (level 9) reads 214, and the benchmark's genus1-all and
+    genusg-mix passes 164-170 and 35-37 (measured from empty memos).  An
+    entry is 1.1 KB at orders (10, 10), 4.9 KB at (30, 30), 193 KB at
+    (1000, 1000) and 0.8 MB at (4000, 4000), the Laurent bound; a W pair is
+    1.4 KB at (10, 10) and 0.56 MB at (1000, 1000) (measured with
+    tracemalloc).  So 512 entries hold ~2.5 MB at orders up to 30 and at
+    most ~0.4 GB of P pairs at the Laurent bound; W pairs grow faster, as
+    their coefficients are binomials, and no degree bound caps them.
+    """
+    return block(a) * block(b)
+
+
+def _paired_blocks(block, t: Genus1Tuple) -> int:
+    """CT(block(d1) block(d2) block(d3) block(d4)), as the pairing of two
+    memoized pair products."""
+    d1, d2, d3, d4 = t.orders()
+    return laurent_pairing(
+        _block_pair(block, min(d1, d2), max(d1, d2)),
+        _block_pair(block, min(d3, d4), max(d3, d4)),
+    )
+
+
 @lru_cache(maxsize=1024)
 def count_laurent(t: Genus1Tuple) -> int:
     """Constant term of the product of the four building blocks, paired in two.
@@ -220,11 +255,12 @@ def count_laurent(t: Genus1Tuple) -> int:
     the verify suite and the tail factors of the degeneration that meet
     one tuple again read its count.  An entry, key included, is 0.3 KB
     at degrees 9 to 1000 (measured with tracemalloc), so
-    1024 entries hold ~0.3 MB.
+    1024 entries hold ~0.3 MB.  The two products P_d1 P_d2 and P_d3 P_d4
+    come from ``_block_pair``, so a miss here that meets an order pair
+    again builds only the new product.
     """
     _require_degree_bound(t, "laurent")
-    p1, p2, p3, p4 = (p_poly(di - 1) for di in t.orders())
-    return laurent_pairing(p1 * p2, p3 * p4)
+    return _paired_blocks(_unweighted_block, t)
 
 
 def _bottom_gap_value(orders: tuple[int, int, int, int]) -> int:
@@ -323,9 +359,10 @@ def weighted_from_unweighted(t: Genus1Tuple) -> int:
     tableau weight times the constant term of the shifted tuple is, by
     multilinearity, the single constant term CT(W_d1 W_d2 W_d3 W_d4), paired in two.
     Tuples shifted below degree 2 contain an order 1, so P_0 = 0 drops them.
+    The products W_d1 W_d2 and W_d3 W_d4 come from ``_block_pair``, keyed by
+    the unordered order pair.
     """
-    w1, w2, w3, w4 = (_weighted_block(di) for di in t.orders())
-    return laurent_pairing(w1 * w2, w3 * w4)
+    return _paired_blocks(_weighted_block, t)
 
 
 def unweighted_from_weighted(t: Genus1Tuple) -> int:

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import pencils
-from pencils import cli, degeneration, verify
+from pencils import cli, degeneration, genus1, verify
 from pencils.cli import argv_from_query, build_parser, main
 from pencils.errors import CrossCheckError, DomainError, IntegralityError
 from pencils.genus1 import (
@@ -218,6 +218,16 @@ def test_ordered_table_counts_each_multiset_once(monkeypatch, capsys, fresh_memo
     assert code == 0
     assert len(out.splitlines()) == 1 + len(on_shell_tuples(12, ordered=True))
     assert len(calls) == len(on_shell_tuples(12)) == len(set(calls))
+
+
+def test_table_builds_each_block_pair_once(capsys, fresh_memos):
+    code, _, _ = run(["table", "--degree", "30"], capsys)
+    assert code == 0
+    rows = on_shell_tuples(30)
+    pairs = {tuple(sorted(pair)) for q in rows for pair in (q[:2], q[2:])}
+    info = genus1._block_pair.cache_info()
+    # 865 counts pair 1,730 products, of 318 unordered order pairs
+    assert (info.misses, info.hits) == (len(pairs), 2 * len(rows) - len(pairs)) == (318, 1412)
 
 
 def test_verify_cli(capsys):

@@ -27,7 +27,7 @@ from pencils.genus1 import (
     weighted_fixed_first,
     weighted_from_unweighted,
 )
-from pencils.laurent import LaurentPolynomial, constant_term, p_poly
+from pencils.laurent import LaurentPolynomial, constant_term, p_poly, pairing as laurent_pairing
 
 from oracles import (
     BOTTOM_GAP_TABLE,
@@ -205,13 +205,21 @@ def test_inversion_closed_form_matches_the_recursion_oracle():
             assert unweighted_from_weighted(Genus1Tuple(*quad)) == unweighted_recursive(quad)
 
 
-def test_count_laurent_matches_the_three_product_constant_term():
+def test_count_laurent_matches_the_three_product_constant_term(fresh_memos):
     # every labeled tuple, with orders outside 1..degree: the degeneration
-    # relies on the extension returning 0 there
+    # relies on the extension returning 0 there.  Labeled tuples reach each
+    # memoized pair product with its orders either way round, and an order 1
+    # puts P_0 = 0 in it.
     for degree in range(2, 13):
         for quad in ordered_on_shell(degree, max_order=2 * degree + 1):
+            t = Genus1Tuple(*quad)
             p1, p2, p3, p4 = (p_poly(d - 1) for d in quad)
-            assert count_laurent(Genus1Tuple(*quad)) == constant_term(p1 * p2 * p3 * p4)
+            want = constant_term(p1 * p2 * p3 * p4)
+            assert count_laurent(t) == laurent_pairing(p1 * p2, p3 * p4) == want, quad
+            if degree <= 10:
+                w1, w2, w3, w4 = (genus1._weighted_block(d) for d in quad)
+                want = laurent_pairing(w1 * w2, w3 * w4)
+                assert weighted_from_unweighted(t) == want == weighted_count(t), quad
 
 
 def _count_products(monkeypatch):
@@ -233,6 +241,12 @@ def test_constant_terms_make_two_products(monkeypatch, fresh_memos):
     assert count_laurent(t) == genus1_constant_term(t.orders())
     assert len(calls) == 2
     assert weighted_from_unweighted(t) == weighted_count(t)
+    assert len(calls) == 4
+    # relabeling within and across the two pairs reads both products again
+    for quad in ((7, 9, 4, 6), (6, 4, 9, 7)):
+        relabeled = Genus1Tuple(*quad)
+        assert count_laurent(relabeled) == count_laurent(t)
+        assert weighted_from_unweighted(relabeled) == weighted_count(t)
     assert len(calls) == 4
 
 

@@ -28,4 +28,5 @@ def test_every_memo_has_its_documented_bound(package_memos):
         "_tau",
         "sigma1_power",
         "count_laurent",
+        "_block_pair",
     }

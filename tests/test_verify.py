@@ -161,6 +161,14 @@ def test_suite_counts_each_laurent_tuple_once(fresh_memos):
     assert (info.misses, info.hits) == (333, 305)
 
 
+def test_gate_builds_each_block_pair_once(fresh_memos):
+    verify.run_suite("all", 9)
+    info = genus1._block_pair.cache_info()
+    # 691 count_laurent misses and 371 weighted recursions ask for 2,124
+    # pair products: 108 distinct P pairs and 106 distinct W pairs
+    assert (info.misses, info.hits) == (108 + 106, 2 * (691 + 371) - 214) == (214, 1910)
+
+
 def test_cached_tau_classes_stay_equal_to_the_oracle(monkeypatch, fresh_memos):
     # a caller that mutated a shared class would leave a wrong one cached
     seen = {}
