@@ -47,6 +47,8 @@ __all__ = [
     "MAX_SCHUBERT_DEGREE",
     "MAX_LAURENT_DEGREE",
     "MAX_ANSWER_DEGREE",
+    "MAX_ASSEMBLY_DEGREE",
+    "MAX_INVERSION_DEGREE",
     "count",
     "weighted_from_unweighted",
     "unweighted_from_weighted",
@@ -154,7 +156,8 @@ def weighted_fixed_first(t: Genus1Tuple) -> int:
 # orders measured, and the degree above which it is refused up front:
 # the series costs about deg^3, 3-5 s at degree 120 with four distinct
 # orders (a repeated order builds its factor once); Schubert about deg^3,
-# 2.5-3.5 s at degree 800 with four equal orders; Laurent about deg^2, 3 s
+# 3.5-5 s at degree 800 with orders (202, 202, 600, 600) and 1.9-2.8 s with
+# four equal orders; Laurent about deg^2, 3 s
 # at degree 4000 with orders (deg, deg, 2, 2).
 MAX_SERIES_DEGREE = 120
 MAX_SCHUBERT_DEGREE = 800
@@ -181,9 +184,10 @@ def _tau(k: int, ambient: int) -> SchubertClass:
     """Sum over ordered pairs a+b = k of s(a,0)*s(b,0); zero for k < 0.
 
     Each pair is one Pieri step on s(a, 0).  Keyed by the index and the
-    ambient, so repeated orders and repeated counts build each class
-    once; callers only read it.  The bound covers the 64 keys of the
-    release gate and the 118 of the verify suite at its bound (level 13).
+    ambient, so repeated orders and the halves ``_schubert_half`` builds
+    read each class once built; callers only read it.  The release gate
+    (level 9) reads 396 classes, 64 distinct: the bound covers those and
+    the 118 of the verify suite at its bound (level 13).
     An entry is 0.6-0.7 KB on the sweeps' Gr(2, N), N <= 16, and 67 KB
     at the Schubert bound, degree 800 (measured with tracemalloc), so
     128 entries hold ~0.1 MB there and at most ~8.6 MB.
@@ -193,21 +197,44 @@ def _tau(k: int, ambient: int) -> SchubertClass:
     )
 
 
+@lru_cache(maxsize=64)
+def _schubert_half(with_correction: bool, a: int, b: int, ambient: int) -> SchubertClass:
+    """(8*s(1,1) - 2*s(1,0)^2) * tau(a - 2) * tau(b - 2) with the correction,
+    else tau(a - 2) * tau(b - 2), on Gr(2, ambient); called with a <= b, so
+    each unordered order pair is one key.
+
+    Keyed by the correction, the two orders and the ambient, so a count
+    that meets a known pair at its degree reads the half instead of
+    building it: the release gate (level 9) reads 380 halves, 198
+    distinct.  An entry is 0.8-1.8 KB on the gate's Gr(2, N), N <= 12,
+    1.0-2.9 KB at degree 30 and up to 71 KB at the Schubert bound, degree
+    800 (measured with tracemalloc), so 64 entries hold at most ~4.5 MB.
+    """
+    if with_correction:
+        s1 = sigma(1, 0, ambient)
+        left = mul(8 * sigma(1, 1, ambient) - 2 * mul(s1, s1), _tau(a - 2, ambient))
+    else:
+        left = _tau(a - 2, ambient)
+    return mul(left, _tau(b - 2, ambient))
+
+
 def count_schubert(t: Genus1Tuple) -> int:
     """Intersection number on Gr(2, deg+1).
 
-    Multiplies three of the four convolution classes tau(d_i - 2) into
-    the quadratic correction 8*s(1,1) - 2*s(1,0)^2 and pairs the result
-    with the fourth.
+    The product of the quadratic correction 8*s(1,1) - 2*s(1,0)^2 with
+    the four convolution classes tau(d_i - 2), paired in two halves from
+    the memo ``_schubert_half``: the correction times tau(d1 - 2) and
+    tau(d2 - 2), paired with tau(d3 - 2) * tau(d4 - 2).  A cold count
+    makes four products, and one that meets both pairs again none.
     """
     _require_degree_bound(t, "schubert")
     _require_in_domain(t, "count_schubert")
+    d1, d2, d3, d4 = t.orders()
     ambient = t.degree + 1
-    s1 = sigma(1, 0, ambient)
-    acc = 8 * sigma(1, 1, ambient) - 2 * mul(s1, s1)
-    for di in (t.d1, t.d2, t.d3):
-        acc = mul(acc, _tau(di - 2, ambient))
-    return pairing(acc, _tau(t.d4 - 2, ambient))
+    return pairing(
+        _schubert_half(True, min(d1, d2), max(d1, d2), ambient),
+        _schubert_half(False, min(d3, d4), max(d3, d4), ambient),
+    )
 
 
 def _unweighted_block(di: int) -> LaurentPolynomial:
@@ -229,8 +256,9 @@ def _block_pair(block, a: int, b: int) -> LaurentPolynomial:
     (1000, 1000) and 0.8 MB at (4000, 4000), the Laurent bound; a W pair is
     1.4 KB at (10, 10) and 0.56 MB at (1000, 1000) (measured with
     tracemalloc).  So 512 entries hold ~2.5 MB at orders up to 30 and at
-    most ~0.4 GB of P pairs at the Laurent bound; W pairs grow faster, as
-    their coefficients are binomials, and no degree bound caps them.
+    most ~0.4 GB of P pairs at the Laurent bound.  W pairs grow faster, as
+    their coefficients are binomials: 0.58 MB at the assembly bound, degree
+    1000, so at most ~0.3 GB.
     """
     return block(a) * block(b)
 
@@ -249,15 +277,16 @@ def _paired_blocks(block, t: Genus1Tuple) -> int:
 def count_laurent(t: Genus1Tuple) -> int:
     """Constant term of the product of the four building blocks, paired in two.
 
-    Tolerates orders outside 1..degree; the extension returns 0 for
-    every impossible configuration we can reach, and the degeneration
-    module relies on that.  Keyed by the labeled tuple, so the sweeps of
-    the verify suite and the tail factors of the degeneration that meet
-    one tuple again read its count.  An entry, key included, is 0.3 KB
-    at degrees 9 to 1000 (measured with tracemalloc), so
-    1024 entries hold ~0.3 MB.  The two products P_d1 P_d2 and P_d3 P_d4
-    come from ``_block_pair``, so a miss here that meets an order pair
-    again builds only the new product.
+    Tolerates orders outside 1..degree, and the degeneration module
+    relies on the extension: on every tuple of degree <= 20, with orders
+    up to 2*deg + 1, the count is 0 when an order exceeds the degree and
+    the closed form otherwise; the tests pin that range.  Keyed by the
+    labeled tuple, so the sweeps of the verify suite and the tail factors
+    of the degeneration that meet one tuple again read its count.  An
+    entry, key included, is 0.3 KB at degrees 9 to 1000 (measured with
+    tracemalloc), so 1024 entries hold ~0.3 MB.  The two products
+    P_d1 P_d2 and P_d3 P_d4 come from ``_block_pair``, so a miss here
+    that meets an order pair again builds only the new product.
     """
     _require_degree_bound(t, "laurent")
     return _paired_blocks(_unweighted_block, t)
@@ -352,6 +381,22 @@ def _weighted_block(di: int) -> LaurentPolynomial:
     )
 
 
+# Each recursion direction's cost on the same host, worst shape of orders
+# measured, and the degree above which it is refused up front: the weighted
+# assembly costs about deg^3, 1.9-2.2 s at degree 1000 with orders
+# (deg+1, deg+1, 1, 1), whose W pair holds 0.58 MB; the inversion about
+# deg^3.5, 3.1-4.6 s at degree 2000 with orders (deg, deg, 2, 2).
+MAX_ASSEMBLY_DEGREE = 1000
+MAX_INVERSION_DEGREE = 2000
+
+
+def _require_recursion_degree(t: Genus1Tuple, bound: int, what: str) -> None:
+    if t.degree > bound:
+        raise DomainError(
+            f"{what}: degree {t.degree} exceeds the bound {bound} on the recursion"
+        )
+
+
 def weighted_from_unweighted(t: Genus1Tuple) -> int:
     """Assemble the weighted count from unweighted counts.
 
@@ -360,8 +405,10 @@ def weighted_from_unweighted(t: Genus1Tuple) -> int:
     multilinearity, the single constant term CT(W_d1 W_d2 W_d3 W_d4), paired in two.
     Tuples shifted below degree 2 contain an order 1, so P_0 = 0 drops them.
     The products W_d1 W_d2 and W_d3 W_d4 come from ``_block_pair``, keyed by
-    the unordered order pair.
+    the unordered order pair.  Degrees above ``MAX_ASSEMBLY_DEGREE`` are
+    refused before any product.
     """
+    _require_recursion_degree(t, MAX_ASSEMBLY_DEGREE, "weighted_from_unweighted")
     return _paired_blocks(_weighted_block, t)
 
 
@@ -371,8 +418,10 @@ def unweighted_from_weighted(t: Genus1Tuple) -> int:
     Inverting W_d gives P_{d-1} = sum_j (-1)^j C(d-1-j, j) W_{d-2j}, so the
     weighted closed form gives N = sum_J [x^J](A_d1 A_d2 A_d3 A_d4) *
     12 C_{deg-J-2} / (deg-J) with A_d(x) = sum_j (-1)^j C(d-1-j, j) (d-2j-1) x^j,
-    up to J = deg-2: a tuple shifted below degree 2 counts 0.
+    up to J = deg-2: a tuple shifted below degree 2 counts 0.  Degrees above
+    ``MAX_INVERSION_DEGREE`` are refused before any product.
     """
+    _require_recursion_degree(t, MAX_INVERSION_DEGREE, "unweighted_from_weighted")
     d = t.degree
     poly = [1]
     for di in t.orders():

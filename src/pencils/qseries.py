@@ -106,10 +106,12 @@ def sqrt_one_minus_4q(order: int) -> TruncatedSeries:
 def power_3_2(order: int) -> TruncatedSeries:
     """(1 - 4q)^(3/2) as (1 - 4q) times the square-root series.
 
-    Keyed by the order alone, so every count of one degree reads the same
-    series.  The bound covers every order up to ``MAX_SERIES_DEGREE`` =
-    120.  An entry is 12.1 KB at order 120 (measured with tracemalloc),
-    so 128 entries hold ~1.6 MB; orders 0..120 together take 0.65 MB.
+    Keyed by the order alone, so every half ``_series_half`` builds with
+    the power at one degree reads the same series: the release gate
+    (level 9) reads it 86 times, at 12 orders.  The bound covers every
+    order up to ``MAX_SERIES_DEGREE`` = 120.  An entry is 12.1 KB at
+    order 120 (measured with tracemalloc), so 128 entries hold ~1.6 MB;
+    orders 0..120 together take 0.65 MB.
     """
     linear = [Fraction(1)] + ([Fraction(-4)] if order >= 1 else [])
     return TruncatedSeries(linear, order=order) * sqrt_one_minus_4q(order)
@@ -153,18 +155,39 @@ def catalan_power_series(t: int, order: int) -> TruncatedSeries:
 def _convolution(d: int, degree: int) -> TruncatedSeries:
     """F_d = sum_{j=0}^{d-2} s_j * s_{d-2-j} at truncation order ``degree``.
 
-    Keyed by the order and the degree, so each count reads the same
-    series it would build.  The bound covers the 334-350 keys of a
-    genus1-all pass and the 118 of the verify suite at its bound (level
-    13).  An entry is 2.0-2.4 KB at degree 30 and 6.9-9.8 KB at the
-    series bound, degree 120 (measured with tracemalloc), so
-    512 entries hold at most ~5 MB.
+    Keyed by the order and the degree, so each half ``_series_half``
+    builds reads the same series it would build: the release gate
+    (level 9) reads 355 factors, 64 distinct.  The bound covers the
+    334-350 keys of a genus1-all pass and the 118 of the verify suite at
+    its bound (level 13).  An entry is 2.0-2.4 KB at degree 30 and
+    6.9-9.8 KB at the series bound, degree 120 (measured with
+    tracemalloc), so 512 entries hold at most ~5 MB.
     """
     schur = [schur_q(j, degree) for j in range(d - 1)]
     factor = TruncatedSeries.constant(0, degree)
     for j in range(d - 1):
         factor = factor + schur[j] * schur[d - 2 - j]
     return factor
+
+
+@lru_cache(maxsize=64)
+def _series_half(with_power: bool, a: int, b: int, degree: int) -> TruncatedSeries:
+    """F_a * (F_b * (1-4q)^(3/2)) with the power, else F_a * F_b, at
+    truncation order ``degree``; called with a <= b, so each unordered
+    order pair is one key.
+
+    F stays the left operand of each product, so its zero coefficients
+    are skipped, and a count that meets a known pair at its degree reads
+    the half instead of building it.  Keyed by the power, the two orders
+    and the degree: the release gate (level 9) reads 298 halves, 168
+    distinct.  An entry is 1.5-2.0 KB at the gate's degrees (to 11),
+    2.6-3.6 KB at degree 30 and 7.5-13 KB at the series bound, degree 120
+    (measured with tracemalloc), so 64 entries hold at most ~0.8 MB.
+    """
+    right = _convolution(b, degree)
+    if with_power:
+        right = right * power_3_2(degree)
+    return _convolution(a, degree) * right
 
 
 def n_via_series(d1: int, d2: int, d3: int, d4: int) -> int:
@@ -178,12 +201,13 @@ def n_via_series(d1: int, d2: int, d3: int, d4: int) -> int:
     F_1 is the empty convolution, so an order 1 gives 0 at once.  Each
     F_d comes from the bounded memo ``_convolution``, keyed by order and
     degree, and (1-4q)^(3/2) from the memo ``power_3_2``, keyed by the
-    degree, so repeated orders and repeated counts build them once.  F_d
-    is a polynomial of degree at most d/2 - 1 in q, so it is the left
-    operand of each accumulating product, whose loop skips its zero
-    coefficients.  The last factor is paired with the product of the
-    others, sum_i acc_i * F_last[degree - i], instead of being
-    multiplied in.
+    degree.  The product is paired in two halves from the memo
+    ``_series_half``: H = F_d1 * (F_d2 * (1-4q)^(3/2)) and H' = F_d3 * F_d4,
+    each keyed by its unordered order pair and the degree, and the count
+    is sum_j H[degree - j] * H'[j] over the nonzero coefficients of H',
+    a polynomial of degree at most (d3 + d4)/2 - 2 in q; both halves are
+    truncated at the degree, so H is read from its end.  A cold count
+    makes three products, and one that meets both pairs again none.
     """
     orders = (d1, d2, d3, d4)
     for di in orders:
@@ -197,9 +221,7 @@ def n_via_series(d1: int, d2: int, d3: int, d4: int) -> int:
     if 1 in orders:
         return 0
     degree = (total - 4) // 2
-    acc = power_3_2(degree)
-    for di in orders[:-1]:
-        acc = _convolution(di, degree) * acc
-    last = _convolution(orders[-1], degree).coeffs
-    value = sum(a * last[degree - i] for i, a in enumerate(acc.coeffs))
+    half = _series_half(True, min(d1, d2), max(d1, d2), degree).coeffs
+    other = _series_half(False, min(d3, d4), max(d3, d4), degree).coeffs
+    value = sum(h * c for h, c in zip(reversed(half), other) if c)
     return as_integer(value, "n_via_series")

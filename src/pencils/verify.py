@@ -473,8 +473,8 @@ _PROPERTIES = {
 
 SUITES = ("all", *_PROPERTIES)
 
-# the full suite in-process on a shared 2-core Intel Xeon host: 0.47-0.63 s at
-# level 9 (the gate), 4.2-5.2 s at 13; 54 s at 17 when last measured
+# the full suite in-process on a shared 2-core Intel Xeon host: 0.31-0.44 s at
+# level 9 (the gate), 2.9-3.1 s at 13; 54 s at 17 when last measured
 MAX_VERIFY_LEVEL = 13
 
 

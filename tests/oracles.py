@@ -8,7 +8,9 @@ Schubert products from the Jacobi-Trudi determinant, genus-0 integrals
 from the Pieri rule, genus-g problems from plain partitions, ordered
 distributions into triples from a chain of generators, Schur polynomials
 and the unweighted count from their recursions, the q-series count with
-every factor multiplied in, Catalan powers by sequential convolution,
+every factor multiplied in, the series and Schubert counts as the
+accumulating chains their pipelines once were, Catalan powers by
+sequential convolution,
 and the closed form's two branches as transcribed monomial tables, one
 power per factor.
 Slow is fine; these only run at test scale.
@@ -433,29 +435,66 @@ def polynomial_value(table: str, orders) -> Fraction:
     return total
 
 
+def _truncated_times(a, b, degree: int) -> list[Fraction]:
+    out = [Fraction(0)] * (degree + 1)
+    for i, x in enumerate(a[: degree + 1]):
+        for j, y in enumerate(b[: degree + 1 - i]):
+            out[i + j] += x * y
+    return out
+
+
+@lru_cache(maxsize=None)
+def _series_factor(d: int, degree: int) -> tuple[Fraction, ...]:
+    """F_d = sum_{j=0}^{d-2} s_j s_(d-2-j) as a Fraction tuple truncated at q^degree."""
+    schur = schur_table(d)
+    factor = [Fraction(0)] * (degree + 1)
+    for j in range(d - 1):
+        for n, c in enumerate(_truncated_times(schur[j], schur[d - 2 - j], degree)):
+            factor[n] += c
+    return tuple(factor)
+
+
+def _series_factors(orders):
+    """The degree, (1-4q)^(3/2) and each F_d, truncated at q^deg."""
+    degree = (sum(orders) - 4) // 2
+    factors = [_series_factor(d, degree) for d in orders]
+    return degree, binomial_series(Fraction(3, 2), degree), factors
+
+
 def series_count(orders) -> int:
     """The genus-1 count as the q^deg coefficient of the full q-series product
     (1-4q)^(3/2) * prod_i sum_{j=0}^{d_i-2} s_j s_(d_i-2-j), every factor
     multiplied in, with Fraction lists truncated at q^deg."""
-    degree = (sum(orders) - 4) // 2
-    schur = schur_table(max(orders))
-
-    def times(a, b):
-        out = [Fraction(0)] * (degree + 1)
-        for i, x in enumerate(a[: degree + 1]):
-            for j, y in enumerate(b[: degree + 1 - i]):
-                out[i + j] += x * y
-        return out
-
-    acc = binomial_series(Fraction(3, 2), degree)
-    for d in orders:
-        factor = [Fraction(0)] * (degree + 1)
-        for j in range(d - 1):
-            for n, c in enumerate(times(schur[j], schur[d - 2 - j])):
-                factor[n] += c
-        acc = times(acc, factor)
+    degree, acc, factors = _series_factors(orders)
+    for factor in factors:
+        acc = _truncated_times(acc, factor, degree)
     assert acc[degree].denominator == 1, orders
     return int(acc[degree])
+
+
+def series_chain_count(orders) -> int:
+    """The same coefficient as the accumulating chain: (1-4q)^(3/2) times
+    F_d1, F_d2 and F_d3 one product at a time, paired with F_d4 as
+    sum_i acc_i F_d4[deg - i]."""
+    degree, acc, factors = _series_factors(orders)
+    for factor in factors[:3]:
+        acc = _truncated_times(factor, acc, degree)
+    value = sum(a * factors[3][degree - i] for i, a in enumerate(acc))
+    assert value.denominator == 1, orders
+    return int(value)
+
+
+def schubert_chain_count(orders) -> int:
+    """The genus-1 count as the accumulating Schubert chain on Gr(2, deg+1):
+    the correction 8 s(1,1) - 2 s(1,0)^2 times tau_(d1-2), tau_(d2-2) and
+    tau_(d3-2) one product at a time, then the point coefficient of its
+    product with tau_(d4-2), all through the Jacobi-Trudi product above."""
+    n = (sum(orders) - 4) // 2 + 1
+    acc = {key: -2 * v for key, v in schubert_product({(1, 0): 1}, {(1, 0): 1}, n).items()}
+    acc[1, 1] = acc.get((1, 1), 0) + 8
+    for d in orders[:3]:
+        acc = schubert_product(acc, tau_class(d - 2, n), n)
+    return schubert_product(acc, tau_class(orders[3] - 2, n), n).get((n - 2, n - 2), 0)
 
 
 def catalan_power(t: int, order: int) -> list[int]:

@@ -4,7 +4,7 @@ must fail in the level-9 suite, with its exact text."""
 
 import pytest
 
-from pencils import degeneration, genus1, grassmann, verify
+from pencils import degeneration, genus1, grassmann, qseries, verify
 from pencils.degeneration import RamificationProblem
 from pencils.genus1 import Genus1Tuple
 from pencils.grassmann import SchubertClass
@@ -14,6 +14,8 @@ _weighted_fixed_first = genus1.weighted_fixed_first
 _assemble = degeneration._assemble
 _count_schubert = genus1.count_schubert
 _bottom_gap_value = genus1._bottom_gap_value
+_series_half = qseries._series_half
+_schubert_half = genus1._schubert_half
 
 EXAMPLE = RamificationProblem(1, 4, (3, 2), (3, 3, 2))  # weighted count 72
 
@@ -54,6 +56,25 @@ def _bottom_gap_value_plus_one_from_order_3(orders):
 
 def _identity_reflection(t):
     return t
+
+
+_halves_by_pair = {}  # the one mutant with a memo of its own; each test empties it
+
+
+def _series_half_keyed_without_degree(with_power, a, b, degree):
+    # the half built at the first degree that meets a pair serves every later one
+    return _halves_by_pair.setdefault((with_power, a, b), _series_half(with_power, a, b, degree))
+
+
+def _series_half_with_the_power_on_both(with_power, a, b, degree):
+    return _series_half(True, a, b, degree)
+
+
+def _schubert_half_shifting_one_tau_index(with_correction, a, b, ambient):
+    # tau(c - 1) * tau(d - 3) in place of tau(c - 2) * tau(d - 2)
+    if with_correction:
+        return _schubert_half(with_correction, a, b, ambient)
+    return _schubert_half(with_correction, a + 1, b - 1, ambient)
 
 
 ROWS = [
@@ -148,6 +169,35 @@ ROWS = [
         ],
         id="Genus1Tuple-reflected",
     ),
+    pytest.param(
+        # the degree-3 half of (3, 3) is one coefficient short at degree 4
+        qseries, "_series_half", _series_half_keyed_without_degree,
+        lambda: [qseries.n_via_series(*quad) for quad in ((3, 3, 2, 2), (3, 3, 3, 3))], [16, 64],
+        [
+            ("four_method_agreement",
+             "methods disagree on (3, 3, 3, 3): "
+             "{'schubert': 96, 'laurent': 96, 'polynomial': 96, 'series': 64}"),
+        ],
+        id="series-half-without-degree",
+    ),
+    pytest.param(
+        qseries, "_series_half", _series_half_with_the_power_on_both,
+        lambda: qseries.n_via_series(3, 3, 2, 2), -256,
+        [
+            ("four_method_agreement",
+             "anchor (2,2,2,2): {'schubert': 6, 'laurent': 6, 'polynomial': 6, 'series': 48}"),
+        ],
+        id="series-half-power-on-both",
+    ),
+    pytest.param(
+        genus1, "_schubert_half", _schubert_half_shifting_one_tau_index,
+        lambda: genus1.count_schubert(Genus1Tuple(4, 4, 3, 3)), 96,
+        [
+            ("four_method_agreement",
+             "anchor (2,2,2,2): {'schubert': 0, 'laurent': 6, 'polynomial': 6, 'series': 6}"),
+        ],
+        id="schubert-half-wrong-tau",
+    ),
 ]
 
 
@@ -169,6 +219,7 @@ def _patch(monkeypatch, package_memos, target, name, mutant):
 def test_gate_fails_exactly_the_properties_a_mutant_breaks(
     target, name, mutant, witness, wrong, failures, monkeypatch, package_memos, fresh_memos
 ):
+    _halves_by_pair.clear()
     _patch(monkeypatch, package_memos, target, name, mutant)
     assert witness() == wrong  # the mutant changes a count
     failed = [(r.name, r.detail) for r in verify.run_suite("all", 9) if not r.passed]

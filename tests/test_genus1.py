@@ -8,9 +8,11 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pencils import genus1
+from pencils import genus1, verify
 from pencils.errors import DomainError
 from pencils.genus1 import (
+    MAX_ASSEMBLY_DEGREE,
+    MAX_INVERSION_DEGREE,
     MAX_LAURENT_DEGREE,
     MAX_SCHUBERT_DEGREE,
     MAX_SERIES_DEGREE,
@@ -38,6 +40,9 @@ from oracles import (
     ordered_on_shell,
     p_dict,
     polynomial_value,
+    schubert_chain_count,
+    series_chain_count,
+    series_count,
     syt_brute,
     unweighted_recursive,
     weighted_assembly,
@@ -127,6 +132,20 @@ def test_out_of_domain_extension_vanishes():
         count_polynomial(Genus1Tuple(4, 2, 2, 2))
     with pytest.raises(DomainError):
         count_series(Genus1Tuple(4, 2, 2, 2))
+
+
+def test_laurent_extension_is_the_closed_form_or_zero(fresh_memos):
+    # the degeneration reads count_laurent at orders up to 2*deg + 1, the
+    # most one order can take; above the degree the count is 0
+    tuples = outside = 0
+    for degree in range(2, 21):
+        for quad in rep_tuples(degree, max_order=2 * degree + 1):
+            t = Genus1Tuple(*quad)
+            inside = quad[0] <= degree
+            assert count_laurent(t) == (count_polynomial(t) if inside else 0), quad
+            tuples += 1
+            outside += not inside
+    assert (tuples, outside) == (3869, 2269)
 
 
 def test_weighted_count_closed_form():
@@ -220,6 +239,25 @@ def test_count_laurent_matches_the_three_product_constant_term(fresh_memos):
                 w1, w2, w3, w4 = (genus1._weighted_block(d) for d in quad)
                 want = laurent_pairing(w1 * w2, w3 * w4)
                 assert weighted_from_unweighted(t) == want == weighted_count(t), quad
+
+
+def test_paired_halves_match_the_chain_oracles(fresh_memos):
+    # every labeled tuple through degree 12 against the accumulating chains
+    # the series and Schubert pipelines replaced, and the full series
+    # product; the oracles are symmetric in the labels, so each multiset's
+    # values are computed once
+    tuples = 0
+    for degree in range(2, 13):
+        want = {}
+        for quad in on_shell_tuples(degree):
+            want[quad] = series_chain_count(quad)
+            assert schubert_chain_count(quad) == series_count(quad) == want[quad], quad
+        for quad in ordered_on_shell(degree):
+            t = Genus1Tuple(*quad)
+            value = want[t.sorted_desc()]
+            assert count_series(t) == count_schubert(t) == value, quad
+            tuples += 1
+    assert tuples == 3806
 
 
 def _count_products(monkeypatch):
@@ -327,6 +365,42 @@ def test_pipeline_degree_bounds(pipeline, top, monkeypatch):
         count(over, ["polynomial", pipeline])
     with pytest.raises(AssertionError, match="a pipeline ran"):
         count(at, [pipeline])
+
+
+@pytest.mark.parametrize(
+    "recursion, top, arithmetic",
+    [
+        (weighted_from_unweighted, MAX_ASSEMBLY_DEGREE, (genus1, "_weighted_block")),
+        (unweighted_from_weighted, MAX_INVERSION_DEGREE, (genus1.math, "comb")),
+    ],
+)
+def test_recursion_degree_bounds(recursion, top, arithmetic, monkeypatch, fresh_memos):
+    def never(*args):
+        raise AssertionError("arithmetic ran before the bound check")
+
+    monkeypatch.setattr(*arithmetic, never)
+    at, over = Genus1Tuple(top, top, 2, 2), Genus1Tuple(top + 1, top + 1, 2, 2)
+    assert (at.degree, over.degree) == (top, top + 1)
+    message = f"{recursion.__name__}: degree {top + 1} exceeds the bound {top} on the recursion"
+    with pytest.raises(DomainError, match=message):
+        recursion(over)
+    assert genus1._block_pair.cache_info().currsize == 0
+    with pytest.raises(AssertionError, match="arithmetic ran"):
+        recursion(at)
+
+
+def test_verify_stays_inside_the_recursion_bounds(monkeypatch):
+    # the recursion sweep reaches degree level + 1
+    degrees = set()
+
+    def recording(t):
+        degrees.add(t.degree)
+        return count_laurent(t)
+
+    monkeypatch.setattr(verify, "unweighted_from_weighted", recording)
+    verify.weighted_recursion_consistency(4)
+    assert max(degrees) == 5
+    assert verify.MAX_VERIFY_LEVEL + 1 <= min(MAX_ASSEMBLY_DEGREE, MAX_INVERSION_DEGREE)
 
 
 def test_tightest_selected_bound_is_checked_first():

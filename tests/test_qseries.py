@@ -256,8 +256,8 @@ def _count_series_products(monkeypatch):
         ((9, 7, 3, 1), 0),
         ((1, 5, 5, 5), 0),
         # from a cold memo: (d-1) Schur products per distinct order d, then
-        # one product inside power_3_2 and three accumulating products; the
-        # last factor is paired
+        # one product inside power_3_2, two for the half with the power and
+        # one for the other half; the halves are paired
         ((8, 8, 5, 3), (7 + 4 + 2) + 1 + 3),
         ((6, 6, 6, 6), 5 + 1 + 3),
         ((7, 5, 4, 2), (6 + 4 + 3 + 1) + 1 + 3),
@@ -267,21 +267,22 @@ def test_series_product_counts(quad, products, monkeypatch, fresh_memos):
     calls = _count_series_products(monkeypatch)
     assert n_via_series(*quad) == genus1_constant_term(quad)
     assert len(calls) == products
-    # repeated, the count reads (1-4q)^(3/2) and every F_d from the memos
+    # repeated, the count reads both halves from the memo
     calls.clear()
     assert n_via_series(*quad) == genus1_constant_term(quad)
-    assert len(calls) == (0 if 1 in quad else 3)
+    assert calls == []
 
 
 def test_convolution_memo_counts_the_gate_keys(fresh_memos):
     four_method_agreement(7)
     info = _convolution.cache_info()
-    # 36 distinct (order, degree) keys among the 292 factors its counts read
-    assert (info.misses, info.hits) == (36, 256)
+    # 36 distinct (order, degree) keys among the 188 factors that its 94
+    # distinct halves read
+    assert (info.misses, info.hits) == (36, 152)
 
 
 def test_power_3_2_memo_counts_the_gate_degrees(fresh_memos):
     four_method_agreement(7)
     info = power_3_2.cache_info()
-    # one series per degree 2..9 among the 73 counts without an order 1
-    assert (info.misses, info.hits) == (8, 65)
+    # one series per degree 2..9 among the 47 distinct halves with the power
+    assert (info.misses, info.hits) == (8, 39)

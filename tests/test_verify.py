@@ -3,7 +3,7 @@ facts they rest on that each must catch."""
 
 import pytest
 
-from pencils import degeneration, genus1, grassmann, verify
+from pencils import degeneration, genus1, grassmann, qseries, verify
 from pencils.degeneration import RamificationProblem
 from pencils.errors import CrossCheckError
 from pencils.genus1 import count_series
@@ -135,8 +135,9 @@ def test_a_failing_check_reports_its_case(prop, namespace, name, mutant, detail,
 def test_four_method_agreement_builds_each_tau_once(fresh_memos):
     verify.four_method_agreement(7)
     info = genus1._tau.cache_info()
-    # 96 tuples, four classes each, from 43 distinct (index, ambient) keys
-    assert (info.misses, info.hits) == (43, 341)
+    # 113 distinct halves of 96 tuples, two classes each, from 43 distinct
+    # (index, ambient) keys
+    assert (info.misses, info.hits) == (43, 183)
 
 
 def test_consolidation_builds_each_sigma1_power_once(fresh_memos):
@@ -167,6 +168,34 @@ def test_gate_builds_each_block_pair_once(fresh_memos):
     # 691 count_laurent misses and 371 weighted recursions ask for 2,124
     # pair products: 108 distinct P pairs and 106 distinct W pairs
     assert (info.misses, info.hits) == (108 + 106, 2 * (691 + 371) - 214) == (214, 1910)
+
+
+def test_gate_builds_each_half_product_once(fresh_memos):
+    verify.run_suite("all", 9)
+    # 149 series counts without an order 1 and 190 Schubert counts read two
+    # halves each; every miss is a distinct (pair, degree) key
+    info = qseries._series_half.cache_info()
+    assert (info.misses, info.hits) == (168, 2 * 149 - 168) == (168, 130)
+    info = genus1._schubert_half.cache_info()
+    assert (info.misses, info.hits) == (198, 2 * 190 - 198) == (198, 182)
+
+
+def test_gate_makes_its_exact_products(monkeypatch, package_memos, fresh_memos):
+    # exact operation counts gate what wall time cannot; pairing memoized
+    # halves took them from 842 series products and 12,992 Schubert ones
+    series = _counted(monkeypatch, qseries.TruncatedSeries, "__mul__")
+    schubert = []
+    original = grassmann.mul
+
+    def counted(*args):
+        schubert.append(args)
+        return original(*args)
+
+    for module in package_memos:
+        if vars(module).get("mul") is original:
+            monkeypatch.setattr(module, "mul", counted)
+    assert all(result.passed for result in verify.run_suite("all", 9))
+    assert (len(series), len(schubert)) == (647, 12598)
 
 
 def test_cached_tau_classes_stay_equal_to_the_oracle(monkeypatch, fresh_memos):
