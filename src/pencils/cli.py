@@ -22,7 +22,7 @@ import time
 from dataclasses import asdict
 
 from .degeneration import RamificationProblem, count_with_padding, genus_g_count
-from .errors import CrossCheckError, DomainError, IntegralityError
+from .errors import CrossCheckError, DomainError, IntegralityError, require_within
 from .genus1 import (
     Genus1Tuple,
     METHODS,
@@ -133,10 +133,7 @@ def _cmd_genusg(args) -> tuple[dict, int, list[str]]:
 def _cmd_table(args) -> tuple[dict, int, list[str]]:
     if args.genus != 1:
         raise DomainError(f"only genus 1 tables are implemented, got genus {args.genus}")
-    if args.degree > MAX_TABLE_DEGREE:
-        raise DomainError(
-            f"table: degree {args.degree} exceeds the bound {MAX_TABLE_DEGREE} on tables"
-        )
+    require_within("table", "degree", args.degree, MAX_TABLE_DEGREE, "tables")
     # the count is symmetric in the four points, so a labeled row reads its multiset's
     counts = {q: _text(count_laurent(Genus1Tuple(*q))) for q in on_shell_tuples(args.degree)}
     rows = [

@@ -30,9 +30,15 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import CrossCheckError, DomainError
+from .errors import CrossCheckError, DomainError, require_within
 from .exactmath import bounded_partitions
-from .genus1 import Genus1Tuple, _require_answer_degree, count_laurent, weighted_fixed_first
+from .genus1 import (
+    MAX_ANSWER_DEGREE,
+    _ANSWER_SCOPE,
+    Genus1Tuple,
+    count_laurent,
+    weighted_fixed_first,
+)
 from .grassmann import SchubertClass, integrate, mul, pairing, sigma, sigma1_power, unit
 
 __all__ = [
@@ -52,10 +58,16 @@ Distribution = tuple[tuple[int, int, int], ...]
 # genus 4 lists 369,600 distributions (the trigonal count takes 1.4-2.1 s and
 # ~93 MB on the host below); genus 5 would list 168,168,000
 MAX_GENUS = 4
-# The slowest shapes found at degree 89 took 1.6-2.9 s at genus 3 (nine evenly
-# spaced moving orders), 0.06 s at genus 2 and 0.02 s at genus 1 (which costs
-# about deg^3), on a shared 2-core Intel Xeon host
-MAX_DEGENERATION_DEGREE = 89
+_GENUS_SCOPE = "the (3*genus)!/6^genus enumeration"
+# Per genus, the degree above which a count is refused, and the slowest shape
+# found at it in-process on a shared 2-core Intel Xeon host.  Genus 0 (unweighted;
+# the weighted class is closed-form): 2.8-2.9 s with fixed orders (2,)*(2d-2).
+# Genus 1: 2.9-3.1 s, fixed (d,) and three moving orders near d/3 (about deg^3).
+# Genus 2: 2.0-2.5 s, fixed (75,), moving (81, 78, 74, 70, 67, 64); 7 s at 300.
+# Genus 3: 1.6-2.9 s, nine evenly spaced moving orders.  Genus 4: 4.2-4.9 s,
+# fixed (7,), ten distinct moving orders (12, 11, 10, 8, 7, 6, 5, 4, 3, 2, 2, 2);
+# degree 32 admits eleven, 6-8 s.
+MAX_DEGENERATION_DEGREE = {0: 1500, 1: 500, 2: 250, 3: 89, 4: 30}
 
 
 @dataclass(frozen=True)
@@ -161,11 +173,7 @@ def distributions(labels, g: int) -> list[Distribution]:
     label values are enumerated with multiplicity).  Genus 4 already
     gives 369,600 of them, so the genus is bounded by MAX_GENUS.
     """
-    if g > MAX_GENUS:
-        raise DomainError(
-            f"distributions: genus {g} exceeds the bound {MAX_GENUS} on the "
-            f"(3*genus)!/6^genus enumeration"
-        )
+    require_within("distributions", "genus", g, MAX_GENUS, _GENUS_SCOPE)
     labels = tuple(labels)
     if len(labels) != 3 * g:
         raise DomainError(
@@ -222,8 +230,9 @@ def _tail_class(factor, triple: tuple[int, int, int], d: int) -> SchubertClass:
     a + b = s; a <= d-2 keeps the tail's pencil degree d-a at least 2,
     below that the factor is 0.  The bound covers the at most 300
     distinct (factor, triple, d) keys of a genusg-mix pass or of the
-    verify gate.  A class has at most d/2 terms, ~2.4 KB at degree 30, so
-    512 entries hold ~1.2 MB up to that degree.
+    verify gate.  A class has at most d/2 terms, ~2.4 KB at degree 30 and
+    ~30 KB at degree 500, genus 1's degree bound, so 512 entries hold
+    ~1.2 MB up to degree 30 and ~16 MB at that bound.
     """
     s = 2 * d + 4 - sum(triple)
     return SchubertClass(d + 1, {
@@ -245,10 +254,11 @@ def _tails_class(factor, labels: tuple[int, ...], d: int) -> SchubertClass:
     as ``_triple_multisets`` needs.  The bound covers the 200 distinct
     (factor, labels, d) keys of a genusg-mix pass and the 472 of the
     verify gate (level 9); the suite at its bound (level 13) reads 3,351.
-    Entries average 0.2-0.4 KB up to degree 16 (a genus-1 entry is its
-    tail class) and a genus-3 one at degree 89, the degeneration's bound,
-    takes ~6.3 KB (measured with tracemalloc), so 1024 entries hold
-    ~0.4 MB on the sweeps and ~6.4 MB at that bound.
+    Entries average 0.2-0.4 KB up to degree 16.  A genus-1 entry is its
+    tail class, ~30 KB at degree 500, genus 1's degree bound, and a
+    genus-3 one at degree 89, genus 3's, takes ~6.3 KB (measured with
+    tracemalloc), so 1024 entries hold ~0.4 MB on the sweeps, ~6.4 MB at
+    genus 3's bound and ~31 MB at genus 1's.
     """
     g = len(labels) // 3
     if g == 1:  # one distribution of one triple
@@ -276,12 +286,11 @@ def _assemble(p: RamificationProblem, weighted: bool) -> int:
                     f"2*degree - genus - 1 = {2 * p.d - p.g - 1}"
                 )
     what = "genus_g_weighted" if weighted else "genus_g_count"
-    _require_answer_degree(p.d, what)
-    if p.g and p.d > MAX_DEGENERATION_DEGREE:
-        raise DomainError(
-            f"{what}: degree {p.d} exceeds the bound {MAX_DEGENERATION_DEGREE} "
-            f"on the degeneration at genus >= 1"
-        )
+    require_within(what, "degree", p.d, MAX_ANSWER_DEGREE, _ANSWER_SCOPE)
+    require_within(what, "genus", p.g, MAX_GENUS, _GENUS_SCOPE)
+    if p.g or not weighted:  # weighted genus 0 is one closed-form class
+        require_within(what, "degree", p.d, MAX_DEGENERATION_DEGREE[p.g],
+                       f"the degeneration at genus {p.g}")
     d, ambient = p.d, p.d + 1
     if weighted:
         fixed_part = sigma1_power(sum(o - 1 for o in p.fixed), ambient)
@@ -304,16 +313,17 @@ def genus_g_count(p: RamificationProblem) -> int:
     """Degeneration count of pencils of degree d on a general genus-g
     curve with p's fixed and moving conditions; any number m <= 3g of
     moving conditions.  At genus 0 it is the integral of the fixed
-    classes s(o-1, 0) over Gr(2, d+1), with no degree bound but
-    ``MAX_ANSWER_DEGREE``.  Genus >= 1 adds ``MAX_DEGENERATION_DEGREE``,
-    sized on genus 1 to 3; genus 4 costs what ``MAX_GENUS`` allows."""
+    classes s(o-1, 0) over Gr(2, d+1).  The genus is bounded by
+    ``MAX_GENUS`` and the degree by ``MAX_DEGENERATION_DEGREE`` of the
+    genus, both checked before any product."""
     return count_with_padding(p)[0]
 
 
 def genus_g_weighted(p: RamificationProblem) -> int:
     """Weighted variant of ``genus_g_count``: each fixed class becomes
-    sigma1^(o-1), so genus 0 gives Catalan(d-1) whatever the orders.
-    Moving orders above 2d - g - 1 are outside its domain."""
+    sigma1^(o-1), so genus 0 gives Catalan(d-1) whatever the orders, with
+    no degree bound but ``MAX_ANSWER_DEGREE``.  Moving orders above
+    2d - g - 1 are outside its domain."""
     return count_with_padding(p, weighted=True)[0]
 
 

@@ -1,4 +1,5 @@
-"""Exception types shared by every module in the package."""
+"""Exception types shared by every module in the package, and the one
+up-front check of a documented cost bound."""
 
 
 class DomainError(ValueError):
@@ -15,3 +16,10 @@ class IntegralityError(ArithmeticError):
 
 class CrossCheckError(RuntimeError):
     """Two independent evaluations of the same quantity disagreed."""
+
+
+def require_within(what: str, quantity: str, value: int, bound: int, scope: str) -> None:
+    """Refuse a ``value`` above its documented ``bound`` before any work,
+    naming the bound; the message is formatted only on refusal."""
+    if value > bound:
+        raise DomainError(f"{what}: {quantity} {value} exceeds the bound {bound} on {scope}")

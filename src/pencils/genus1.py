@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import DomainError
+from .errors import DomainError, require_within
 from .exactmath import binomial, bounded_partitions, catalan, exact_div
 from .grassmann import SchubertClass, mul, pairing, pieri_mul, sigma, zero
 from .laurent import LaurentPolynomial, p_poly, pairing as laurent_pairing
@@ -118,20 +118,13 @@ def _require_in_domain(t: Genus1Tuple, what: str) -> None:
 # digits; the ~680 left hold the factor by which a count of higher genus
 # exceeds 4^deg (5 digits at genus 2, degree 20; 7 at genus 3, degree 12).
 MAX_ANSWER_DEGREE = 6000
-
-
-def _require_answer_degree(d: int, what: str) -> None:
-    if d > MAX_ANSWER_DEGREE:
-        raise DomainError(
-            f"{what}: degree {d} exceeds the bound {MAX_ANSWER_DEGREE} "
-            f"on counts that grow as 4^degree"
-        )
+_ANSWER_SCOPE = "counts that grow as 4^degree"
 
 
 def weighted_count(t: Genus1Tuple) -> int:
     """Weighted count of pencils: 12 C_{deg-2}/deg times prod (d_i - 1)."""
     d = t.degree
-    _require_answer_degree(d, "weighted_count")
+    require_within("weighted_count", "degree", d, MAX_ANSWER_DEGREE, _ANSWER_SCOPE)
     num = 12 * catalan(d - 2)
     for di in t.orders():
         num *= di - 1
@@ -145,7 +138,7 @@ def weighted_fixed_first(t: Genus1Tuple) -> int:
     weighted total-vanishing conditions.
     """
     d, (d1, d2, d3, d4) = t.degree, t.orders()
-    _require_answer_degree(d, "weighted_fixed_first")
+    require_within("weighted_fixed_first", "degree", d, MAX_ANSWER_DEGREE, _ANSWER_SCOPE)
     if not 1 <= d1 <= d:
         raise DomainError(f"weighted_fixed_first: first order {d1} outside 1..degree={d}")
     num = 2 * d1 * (d1 + 1) * (d1 - 1) * (d2 - 1) * (d3 - 1) * (d4 - 1)
@@ -168,15 +161,6 @@ _DEGREE_BOUNDS = {
     "schubert": MAX_SCHUBERT_DEGREE,
     "laurent": MAX_LAURENT_DEGREE,
 }
-
-
-def _require_degree_bound(t: Genus1Tuple, pipeline: str) -> None:
-    bound = _DEGREE_BOUNDS[pipeline]
-    if t.degree > bound:
-        raise DomainError(
-            f"count_{pipeline}: degree {t.degree} exceeds the bound "
-            f"{bound} on the {pipeline} pipeline"
-        )
 
 
 @lru_cache(maxsize=128)
@@ -227,7 +211,8 @@ def count_schubert(t: Genus1Tuple) -> int:
     tau(d2 - 2), paired with tau(d3 - 2) * tau(d4 - 2).  A cold count
     makes four products, and one that meets both pairs again none.
     """
-    _require_degree_bound(t, "schubert")
+    require_within("count_schubert", "degree", t.degree, MAX_SCHUBERT_DEGREE,
+                   "the schubert pipeline")
     _require_in_domain(t, "count_schubert")
     d1, d2, d3, d4 = t.orders()
     ambient = t.degree + 1
@@ -288,7 +273,8 @@ def count_laurent(t: Genus1Tuple) -> int:
     P_d1 P_d2 and P_d3 P_d4 come from ``_block_pair``, so a miss here
     that meets an order pair again builds only the new product.
     """
-    _require_degree_bound(t, "laurent")
+    require_within("count_laurent", "degree", t.degree, MAX_LAURENT_DEGREE,
+                   "the laurent pipeline")
     return _paired_blocks(_unweighted_block, t)
 
 
@@ -328,7 +314,7 @@ def count_polynomial(t: Genus1Tuple) -> int:
 
 def count_series(t: Genus1Tuple) -> int:
     """Coefficient extraction from the generating-function identity."""
-    _require_degree_bound(t, "series")
+    require_within("count_series", "degree", t.degree, MAX_SERIES_DEGREE, "the series pipeline")
     _require_in_domain(t, "count_series")
     return n_via_series(*t.orders())
 
@@ -362,9 +348,9 @@ def count(t: Genus1Tuple, methods="all") -> CountReport:
             raise DomainError(
                 f"unknown method {name!r}; choose from {sorted(METHODS)}"
             )
-    for name in _DEGREE_BOUNDS:
+    for name, bound in _DEGREE_BOUNDS.items():
         if name in names:
-            _require_degree_bound(t, name)
+            require_within(f"count_{name}", "degree", t.degree, bound, f"the {name} pipeline")
     values = {name: METHODS[name](t) for name in names}
     agreed = len(set(values.values())) == 1
     return CountReport(t, values, agreed)
@@ -390,13 +376,6 @@ MAX_ASSEMBLY_DEGREE = 1000
 MAX_INVERSION_DEGREE = 2000
 
 
-def _require_recursion_degree(t: Genus1Tuple, bound: int, what: str) -> None:
-    if t.degree > bound:
-        raise DomainError(
-            f"{what}: degree {t.degree} exceeds the bound {bound} on the recursion"
-        )
-
-
 def weighted_from_unweighted(t: Genus1Tuple) -> int:
     """Assemble the weighted count from unweighted counts.
 
@@ -408,7 +387,8 @@ def weighted_from_unweighted(t: Genus1Tuple) -> int:
     the unordered order pair.  Degrees above ``MAX_ASSEMBLY_DEGREE`` are
     refused before any product.
     """
-    _require_recursion_degree(t, MAX_ASSEMBLY_DEGREE, "weighted_from_unweighted")
+    require_within("weighted_from_unweighted", "degree", t.degree, MAX_ASSEMBLY_DEGREE,
+                   "the recursion")
     return _paired_blocks(_weighted_block, t)
 
 
@@ -421,7 +401,8 @@ def unweighted_from_weighted(t: Genus1Tuple) -> int:
     up to J = deg-2: a tuple shifted below degree 2 counts 0.  Degrees above
     ``MAX_INVERSION_DEGREE`` are refused before any product.
     """
-    _require_recursion_degree(t, MAX_INVERSION_DEGREE, "unweighted_from_weighted")
+    require_within("unweighted_from_weighted", "degree", t.degree, MAX_INVERSION_DEGREE,
+                   "the recursion")
     d = t.degree
     poly = [1]
     for di in t.orders():

@@ -24,7 +24,7 @@ from .degeneration import (
     genus_g_weighted,
     on_shell_problems,
 )
-from .errors import CrossCheckError, DomainError
+from .errors import CrossCheckError, DomainError, require_within
 from .exactmath import binomial, bounded_partitions, catalan, syt_count
 from .genus1 import (
     Genus1Tuple,
@@ -496,7 +496,7 @@ def run_suite(suite: str = "all", level: int = 7) -> list[PropertyResult]:
         raise DomainError(f"unknown suite {suite!r}; choose from {SUITES}")
     if level < 2:
         raise DomainError(f"verification level must be >= 2, got {level}")
-    if level > MAX_VERIFY_LEVEL:
-        raise DomainError(f"verification level {level} exceeds the bound {MAX_VERIFY_LEVEL}")
+    require_within("run_suite", "verification level", level, MAX_VERIFY_LEVEL,
+                   "the verify suites")
     groups = _PROPERTIES.values() if suite == "all" else (_PROPERTIES[suite],)
     return [run_property(prop, level) for group in groups for prop in group]

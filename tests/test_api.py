@@ -89,3 +89,11 @@ def test_every_function_and_class_is_referenced():
                 continue
             local = any(node.name in _read(stmt) for stmt in tree.body if stmt is not node)
             assert local or node.name in imported, (module, node.name)
+
+
+def test_only_errors_writes_a_bound_refusal():
+    # every up-front bound goes through errors.require_within
+    for path in sorted(Path(pencils.__file__).parent.glob("*.py")):
+        if path.name != "errors.py":
+            assert "exceeds the bound" not in path.read_text(), path.name
+    assert "exceeds the bound" in (Path(pencils.__file__).parent / "errors.py").read_text()

@@ -14,7 +14,6 @@ import pytest
 
 from pencils import degeneration
 from pencils.degeneration import (
-    MAX_DEGENERATION_DEGREE,
     RamificationProblem,
     consolidate_fixed,
     count_with_padding,
@@ -189,14 +188,6 @@ def test_enumeration_leaves_no_reference_cycle():
             gc.enable()
 
 
-def test_distributions_genus_bound():
-    # genus 5 would list 168,168,000 distributions; the bound is checked first
-    with pytest.raises(DomainError, match="bound 4"):
-        distributions((2,) * 15, 5)
-    with pytest.raises(DomainError, match="bound 4"):
-        count_with_padding(RamificationProblem(5, 4, (2,)))
-
-
 def test_worked_example():
     p = RamificationProblem(1, 3, (2, 2), (2, 2, 3))
     assert genus_g_count(p) == 16
@@ -255,23 +246,6 @@ def test_base_point_splitting_at_genus_1_and_2():
                 assert genus_g_weighted(p) == total, p
                 checked += 1
     assert checked == 239
-
-
-def test_degeneration_degree_bound():
-    top = MAX_DEGENERATION_DEGREE
-    assert top > 16  # the gate at its top level, 13, counts genus >= 1 to degree 16
-    k = (top - 1) // 2  # top is odd: the nearest to balanced genus-1 shape
-    at_top = RamificationProblem(1, top, (k + 2,), (k + 1, k + 1, k + 2))
-    m = (top + 1) // 2 + 1
-    above = RamificationProblem(1, top + 1, (m,), (m, m, m))
-    for count in (genus_g_count, genus_g_weighted):
-        assert count(at_top) > 0
-        with pytest.raises(DomainError) as info:
-            count(above)
-        assert str(info.value) == (
-            f"{count.__name__}: degree {top + 1} exceeds the bound {top} "
-            f"on the degeneration at genus >= 1"
-        )
 
 
 def test_weighted_counts_divide_by_the_moving_weights():
