@@ -168,9 +168,9 @@ def _tau(k: int, ambient: int) -> SchubertClass:
     """Sum over ordered pairs a+b = k of s(a,0)*s(b,0); zero for k < 0.
 
     Each pair is one Pieri step on s(a, 0).  Keyed by the index and the
-    ambient, so repeated orders and the halves ``_schubert_half`` builds
+    ambient, so repeated orders and the pairs ``_schubert_pair`` builds
     read each class once built; callers only read it.  The release gate
-    (level 9) reads 396 classes, 64 distinct: the bound covers those and
+    (level 9) reads 386 classes, 64 distinct: the bound covers those and
     the 118 of the verify suite at its bound (level 13).
     An entry is 0.6-0.7 KB on the sweeps' Gr(2, N), N <= 16, and 67 KB
     at the Schubert bound, degree 800 (measured with tracemalloc), so
@@ -182,43 +182,40 @@ def _tau(k: int, ambient: int) -> SchubertClass:
 
 
 @lru_cache(maxsize=64)
-def _schubert_half(with_correction: bool, a: int, b: int, ambient: int) -> SchubertClass:
-    """(8*s(1,1) - 2*s(1,0)^2) * tau(a - 2) * tau(b - 2) with the correction,
-    else tau(a - 2) * tau(b - 2), on Gr(2, ambient); called with a <= b, so
+def _schubert_pair(a: int, b: int, ambient: int) -> SchubertClass:
+    """tau(a - 2) * tau(b - 2) on Gr(2, ambient); called with a <= b, so
     each unordered order pair is one key.
 
-    Keyed by the correction, the two orders and the ambient, so a count
-    that meets a known pair at its degree reads the half instead of
-    building it: the release gate (level 9) reads 380 halves, 198
-    distinct.  An entry is 0.8-1.8 KB on the gate's Gr(2, N), N <= 12,
-    1.0-2.9 KB at degree 30 and up to 71 KB at the Schubert bound, degree
-    800 (measured with tracemalloc), so 64 entries hold at most ~4.5 MB.
+    Keyed by the two orders and the ambient, so a count that meets a known
+    pair at its degree, on either side, reads the product instead of
+    building it: the release gate (level 9) reads 380 pairs, 193
+    distinct.  An entry is 0.3-0.6 KB on the gate's Gr(2, N), N <= 12,
+    0.4-1.3 KB at degree 30 and up to 55 KB at the Schubert bound, degree
+    800 (measured with tracemalloc), so 64 entries hold at most ~3.5 MB.
     """
-    if with_correction:
-        s1 = sigma(1, 0, ambient)
-        left = mul(8 * sigma(1, 1, ambient) - 2 * mul(s1, s1), _tau(a - 2, ambient))
-    else:
-        left = _tau(a - 2, ambient)
-    return mul(left, _tau(b - 2, ambient))
+    return mul(_tau(a - 2, ambient), _tau(b - 2, ambient))
 
 
 def count_schubert(t: Genus1Tuple) -> int:
     """Intersection number on Gr(2, deg+1).
 
     The product of the quadratic correction 8*s(1,1) - 2*s(1,0)^2 with
-    the four convolution classes tau(d_i - 2), paired in two halves from
-    the memo ``_schubert_half``: the correction times tau(d1 - 2) and
-    tau(d2 - 2), paired with tau(d3 - 2) * tau(d4 - 2).  A cold count
-    makes four products, and one that meets both pairs again none.
+    the four convolution classes tau(d_i - 2), paired in two halves: the
+    correction times the pair tau(d1 - 2) * tau(d2 - 2), paired with
+    tau(d3 - 2) * tau(d4 - 2), both pairs from the memo ``_schubert_pair``.
+    The correction is written as its Pieri expansion 6*s(1,1) - 2*s(2,0),
+    whose s(2,0) leaves the box at degree 2.  A count makes that product
+    and one more for each pair it has not met before at its degree.
     """
     require_within("count_schubert", "degree", t.degree, MAX_SCHUBERT_DEGREE,
                    "the schubert pipeline")
     _require_in_domain(t, "count_schubert")
     d1, d2, d3, d4 = t.orders()
     ambient = t.degree + 1
+    correction = SchubertClass(ambient, {(1, 1): 6, (2, 0): -2})
     return pairing(
-        _schubert_half(True, min(d1, d2), max(d1, d2), ambient),
-        _schubert_half(False, min(d3, d4), max(d3, d4), ambient),
+        mul(correction, _schubert_pair(min(d1, d2), max(d1, d2), ambient)),
+        _schubert_pair(min(d3, d4), max(d3, d4), ambient),
     )
 
 
@@ -233,10 +230,12 @@ def _block_pair(block, a: int, b: int) -> LaurentPolynomial:
 
     Keyed by the block (P or W) and the two orders, so the counts of the
     verify sweeps, of a table and of the tail factors that meet one order
-    pair again read its product.  The bound covers the 412 keys of the
-    verify suite at its bound (level 13) and the 318 of a degree-30 table;
-    the release gate (level 9) reads 214, and the benchmark's genus1-all and
-    genusg-mix passes 164-170 and 35-37 (measured from empty memos).  An
+    pair again read its product; the counts themselves are not memoized.
+    The bound covers the 412 keys of the verify suite at its bound (level
+    13) and the 318 of a degree-30 table.  The release gate (level 9)
+    reads 3,458 products, 214 distinct, and the benchmark's genus1-all and
+    genusg-mix passes 400 and 798-862, of 164-170 and 35-37 distinct
+    (measured from empty memos).  An
     entry is 1.1 KB at orders (10, 10), 4.9 KB at (30, 30), 193 KB at
     (1000, 1000) and 0.8 MB at (4000, 4000), the Laurent bound; a W pair is
     1.4 KB at (10, 10) and 0.56 MB at (1000, 1000) (measured with
@@ -258,20 +257,16 @@ def _paired_blocks(block, t: Genus1Tuple) -> int:
     )
 
 
-@lru_cache(maxsize=1024)
 def count_laurent(t: Genus1Tuple) -> int:
     """Constant term of the product of the four building blocks, paired in two.
 
     Tolerates orders outside 1..degree, and the degeneration module
     relies on the extension: on every tuple of degree <= 20, with orders
     up to 2*deg + 1, the count is 0 when an order exceeds the degree and
-    the closed form otherwise; the tests pin that range.  Keyed by the
-    labeled tuple, so the sweeps of the verify suite and the tail factors
-    of the degeneration that meet one tuple again read its count.  An
-    entry, key included, is 0.3 KB at degrees 9 to 1000 (measured with
-    tracemalloc), so 1024 entries hold ~0.3 MB.  The two products
-    P_d1 P_d2 and P_d3 P_d4 come from ``_block_pair``, so a miss here
-    that meets an order pair again builds only the new product.
+    the closed form otherwise; the tests pin that range.  Not memoized:
+    the two products P_d1 P_d2 and P_d3 P_d4 come from ``_block_pair``,
+    so a count that meets both order pairs again is one pairing, and the
+    degeneration reads its tail factors through ``_tail_class``.
     """
     require_within("count_laurent", "degree", t.degree, MAX_LAURENT_DEGREE,
                    "the laurent pipeline")

@@ -128,9 +128,8 @@ def unit(ambient: int) -> SchubertClass:
 
 
 def sigma(a: int, b: int, ambient: int) -> SchubertClass:
-    """Basis class s(a, b), or the zero class when it leaves the box."""
-    if not a >= b >= 0:
-        raise DomainError(f"({a}, {b}) is not a two-row partition")
+    """Basis class s(a, b), or the zero class when it leaves the box; the
+    constructor refuses a pair that is not a two-row partition."""
     return SchubertClass(ambient, {(a, b): 1})
 
 

@@ -100,7 +100,7 @@ LEVEL = "run_suite: verification level {past} exceeds the bound {bound} on the v
 ROWS = [
     Row("count_series", MAX_SERIES_DEGREE, ((genus1, "n_via_series"),),
         PIPELINE.format(pipeline="series"), call=lambda n: count_series(_balanced(n))),
-    Row("count_schubert", MAX_SCHUBERT_DEGREE, ((genus1, "_schubert_half"),),
+    Row("count_schubert", MAX_SCHUBERT_DEGREE, ((genus1, "_schubert_pair"),),
         PIPELINE.format(pipeline="schubert"), call=lambda n: count_schubert(_balanced(n))),
     Row("count_laurent", MAX_LAURENT_DEGREE, ((genus1, "_paired_blocks"),),
         PIPELINE.format(pipeline="laurent"), call=lambda n: count_laurent(_balanced(n))),

@@ -7,8 +7,8 @@ weighted counts."""
 import gc
 import itertools
 import math
-import re
 from collections import Counter, defaultdict
+from fractions import Fraction
 
 import pytest
 
@@ -297,6 +297,46 @@ def test_genus3_weighted_quotient_is_not_a_function_of_the_square_sum():
     assert quotients == [7_499_520, 7_620_480]
 
 
+def _top_coefficient(g, d):
+    """-2 (2g-1)! (2g+1)! Catalan(d-g-1) / (d (d-1) ... (d-g+1)), with
+    Catalan(-1) = -1/2 at d = g."""
+    cat = Fraction(-1, 2) if d == g else Fraction(catalan(d - g - 1))
+    falling = math.prod(range(d - g + 1, d + 1))
+    return -2 * math.factorial(2 * g - 1) * math.factorial(2 * g + 1) * cat / falling
+
+
+def _q2(d, w, moving):
+    p2 = sum(m**2 for m in moving)
+    return _top_coefficient(2, d) * (p2 - (w - 3) ** 2 - 4 * d * d + 4 * d - 5)
+
+
+def _q3(d, w, moving):
+    p2, p3 = sum(m**2 for m in moving), sum(m**3 for m in moving)
+    u = w - 6
+    linear = Fraction(18, 5) * d - Fraction(18, 5) * d * d - Fraction(21, 2)
+    return _top_coefficient(3, d) * (
+        p3 + Fraction(3, 2) * u * p2 - Fraction(1, 2) * u**3 + linear * u
+        - 8 * d**3 + Fraction(156, 5) * d * d - Fraction(126, 5) * d - 7
+    )
+
+
+def test_genus2_and_genus3_weighted_counts_have_closed_forms():
+    # weighted(p) = prod(m - 1) * Q_g(d, W; m) / (3g - m)! with W = sum(fixed - 1);
+    # on_shell_problems pads the moving orders to 3g, so the divisor is 1
+    checked = 0
+    for g, closed_form, top in ((2, _q2, 9), (3, _q3, 7)):
+        for d in range(2, top + 1):
+            cap = max(2, 2 * d - g - 1)
+            for p in on_shell_problems(g, d):
+                if max(p.moving) > cap:
+                    continue
+                w = sum(o - 1 for o in p.fixed)
+                want = math.prod(m - 1 for m in p.moving) * closed_form(d, w, p.moving)
+                assert genus_g_weighted(p) == want, p
+                checked += 1
+    assert checked == 4689
+
+
 def _sorted_orders(p):
     return p.g, p.d, tuple(sorted(p.fixed)), tuple(sorted(p.moving))
 
@@ -336,6 +376,35 @@ def test_reflection_invariance_holds_in_two_classes_only():
     p = RamificationProblem(1, 4, (3, 2), (4,))
     assert p.reflected() == RamificationProblem(1, 4, (3, 4), (2,))
     assert (genus_g_count(p), genus_g_count(p.reflected())) == (15, 3)
+
+
+def test_reflection_is_a_problem_exactly_where_the_orders_stay_on_shell():
+    # reflecting sends the imposed dimension to n*d + m*(d - 2) minus itself, so
+    # the image is on shell iff that is twice the moduli, 4d - 2g - 4, and every
+    # image order is at least 2 iff no order exceeds d
+    tops = {0: 9, 1: 9, 2: 9, 3: 7}
+    reflected_at = defaultdict(set)
+    checked = 0
+    for g, top in tops.items():
+        for d in range(2, top + 1):
+            for q in on_shell_problems(g, d):
+                for k in range(q.moving.count(2) + 1):
+                    p = RamificationProblem(g, d, q.fixed, q.moving[: q.m - k])
+                    valid = (p.n * d + p.m * (d - 2) == 4 * d - 2 * g - 4
+                             and max(p.fixed + p.moving, default=0) <= d)
+                    try:
+                        p.reflected()
+                    except DomainError:
+                        assert not valid, p
+                    else:
+                        assert valid, p
+                        reflected_at[g, p.n, p.m].add(d)
+                    checked += 1
+    assert checked == 30618
+    # n + m = 4 and m = g + 2 make the condition hold in every degree
+    every_degree = {cls for cls, degrees in reflected_at.items()
+                    if degrees == set(range(2, tops[cls[0]] + 1))}
+    assert every_degree == {(1, 1, 3), (2, 0, 4)}
 
 
 def test_pad_moving():
@@ -587,14 +656,6 @@ def test_permuted_moving_labels_reuse_the_memo(monkeypatch, fresh_memos):
     assert calls["distributions"] == 0
     reversed_p = RamificationProblem(p.g, p.d, p.fixed, p.moving[::-1])
     assert want[0] == _enumerated(reversed_p, weighted=False)
-
-
-@pytest.mark.parametrize(
-    "memo", [degeneration._triple_multisets, degeneration._tail_class, degeneration._tails_class]
-)
-def test_memo_bound_is_the_documented_one(memo):
-    documented = re.search(r"(\d+) entries hold", memo.__doc__)
-    assert memo.cache_info().maxsize == int(documented.group(1))
 
 
 def test_brill_noether_oracle():

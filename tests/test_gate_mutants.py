@@ -15,7 +15,7 @@ _assemble = degeneration._assemble
 _count_schubert = genus1.count_schubert
 _bottom_gap_value = genus1._bottom_gap_value
 _series_half = qseries._series_half
-_schubert_half = genus1._schubert_half
+_schubert_pair = genus1._schubert_pair
 
 EXAMPLE = RamificationProblem(1, 4, (3, 2), (3, 3, 2))  # weighted count 72
 
@@ -70,11 +70,9 @@ def _series_half_with_the_power_on_both(with_power, a, b, degree):
     return _series_half(True, a, b, degree)
 
 
-def _schubert_half_shifting_one_tau_index(with_correction, a, b, ambient):
-    # tau(c - 1) * tau(d - 3) in place of tau(c - 2) * tau(d - 2)
-    if with_correction:
-        return _schubert_half(with_correction, a, b, ambient)
-    return _schubert_half(with_correction, a + 1, b - 1, ambient)
+def _schubert_pair_shifting_one_tau_index(a, b, ambient):
+    # tau(a - 1) * tau(b - 3) in place of tau(a - 2) * tau(b - 2)
+    return _schubert_pair(a + 1, b - 1, ambient)
 
 
 ROWS = [
@@ -190,8 +188,8 @@ ROWS = [
         id="series-half-power-on-both",
     ),
     pytest.param(
-        genus1, "_schubert_half", _schubert_half_shifting_one_tau_index,
-        lambda: genus1.count_schubert(Genus1Tuple(4, 4, 3, 3)), 96,
+        genus1, "_schubert_pair", _schubert_pair_shifting_one_tau_index,
+        lambda: genus1.count_schubert(Genus1Tuple(4, 4, 3, 3)), 72,
         [
             ("four_method_agreement",
              "anchor (2,2,2,2): {'schubert': 0, 'laurent': 6, 'polynomial': 6, 'series': 6}"),

@@ -27,6 +27,7 @@ from pencils.genus1 import (
     weighted_fixed_first,
     weighted_from_unweighted,
 )
+from pencils.grassmann import SchubertClass, mul, sigma
 from pencils.laurent import LaurentPolynomial, constant_term, p_poly, pairing as laurent_pairing
 
 from oracles import (
@@ -256,6 +257,15 @@ def test_paired_halves_match_the_chain_oracles(fresh_memos):
             assert count_series(t) == count_schubert(t) == value, quad
             tuples += 1
     assert tuples == 3806
+
+
+def test_schubert_correction_is_its_pieri_expansion():
+    # count_schubert writes 8 s(1,1) - 2 s(1,0)^2 as 6 s(1,1) - 2 s(2,0); on
+    # Gr(2, 3), degree 2, s(2,0) leaves the box, as in the engine's product
+    for ambient in range(2, 41):
+        s1 = sigma(1, 0, ambient)
+        want = 8 * sigma(1, 1, ambient) - 2 * mul(s1, s1)
+        assert SchubertClass(ambient, {(1, 1): 6, (2, 0): -2}) == want, ambient
 
 
 def _count_products(monkeypatch):

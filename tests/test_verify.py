@@ -135,9 +135,9 @@ def test_a_failing_check_reports_its_case(prop, namespace, name, mutant, detail,
 def test_four_method_agreement_builds_each_tau_once(fresh_memos):
     verify.four_method_agreement(7)
     info = genus1._tau.cache_info()
-    # 113 distinct halves of 96 tuples, two classes each, from 43 distinct
+    # 109 distinct pairs of 96 tuples, two classes each, from 43 distinct
     # (index, ambient) keys
-    assert (info.misses, info.hits) == (43, 183)
+    assert (info.misses, info.hits) == (43, 2 * 109 - 43) == (43, 175)
 
 
 def test_consolidation_builds_each_sigma1_power_once(fresh_memos):
@@ -154,20 +154,12 @@ def test_consolidation_multiplies_each_tails_class_once(monkeypatch, fresh_memos
     assert len(calls) == 47
 
 
-def test_suite_counts_each_laurent_tuple_once(fresh_memos):
-    verify.run_suite("all", 7)
-    info = genus1.count_laurent.cache_info()
-    # each genus-1 Brill-Noether anchor of degree 3..10 reads the tail factor
-    # (2, 2, 2, 2) again, and the genus-2 anchor of its degree reuses its tail class
-    assert (info.misses, info.hits) == (333, 305)
-
-
 def test_gate_builds_each_block_pair_once(fresh_memos):
     verify.run_suite("all", 9)
     info = genus1._block_pair.cache_info()
-    # 691 count_laurent misses and 371 weighted recursions ask for 2,124
-    # pair products: 108 distinct P pairs and 106 distinct W pairs
-    assert (info.misses, info.hits) == (108 + 106, 2 * (691 + 371) - 214) == (214, 1910)
+    # 1,358 Laurent counts of 691 distinct tuples and 371 weighted recursions
+    # ask for 3,458 pair products: 108 distinct P pairs and 106 distinct W pairs
+    assert (info.misses, info.hits) == (108 + 106, 2 * (1358 + 371) - 214) == (214, 3244)
 
 
 def test_gate_builds_each_half_product_once(fresh_memos):
@@ -176,8 +168,8 @@ def test_gate_builds_each_half_product_once(fresh_memos):
     # halves each; every miss is a distinct (pair, degree) key
     info = qseries._series_half.cache_info()
     assert (info.misses, info.hits) == (168, 2 * 149 - 168) == (168, 130)
-    info = genus1._schubert_half.cache_info()
-    assert (info.misses, info.hits) == (198, 2 * 190 - 198) == (198, 182)
+    info = genus1._schubert_pair.cache_info()
+    assert (info.misses, info.hits) == (193, 2 * 190 - 193) == (193, 187)
 
 
 def test_gate_makes_its_exact_products(monkeypatch, package_memos, fresh_memos):
@@ -195,7 +187,7 @@ def test_gate_makes_its_exact_products(monkeypatch, package_memos, fresh_memos):
         if vars(module).get("mul") is original:
             monkeypatch.setattr(module, "mul", counted)
     assert all(result.passed for result in verify.run_suite("all", 9))
-    assert (len(series), len(schubert)) == (647, 12598)
+    assert (len(series), len(schubert)) == (647, 12615)
 
 
 def test_cached_tau_classes_stay_equal_to_the_oracle(monkeypatch, fresh_memos):
