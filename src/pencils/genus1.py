@@ -121,14 +121,21 @@ MAX_ANSWER_DEGREE = 6000
 _ANSWER_SCOPE = "counts that grow as 4^degree"
 
 
+def _weighted_unit(m: int) -> int:
+    """12 C_(m-2)/m, the paper's weighted count at degree m >= 2 per unit of
+    prod (d_i - 1); an integer, the q^m coefficient of (1-4q)^(3/2).
+
+    Only the weighted counts read it: ``qseries.power_3_2`` must not, or the
+    series pipeline would become the inversion.
+    """
+    return exact_div(12 * catalan(m - 2), m, "weighted unit")
+
+
 def weighted_count(t: Genus1Tuple) -> int:
     """Weighted count of pencils: 12 C_{deg-2}/deg times prod (d_i - 1)."""
     d = t.degree
     require_within("weighted_count", "degree", d, MAX_ANSWER_DEGREE, _ANSWER_SCOPE)
-    num = 12 * catalan(d - 2)
-    for di in t.orders():
-        num *= di - 1
-    return exact_div(num, d, "weighted_count")
+    return _weighted_unit(d) * math.prod(di - 1 for di in t.orders())
 
 
 def weighted_fixed_first(t: Genus1Tuple) -> int:
@@ -311,7 +318,7 @@ def count_series(t: Genus1Tuple) -> int:
     """Coefficient extraction from the generating-function identity."""
     require_within("count_series", "degree", t.degree, MAX_SERIES_DEGREE, "the series pipeline")
     _require_in_domain(t, "count_series")
-    return n_via_series(*t.orders())
+    return n_via_series(t)
 
 
 METHODS = {
@@ -392,7 +399,7 @@ def unweighted_from_weighted(t: Genus1Tuple) -> int:
 
     Inverting W_d gives P_{d-1} = sum_j (-1)^j C(d-1-j, j) W_{d-2j}, so the
     weighted closed form gives N = sum_J [x^J](A_d1 A_d2 A_d3 A_d4) *
-    12 C_{deg-J-2} / (deg-J) with A_d(x) = sum_j (-1)^j C(d-1-j, j) (d-2j-1) x^j,
+    _weighted_unit(deg-J) with A_d(x) = sum_j (-1)^j C(d-1-j, j) (d-2j-1) x^j,
     up to J = deg-2: a tuple shifted below degree 2 counts 0.  Degrees above
     ``MAX_INVERSION_DEGREE`` are refused before any product.
     """
@@ -408,9 +415,7 @@ def unweighted_from_weighted(t: Genus1Tuple) -> int:
             for j, b in enumerate(block[: len(out) - i]):
                 out[i + j] += a * b
         poly = out
-    den = math.lcm(*range(2, d + 1))
-    num = sum(c * 12 * catalan(d - j - 2) * (den // (d - j)) for j, c in enumerate(poly))
-    return exact_div(num, den, "unweighted_from_weighted")
+    return sum(c * _weighted_unit(d - j) for j, c in enumerate(poly))
 
 
 def on_shell_tuples(

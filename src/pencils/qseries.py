@@ -3,17 +3,21 @@
 Hosts the half-integer-power expansions, the two-variable Schur
 polynomials specialized at root sum 1 and root product q, and the
 series-coefficient count pipeline.  Nothing here ever touches floating
-point: half powers are built from the integer-coefficient square-root
-series.
+point: the half powers have integer coefficients, the square root's
+from Catalan numbers and the 3/2 power's from its binomial series.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 from .errors import DomainError
-from .exactmath import as_integer, binomial, catalan
+from .exactmath import as_integer, binomial, catalan, exact_div
+
+if TYPE_CHECKING:
+    from .genus1 import Genus1Tuple
 
 __all__ = [
     "TruncatedSeries",
@@ -65,10 +69,6 @@ class TruncatedSeries:
             )
         return self.coeffs[n]
 
-    @staticmethod
-    def constant(value, order: int) -> "TruncatedSeries":
-        return TruncatedSeries([Fraction(value)], order=order)
-
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         return TruncatedSeries._of([a + b for a, b in zip(self.coeffs, other.coeffs)])
 
@@ -102,19 +102,18 @@ def sqrt_one_minus_4q(order: int) -> TruncatedSeries:
     return TruncatedSeries(coeffs)
 
 
-@lru_cache(maxsize=128)
 def power_3_2(order: int) -> TruncatedSeries:
-    """(1 - 4q)^(3/2) as (1 - 4q) times the square-root series.
+    """(1 - 4q)^(3/2) to the given order, from the binomial series:
+    c_0 = 1 and c_n = c_(n-1) * 2(2n - 5)/n, each step an exact division.
 
-    Keyed by the order alone, so every half ``_series_half`` builds with
-    the power at one degree reads the same series: the release gate
-    (level 9) reads it 86 times, at 12 orders.  The bound covers every
-    order up to ``MAX_SERIES_DEGREE`` = 120.  An entry is 12.1 KB at
-    order 120 (measured with tracemalloc), so 128 entries hold ~1.6 MB;
-    orders 0..120 together take 0.65 MB.
+    Built from the binomial theorem alone, never from the weighted unit
+    12 C_(m-2)/m of ``genus1``, so the gate's check of the weighted
+    generating function compares two derivations.
     """
-    linear = [Fraction(1)] + ([Fraction(-4)] if order >= 1 else [])
-    return TruncatedSeries(linear, order=order) * sqrt_one_minus_4q(order)
+    coeffs = [1]
+    for n in range(1, order + 1):
+        coeffs.append(exact_div(coeffs[-1] * 2 * (2 * n - 5), n, "power_3_2"))
+    return TruncatedSeries(coeffs, order=order)
 
 
 def schur_q(j: int, order: int) -> TruncatedSeries:
@@ -164,7 +163,7 @@ def _convolution(d: int, degree: int) -> TruncatedSeries:
     tracemalloc), so 512 entries hold at most ~5 MB.
     """
     schur = [schur_q(j, degree) for j in range(d - 1)]
-    factor = TruncatedSeries.constant(0, degree)
+    factor = TruncatedSeries((0,), order=degree)
     for j in range(d - 1):
         factor = factor + schur[j] * schur[d - 2 - j]
     return factor
@@ -178,9 +177,9 @@ def _series_half(with_power: bool, a: int, b: int, degree: int) -> TruncatedSeri
 
     F stays the left operand of each product, so its zero coefficients
     are skipped, and a count that meets a known pair at its degree reads
-    the half instead of building it.  Keyed by the power, the two orders
-    and the degree: the release gate (level 9) reads 298 halves, 168
-    distinct.  An entry is 1.5-2.0 KB at the gate's degrees (to 11),
+    the half, and the power in it, instead of building them.  Keyed by the
+    power, the two orders and the degree: the release gate (level 9)
+    reads 298 halves, 168 distinct.  An entry is 1.5-2.0 KB at the gate's degrees (to 11),
     2.6-3.6 KB at degree 30 and 7.5-13 KB at the series bound, degree 120
     (measured with tracemalloc), so 64 entries hold at most ~0.8 MB.
     """
@@ -190,37 +189,28 @@ def _series_half(with_power: bool, a: int, b: int, degree: int) -> TruncatedSeri
     return _convolution(a, degree) * right
 
 
-def n_via_series(d1: int, d2: int, d3: int, d4: int) -> int:
+def n_via_series(t: Genus1Tuple) -> int:
     """Count via coefficient extraction from a q-series product.
 
     Multiplies (1-4q)^(3/2) by, for each order d_i, the convolution
     F_d = sum_{j=0}^{d-2} s_j * s_{d-2-j}, and reads off the coefficient of
-    q^degree.  Orders must be >= 1 and sum to twice an integer degree
-    plus four, with degree >= 2.
+    q^degree.  The tuple has been checked on shell by ``Genus1Tuple``.
 
     F_1 is the empty convolution, so an order 1 gives 0 at once.  Each
     F_d comes from the bounded memo ``_convolution``, keyed by order and
-    degree, and (1-4q)^(3/2) from the memo ``power_3_2``, keyed by the
-    degree.  The product is paired in two halves from the memo
-    ``_series_half``: H = F_d1 * (F_d2 * (1-4q)^(3/2)) and H' = F_d3 * F_d4,
+    degree, and (1-4q)^(3/2) from its closed form ``power_3_2``.  The
+    product is paired in two halves from the memo ``_series_half``:
+    H = F_d1 * (F_d2 * (1-4q)^(3/2)) and H' = F_d3 * F_d4,
     each keyed by its unordered order pair and the degree, and the count
     is sum_j H[degree - j] * H'[j] over the nonzero coefficients of H',
     a polynomial of degree at most (d3 + d4)/2 - 2 in q; both halves are
     truncated at the degree, so H is read from its end.  A cold count
     makes three products, and one that meets both pairs again none.
     """
-    orders = (d1, d2, d3, d4)
-    for di in orders:
-        if di < 1:
-            raise DomainError(f"off-shell: order {di} < 1")
-    total = sum(orders)
-    if total % 2 != 0 or total < 8:
-        raise DomainError(
-            f"off-shell: d1+d2+d3+d4 = {total} must be even and >= 8"
-        )
+    d1, d2, d3, d4 = orders = t.orders()
     if 1 in orders:
         return 0
-    degree = (total - 4) // 2
+    degree = t.degree
     half = _series_half(True, min(d1, d2), max(d1, d2), degree).coeffs
     other = _series_half(False, min(d3, d4), max(d3, d4), degree).coeffs
     value = sum(h * c for h, c in zip(reversed(half), other) if c)

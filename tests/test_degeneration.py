@@ -264,28 +264,6 @@ def test_weighted_counts_divide_by_the_moving_weights():
     assert checked == 2207
 
 
-
-def test_genus2_weighted_quotient_is_linear_in_the_square_sum():
-    # weighted(p) / prod(m - 1) = alpha(d, W) - beta(d) * sum(m^2) over the six
-    # moving orders, W = sum(fixed - 1), beta(d) = 2 * 6! * Catalan(d - 3) / (d(d - 1));
-    # alpha is read off the first problem of each (d, W)
-    betas = {d: 2 * math.factorial(6) * catalan(d - 3) // (d * (d - 1)) for d in range(4, 9)}
-    assert list(betas.values()) == [120, 144, 240, 480, 1080]
-    alphas, squares = {}, defaultdict(set)
-    for d, beta in betas.items():
-        for p in on_shell_problems(2, d):
-            if max(p.moving) > 2 * d - 3:  # outside the weighted domain
-                continue
-            quotient, rest = divmod(genus_g_weighted(p), math.prod(m - 1 for m in p.moving))
-            s2 = sum(m * m for m in p.moving)
-            key = (d, sum(o - 1 for o in p.fixed))
-            alpha = alphas.setdefault(key, quotient + beta * s2)
-            assert (rest, quotient) == (0, alpha - beta * s2), p
-            squares[key].add(s2)
-    assert len(alphas) == 45
-    assert sum(len(found) >= 3 for found in squares.values()) == 30
-
-
 def test_genus3_weighted_quotient_is_not_a_function_of_the_square_sum():
     # the genus-2 law has no genus-3 analogue in sum(m^2) alone: at d = 6 with
     # no fixed point these two share sum(m^2) = 77 and differ in the quotient
@@ -322,8 +300,12 @@ def _q3(d, w, moving):
 
 def test_genus2_and_genus3_weighted_counts_have_closed_forms():
     # weighted(p) = prod(m - 1) * Q_g(d, W; m) / (3g - m)! with W = sum(fixed - 1);
-    # on_shell_problems pads the moving orders to 3g, so the divisor is 1
-    checked = 0
+    # on_shell_problems pads the moving orders to 3g, so the divisor is 1.
+    # Q_2 is an integer, linear in sum(m^2) with slope -beta(d) =
+    # -2 * 6! * Catalan(d - 3) / (d(d - 1)); most (d, W) groups of d = 4..8
+    # hold three or more square sums, so the line is tested, not just fitted
+    assert [-_top_coefficient(2, d) for d in range(4, 9)] == [120, 144, 240, 480, 1080]
+    checked, squares = 0, defaultdict(set)
     for g, closed_form, top in ((2, _q2, 9), (3, _q3, 7)):
         for d in range(2, top + 1):
             cap = max(2, 2 * d - g - 1)
@@ -331,10 +313,16 @@ def test_genus2_and_genus3_weighted_counts_have_closed_forms():
                 if max(p.moving) > cap:
                     continue
                 w = sum(o - 1 for o in p.fixed)
-                want = math.prod(m - 1 for m in p.moving) * closed_form(d, w, p.moving)
-                assert genus_g_weighted(p) == want, p
+                quotient = closed_form(d, w, p.moving)
+                assert genus_g_weighted(p) == math.prod(m - 1 for m in p.moving) * quotient, p
+                if g == 2:
+                    assert quotient.denominator == 1, p
+                    if 4 <= d <= 8:
+                        squares[d, w].add(sum(m * m for m in p.moving))
                 checked += 1
     assert checked == 4689
+    assert len(squares) == 45
+    assert sum(len(found) >= 3 for found in squares.values()) == 30
 
 
 def _sorted_orders(p):

@@ -170,7 +170,8 @@ ROWS = [
     pytest.param(
         # the degree-3 half of (3, 3) is one coefficient short at degree 4
         qseries, "_series_half", _series_half_keyed_without_degree,
-        lambda: [qseries.n_via_series(*quad) for quad in ((3, 3, 2, 2), (3, 3, 3, 3))], [16, 64],
+        lambda: [qseries.n_via_series(Genus1Tuple(*quad)) for quad in ((3, 3, 2, 2), (3, 3, 3, 3))],
+        [16, 64],
         [
             ("four_method_agreement",
              "methods disagree on (3, 3, 3, 3): "
@@ -180,7 +181,7 @@ ROWS = [
     ),
     pytest.param(
         qseries, "_series_half", _series_half_with_the_power_on_both,
-        lambda: qseries.n_via_series(3, 3, 2, 2), -256,
+        lambda: qseries.n_via_series(Genus1Tuple(3, 3, 2, 2)), -256,
         [
             ("four_method_agreement",
              "anchor (2,2,2,2): {'schubert': 6, 'laurent': 6, 'polynomial': 6, 'series': 48}"),

@@ -27,7 +27,6 @@ def test_every_memo_has_its_documented_bound(package_memos):
         "_tail_class",
         "_tails_class",
         "_convolution",
-        "power_3_2",
         "_tau",
         "sigma1_power",
         "_block_pair",

@@ -1,6 +1,7 @@
 """Truncated power series: square roots, Catalan powers, convolution
 identities, and the series route to the genus-1 count."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from pencils.errors import DomainError
 from pencils.exactmath import catalan, syt_count
-from pencils.genus1 import on_shell_tuples
+from pencils.genus1 import Genus1Tuple, _weighted_unit, on_shell_tuples
 from pencils.qseries import (
     TruncatedSeries,
     _convolution,
@@ -97,8 +98,8 @@ def test_power_3_2_is_cube_of_sqrt():
 
 
 def test_schur_polynomials():
-    assert schur_q(-1, 5) == TruncatedSeries.constant(0, 5)
-    assert schur_q(0, 5) == TruncatedSeries.constant(1, 5)
+    assert schur_q(-1, 5) == TruncatedSeries((0,), order=5)
+    assert schur_q(0, 5) == TruncatedSeries((1,), order=5)
     s4 = schur_q(4, 5)
     assert [s4.coefficient(n) for n in range(3)] == [1, -3, 1]
     s5 = schur_q(5, 5)
@@ -159,6 +160,18 @@ def test_weighted_generating_function_coefficients():
         assert lhs.coefficient(d) == Fraction(12 * catalan(d - 2), d)
 
 
+def test_series_factors_equal_the_inversion_factors_built_apart():
+    # F_d is the inclusion-exclusion's A_d, and [q^m](1-4q)^(3/2) is the
+    # weighted unit 12 C_(m-2)/m; neither pipeline may build its factor
+    # from the other's, or the series count becomes the inversion
+    for d in range(2, 31):
+        a_d = [(-1) ** j * math.comb(d - 1 - j, j) * (d - 2 * j - 1) for j in range((d + 1) // 2)]
+        assert _convolution(d, d) == TruncatedSeries(a_d, order=d), d
+    power = power_3_2(60)
+    for m in range(2, 61):
+        assert power.coefficient(m) == _weighted_unit(m), m
+
+
 def test_inverse_square_matches_schur_convolution():
     for n in range(2, 17):
         inv = geometric_inverse(n)
@@ -167,7 +180,7 @@ def test_inverse_square_matches_schur_convolution():
             for qi, ci in inv[i - 1].items():
                 for qj, cj in inv[n - i - 1].items():
                     square[qi + qj] = square.get(qi + qj, 0) + ci * cj
-        conv = TruncatedSeries.constant(0, n)
+        conv = TruncatedSeries((0,), order=n)
         for j in range(n - 1):
             conv = conv + schur_q(j, n) * schur_q(n - 2 - j, n)
         assert conv == _convolution(n, n), n
@@ -178,10 +191,9 @@ def test_inverse_square_matches_schur_convolution():
 
 
 def test_n_via_series_anchors():
-    assert n_via_series(2, 2, 2, 2) == 6
-    assert n_via_series(3, 3, 2, 2) == 16
-    assert n_via_series(4, 4, 4, 2) == 96
-    assert n_via_series(4, 4, 3, 3) == 208
+    for quad, want in (((2, 2, 2, 2), 6), ((3, 3, 2, 2), 16), ((4, 4, 4, 2), 96),
+                       ((4, 4, 3, 3), 208)):
+        assert n_via_series(Genus1Tuple(*quad)) == want, quad
 
 
 def test_n_via_series_matches_constant_term_oracle():
@@ -193,16 +205,7 @@ def test_n_via_series_matches_constant_term_oracle():
                     d4 = total - d1 - d2 - d3
                     if 1 <= d4 <= d3:
                         quad = (d1, d2, d3, d4)
-                        assert n_via_series(*quad) == genus1_constant_term(quad), quad
-
-
-def test_n_via_series_validation():
-    with pytest.raises(DomainError):
-        n_via_series(3, 2, 2, 2)  # odd index sum
-    with pytest.raises(DomainError):
-        n_via_series(2, 2, 1, 1)  # degree below 2
-    with pytest.raises(DomainError):
-        n_via_series(0, 4, 2, 2)
+                        assert n_via_series(Genus1Tuple(*quad)) == genus1_constant_term(quad), quad
 
 
 def test_n_via_series_matches_the_full_product_oracle(fresh_memos):
@@ -212,13 +215,13 @@ def test_n_via_series_matches_the_full_product_oracle(fresh_memos):
     tuples = zeros = 0
     for deg in range(14, 1, -1):
         for quad in on_shell_tuples(deg):
-            assert n_via_series(*quad) == series_count(quad), quad
+            assert n_via_series(Genus1Tuple(*quad)) == series_count(quad), quad
             tuples += 1
             zeros += 1 in quad
     assert (tuples, zeros) == (441, 83)
     for deg in range(2, 9):
         for quad in on_shell_tuples(deg, ordered=True):
-            assert n_via_series(*quad) == series_count(quad), quad
+            assert n_via_series(Genus1Tuple(*quad)) == series_count(quad), quad
 
 
 def test_product_commutes_across_sparsity_and_orders():
@@ -256,20 +259,20 @@ def _count_series_products(monkeypatch):
         ((9, 7, 3, 1), 0),
         ((1, 5, 5, 5), 0),
         # from a cold memo: (d-1) Schur products per distinct order d, then
-        # one product inside power_3_2, two for the half with the power and
+        # two for the half with the power (a closed form, no product) and
         # one for the other half; the halves are paired
-        ((8, 8, 5, 3), (7 + 4 + 2) + 1 + 3),
-        ((6, 6, 6, 6), 5 + 1 + 3),
-        ((7, 5, 4, 2), (6 + 4 + 3 + 1) + 1 + 3),
+        ((8, 8, 5, 3), (7 + 4 + 2) + 3),
+        ((6, 6, 6, 6), 5 + 3),
+        ((7, 5, 4, 2), (6 + 4 + 3 + 1) + 3),
     ],
 )
 def test_series_product_counts(quad, products, monkeypatch, fresh_memos):
     calls = _count_series_products(monkeypatch)
-    assert n_via_series(*quad) == genus1_constant_term(quad)
+    assert n_via_series(Genus1Tuple(*quad)) == genus1_constant_term(quad)
     assert len(calls) == products
     # repeated, the count reads both halves from the memo
     calls.clear()
-    assert n_via_series(*quad) == genus1_constant_term(quad)
+    assert n_via_series(Genus1Tuple(*quad)) == genus1_constant_term(quad)
     assert calls == []
 
 
@@ -279,10 +282,3 @@ def test_convolution_memo_counts_the_gate_keys(fresh_memos):
     # 36 distinct (order, degree) keys among the 188 factors that its 94
     # distinct halves read
     assert (info.misses, info.hits) == (36, 152)
-
-
-def test_power_3_2_memo_counts_the_gate_degrees(fresh_memos):
-    four_method_agreement(7)
-    info = power_3_2.cache_info()
-    # one series per degree 2..9 among the 47 distinct halves with the power
-    assert (info.misses, info.hits) == (8, 39)
