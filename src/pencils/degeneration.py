@@ -39,7 +39,7 @@ from .genus1 import (
     count_laurent,
     weighted_fixed_first,
 )
-from .grassmann import SchubertClass, integrate, mul, pairing, sigma, sigma1_power, unit
+from .grassmann import SchubertClass, integrate, mul, pairing, pieri_mul, sigma1_power, unit
 
 __all__ = [
     "RamificationProblem",
@@ -61,7 +61,7 @@ MAX_GENUS = 4
 _GENUS_SCOPE = "the (3*genus)!/6^genus enumeration"
 # Per genus, the degree above which a count is refused, and the slowest shape
 # found at it in-process on a shared 2-core Intel Xeon host.  Genus 0 (unweighted;
-# the weighted class is closed-form): 2.8-2.9 s with fixed orders (2,)*(2d-2).
+# the weighted class is closed-form): 1.6-1.9 s with fixed orders (2,)*(2d-2).
 # Genus 1: 2.9-3.1 s, fixed (d,) and three moving orders near d/3 (about deg^3).
 # Genus 2: 2.0-2.5 s, fixed (75,), moving (81, 78, 74, 70, 67, 64); 7 s at 300.
 # Genus 3: 1.6-2.9 s, nine evenly spaced moving orders.  Genus 4: 4.2-4.9 s,
@@ -297,7 +297,7 @@ def _assemble(p: RamificationProblem, weighted: bool) -> int:
     else:
         fixed_part = unit(ambient)
         for o in p.fixed:
-            fixed_part = mul(fixed_part, sigma(o - 1, 0, ambient))
+            fixed_part = pieri_mul(fixed_part, o - 1)
     if p.g == 0:  # no tails: the spine's integral alone
         return integrate(fixed_part)
     if fixed_part.is_zero():

@@ -1,11 +1,20 @@
-"""Shared fixtures: the package's memos, found by walking its modules."""
+"""Shared fixtures: the package's memos, found by walking its modules, and
+one way to wrap a callable where the package binds it.
+
+Hypothesis draws the same examples on every run, keeps no example
+database and sets no deadline, so a slow host cannot fail a property on
+time alone; a test's own ``max_examples`` still holds."""
 
 import importlib
 import pkgutil
 
 import pytest
+from hypothesis import settings
 
 import pencils
+
+settings.register_profile("exact", derandomize=True, database=None, deadline=None)
+settings.load_profile("exact")
 
 
 @pytest.fixture(scope="session")
@@ -37,3 +46,47 @@ def fresh_memos(package_memos):
     yield
     for memo in memos:
         memo.cache_clear()
+
+
+class Bindings:
+    """Replace a callable where the package binds it, undone with the test.
+
+    ``owner`` is a dict (the entry ``name``), a class (the attribute every
+    instance reads) or a module (its binding of ``name``; with
+    ``everywhere``, also every package module that binds the same object
+    under that name, so no caller keeps the original)."""
+
+    def __init__(self, monkeypatch, modules):
+        self._monkeypatch = monkeypatch
+        self._modules = modules
+
+    def replace(self, owner, name, new, everywhere=False):
+        """Put ``new`` in place of ``name``; return the original."""
+        if isinstance(owner, dict):
+            original = owner[name]
+            self._monkeypatch.setitem(owner, name, new)
+            return original
+        original = getattr(owner, name)
+        owners = {owner}
+        if everywhere:
+            owners.update(module for module in self._modules if vars(module).get(name) is original)
+        for each in owners:
+            self._monkeypatch.setattr(each, name, new)
+        return original
+
+    def record(self, owner, name, everywhere=False) -> list:
+        """Wrap ``name`` so each call appends its argument tuple to the
+        returned list, then runs the original."""
+        calls = []
+
+        def recording(*args):
+            calls.append(args)
+            return original(*args)
+
+        original = self.replace(owner, name, recording, everywhere)
+        return calls
+
+
+@pytest.fixture
+def bindings(monkeypatch, package_memos):
+    return Bindings(monkeypatch, list(package_memos))

@@ -5,8 +5,6 @@ per criterion; each test also prints an explicit PASS line (visible with
 ``-s`` or in captured output) summarising the sweep it completed.
 """
 
-import itertools
-
 from pencils.cli import main
 from pencils.degeneration import (
     RamificationProblem,

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import pencils
-from pencils import cli, genus1, verify
+from pencils import cli, verify
 from pencils.cli import argv_from_query, build_parser, main
 from pencils.errors import CrossCheckError, IntegralityError
 from pencils.genus1 import (
@@ -17,7 +17,6 @@ from pencils.genus1 import (
     MAX_SERIES_DEGREE,
     Genus1Tuple,
     count_laurent,
-    on_shell_tuples,
     weighted_count,
 )
 from pencils.exactmath import catalan
@@ -202,30 +201,6 @@ def test_ordered_table_rows_match_their_labeled_counts(capsys):
         assert code == 0
         for row in json.loads(out)["rows"]:
             assert int(row["count"]) == count_laurent(Genus1Tuple(*row["ram"])), row
-
-
-def test_ordered_table_counts_each_multiset_once(monkeypatch, capsys, fresh_memos):
-    calls = []
-
-    def counted(t):
-        calls.append(t)
-        return count_laurent(t)
-
-    monkeypatch.setattr(cli, "count_laurent", counted)
-    code, out, _ = run(["table", "--degree", "12", "--ordered"], capsys)
-    assert code == 0
-    assert len(out.splitlines()) == 1 + len(on_shell_tuples(12, ordered=True))
-    assert len(calls) == len(on_shell_tuples(12)) == len(set(calls))
-
-
-def test_table_builds_each_block_pair_once(capsys, fresh_memos):
-    code, _, _ = run(["table", "--degree", "30"], capsys)
-    assert code == 0
-    rows = on_shell_tuples(30)
-    pairs = {tuple(sorted(pair)) for q in rows for pair in (q[:2], q[2:])}
-    info = genus1._block_pair.cache_info()
-    # 865 counts pair 1,730 products, of 318 unordered order pairs
-    assert (info.misses, info.hits) == (len(pairs), 2 * len(rows) - len(pairs)) == (318, 1412)
 
 
 def test_verify_cli(capsys):

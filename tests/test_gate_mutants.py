@@ -200,26 +200,13 @@ ROWS = [
 ]
 
 
-def _patch(monkeypatch, package_memos, target, name, mutant):
-    if isinstance(target, dict):
-        monkeypatch.setitem(target, name, mutant)
-        return
-    if isinstance(target, type):  # a method: every instance reads it from the class
-        monkeypatch.setattr(target, name, mutant)
-        return
-    # every package namespace that binds the name, so no caller keeps the original
-    original = getattr(target, name)
-    for namespace in package_memos:
-        if vars(namespace).get(name) is original:
-            monkeypatch.setattr(namespace, name, mutant)
-
-
 @pytest.mark.parametrize("target, name, mutant, witness, wrong, failures", ROWS)
 def test_gate_fails_exactly_the_properties_a_mutant_breaks(
-    target, name, mutant, witness, wrong, failures, monkeypatch, package_memos, fresh_memos
+    target, name, mutant, witness, wrong, failures, bindings, fresh_memos
 ):
     _halves_by_pair.clear()
-    _patch(monkeypatch, package_memos, target, name, mutant)
+    # in every package namespace that binds the name, so no caller keeps the original
+    bindings.replace(target, name, mutant, everywhere=True)
     assert witness() == wrong  # the mutant changes a count
     failed = [(r.name, r.detail) for r in verify.run_suite("all", 9) if not r.passed]
     assert failed == [(prop, f"CrossCheckError: {text}") for prop, text in failures]
