@@ -1,20 +1,17 @@
 """Shared fixtures: the package's memos, found by walking its modules, and
 one way to wrap a callable where the package binds it.
 
-Hypothesis draws the same examples on every run, keeps no example
-database and sets no deadline, so a slow host cannot fail a property on
-time alone; a test's own ``max_examples`` still holds."""
+The suite needs only the standard library and pytest.  A quantified
+property runs as an exhaustive sweep of its domain or, where that is too
+large, as a loop over ``random.Random`` with a literal seed, so a run
+depends on the commit alone and writes no cache."""
 
 import importlib
 import pkgutil
 
 import pytest
-from hypothesis import settings
 
 import pencils
-
-settings.register_profile("exact", derandomize=True, database=None, deadline=None)
-settings.load_profile("exact")
 
 
 @pytest.fixture(scope="session")

@@ -1,9 +1,11 @@
 """The public surface: one import path per name, and no import or
-definition that nothing in the package uses."""
+definition that nothing in the package uses; and a test suite that
+imports nothing but the standard library, pytest and the package."""
 
 import ast
 import importlib
 import pkgutil
+import sys
 from pathlib import Path
 
 import pencils
@@ -89,6 +91,25 @@ def test_every_function_and_class_is_referenced():
                 continue
             local = any(node.name in _read(stmt) for stmt in tree.body if stmt is not node)
             assert local or node.name in imported, (module, node.name)
+
+
+def test_tests_import_only_the_stdlib_pytest_and_the_package():
+    # a further test dependency could draw or cache what the commit does not
+    # fix, as hypothesis did
+    root = Path(__file__).resolve().parents[1]
+    folders = [root / "tests", root / "perfbench" / "tests"]
+    local = {path.stem for folder in folders + [root / "perfbench"] for path in folder.glob("*.py")}
+    allowed = set(sys.stdlib_module_names) | {"pytest", "pencils"} | local
+    for path in sorted(path for folder in folders for path in folder.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.partition(".")[0] in allowed, (path.name, name)
 
 
 def test_only_errors_writes_a_bound_refusal():

@@ -24,7 +24,7 @@ from pencils.degeneration import (
     on_shell_problems,
 )
 from pencils.errors import DomainError
-from pencils.exactmath import catalan, syt_count
+from pencils.exactmath import binomial, catalan, exact_div, syt_count
 from pencils.genus1 import (
     Genus1Tuple,
     count_laurent,
@@ -32,7 +32,7 @@ from pencils.genus1 import (
     weighted_count,
     weighted_fixed_first,
 )
-from pencils.grassmann import integrate, mul, sigma, sigma1_power, unit
+from pencils.grassmann import SchubertClass, integrate, mul, pairing, sigma, sigma1_power, unit
 
 from oracles import genus0_integral, ordered_distributions, problems_with_fixed
 
@@ -263,6 +263,42 @@ def test_weighted_counts_divide_by_the_moving_weights():
                 assert genus_g_weighted(p) % math.prod(m - 1 for m in p.moving) == 0, p
                 checked += 1
     assert checked == 2207
+
+
+def test_weighted_tail_class_is_a_function_of_the_triple_sum():
+    # the weighted tail class of a sorted triple T at degree d is
+    # prod(t - 1) * K, where K has codimension n = sum(T) - 5, is the same
+    # for every triple of that sum, is the degree-40 class cut to the box of
+    # Gr(2, d + 1), and has the paper's genus-1 formula 12 W Cat(d-2)/d,
+    # W = 2d - 2 - n, as its sigma1-moment
+    triples = [t for t in itertools.combinations_with_replacement(range(2, 23), 3)
+               if sum(t) <= 26]
+    assert len(triples) == 358
+    classes = {}
+    for d in (40, 25, 12):
+        for t in triples:
+            cls = degeneration._tail_class(weighted_fixed_first, t, d)
+            weight = math.prod(x - 1 for x in t)
+            k = SchubertClass(d + 1, {
+                key: exact_div(c, weight, "weighted tail class") for key, c in cls.terms.items()
+            })
+            n = sum(t) - 5
+            assert classes.setdefault((n, d), k) == k, (t, d)
+            assert k == SchubertClass(d + 1, classes[n, 40].terms), (t, d)
+    assert len(classes) == 63
+    for (n, d), k in classes.items():
+        w = 2 * d - 2 - n
+        assert w >= 0 and all(a + b == n for a, b in k.terms), (n, d)
+        assert pairing(sigma1_power(w, d + 1), k) == Fraction(12 * w * catalan(d - 2), d), (n, d)
+    rows = (  # c_b(n), the coefficient of s(n - b, b), for the shapes 2b <= n
+        lambda n: 2 * (n + 2),
+        lambda n: 4 * binomial(n - 1, 2),
+        lambda n: 6 * binomial(n - 2, 3),
+        lambda n: 8 * binomial(n - 3, 4) + 4 * binomial(n - 4, 3),
+    )
+    for n in range(1, 11):
+        for b, row in enumerate(rows[: n // 2 + 1]):
+            assert classes[n, 40].coefficient(n - b, b) == row(n), (n, b)
 
 
 def test_genus3_weighted_quotient_is_not_a_function_of_the_square_sum():

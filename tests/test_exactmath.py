@@ -4,7 +4,6 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from pencils.errors import DomainError, IntegralityError
 from pencils.exactmath import (
@@ -41,10 +40,10 @@ def test_binomial_negative_upper_index():
         binomial(-2, 1)
 
 
-@given(st.integers(min_value=1, max_value=40), st.integers(min_value=-5, max_value=45))
-@settings(max_examples=300)
-def test_binomial_pascal_identity(n, k):
-    assert binomial(n, k) == binomial(n - 1, k - 1) + binomial(n - 1, k)
+def test_binomial_pascal_identity():
+    for n in range(1, 41):
+        for k in range(-5, 46):
+            assert binomial(n, k) == binomial(n - 1, k - 1) + binomial(n - 1, k), (n, k)
 
 
 def test_catalan_known_values():
@@ -85,12 +84,12 @@ def test_syt_square_shape_is_catalan():
         assert syt_count(a, a) == catalan(a)
 
 
-@given(st.integers(min_value=0, max_value=30), st.integers(min_value=0, max_value=30))
-@settings(max_examples=300)
-def test_syt_ballot_recurrence(a, b):
-    # removing a corner box: valid two-row shapes only
-    if a >= b >= 0 and a + b >= 1:
-        assert syt_count(a, b) == syt_count(a - 1, b) + syt_count(a, b - 1)
+def test_syt_ballot_recurrence():
+    # removing a corner box: every valid two-row shape in the 31 x 31 square
+    for a in range(31):
+        for b in range(31):
+            if a >= b >= 0 and a + b >= 1:
+                assert syt_count(a, b) == syt_count(a - 1, b) + syt_count(a, b - 1), (a, b)
 
 
 def test_exact_div():
