@@ -9,6 +9,7 @@ from Catalan numbers and the 3/2 power's from its binomial series.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING
@@ -129,25 +130,32 @@ def schur_q(j: int, order: int) -> TruncatedSeries:
     return TruncatedSeries(coeffs or [0], order=order)
 
 
+def _truncated_product(left: list[int], right: list[int]) -> list[int]:
+    """The product of two integer coefficient lists, q^0 first, truncated
+    to the shorter one."""
+    t = min(len(left), len(right))
+    return [sum(map(operator.mul, left[: n + 1], right[n::-1])) for n in range(t)]
+
+
 def catalan_power_series(t: int, order: int) -> TruncatedSeries:
     """t-th power of the Catalan generating function (1 - sqrt(1-4q))/(2q).
 
-    Powered by squaring, reading the bits of t from the top: one square
-    per bit after the leading one and one product by the base per set
-    bit, so f_t takes at most 2*floor(log2(t)) products.
+    The base is (1 - 4q)^(1/2) shifted down one power and divided by -2,
+    all integers.  Powered by squaring on integer coefficient lists,
+    reading the bits of t from the top: one square per bit after the
+    leading one and one product by the base per set bit, so f_t takes at
+    most 2*floor(log2(t)) products, and is wrapped as a series once.
     """
     if t < 1:
         raise DomainError(f"catalan_power_series: power must be >= 1, got {t}")
-    s = sqrt_one_minus_4q(order + 1)
-    base = TruncatedSeries(
-        [-s.coefficient(n + 1) / 2 for n in range(order + 1)]
-    )
+    s = sqrt_one_minus_4q(order + 1).coeffs
+    base = [exact_div(-c, 2, "catalan_power_series") for c in s[1:]]
     out = base
     for bit in bin(t)[3:]:
-        out = out * out
+        out = _truncated_product(out, out)
         if bit == "1":
-            out = out * base
-    return out
+            out = _truncated_product(out, base)
+    return TruncatedSeries(out)
 
 
 @lru_cache(maxsize=512)

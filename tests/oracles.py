@@ -13,6 +13,9 @@ accumulating chains their pipelines once were, Catalan powers by
 sequential convolution,
 and the closed form's two branches as transcribed monomial tables, one
 power per factor.
+The gate's Schubert sweeps as they first were, one ``mul`` chain per
+quadruple or partition, are the one exception: they are the package's
+own products, kept as the path its prefix walks replaced.
 Slow is fine; these only run at test scale.
 """
 
@@ -22,6 +25,9 @@ import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
+
+from pencils.exactmath import bounded_partitions
+from pencils.grassmann import integrate, mul, sigma, sigma1_power, unit
 
 
 @lru_cache(maxsize=None)
@@ -495,6 +501,30 @@ def schubert_chain_count(orders) -> int:
     for d in orders[:3]:
         acc = schubert_product(acc, tau_class(d - 2, n), n)
     return schubert_product(acc, tau_class(orders[3] - 2, n), n).get((n - 2, n - 2), 0)
+
+
+def quadruple_chain(start, total: int):
+    """Each quadruple of ``bounded_partitions(total, 4, total)`` with the
+    integral of ``start`` times s(n1, 0)...s(n4, 0), the product built from
+    ``start`` by four ``mul`` calls."""
+    special = [sigma(n, 0, start.ambient) for n in range(total + 1)]
+    for quad in bounded_partitions(total, 4, total):
+        cls = start
+        for n in quad:
+            cls = mul(cls, special[n])
+        yield quad, integrate(cls)
+
+
+def sigma1_chain(ambient: int, w: int):
+    """Each partition of w, in ``bounded_partitions`` order, with the product
+    of sigma1 to each part on Gr(2, ambient), built from the unit by one
+    ``mul`` call per part."""
+    for padded in bounded_partitions(w, w, w):
+        parts = tuple(part for part in padded if part)
+        cls = unit(ambient)
+        for part in parts:
+            cls = mul(cls, sigma1_power(part, ambient))
+        yield parts, cls
 
 
 def catalan_power(t: int, order: int) -> list[int]:

@@ -9,6 +9,7 @@ from pencils.degeneration import RamificationProblem
 from pencils.genus1 import Genus1Tuple
 from pencils.grassmann import SchubertClass
 
+_pieri_mul = grassmann.pieri_mul
 _sigma1_power = grassmann.sigma1_power
 _weighted_fixed_first = genus1.weighted_fixed_first
 _assemble = degeneration._assemble
@@ -18,6 +19,18 @@ _series_half = qseries._series_half
 _schubert_pair = genus1._schubert_pair
 
 EXAMPLE = RamificationProblem(1, 4, (3, 2), (3, 3, 2))  # weighted count 72
+
+
+def _pieri_mul_doubled_from_k_3(c, k):
+    return _pieri_mul(c, k) * (2 if k >= 3 else 1)
+
+
+def _mul_forgetting_the_s11_shift(c1, c2):
+    # s(c, e) read as s(c - e, 0): the factor s(1,1)^e is dropped
+    out = grassmann.zero(c1.ambient)
+    for (c, e), q in c2.terms.items():
+        out = out + q * _pieri_mul(c1, c - e)
+    return out
 
 
 def _sigma1_power_scaled_by_two_to_the_k(k, ambient):
@@ -76,6 +89,38 @@ def _schubert_pair_shifting_one_tau_index(a, b, ambient):
 
 
 ROWS = [
+    pytest.param(
+        # the sigma1 sweeps step by s(1, 0) only; the quadruple sweeps' walks catch it
+        grassmann, "pieri_mul", _pieri_mul_doubled_from_k_3,
+        lambda: genus1.count_schubert(Genus1Tuple(5, 4, 3, 2)), 80,
+        [
+            ("fourfold_closed_form_matches_engine", "fourfold (3, 3, 0, 0) on Gr(2,5)"),
+            ("special_quadratic_integral_matches_engine",
+             "quadratic correction (3, 1, 0, 0) on Gr(2,5)"),
+            ("four_method_agreement",
+             "methods disagree on (5, 4, 3, 2): "
+             "{'schubert': 80, 'laurent': 72, 'polynomial': 72, 'series': 72}"),
+            ("genus1_reduction", "tail assembly vs direct count on (4, 3, 3, 2) (pivot 0)"),
+            ("total_ramification_family", "padded one-moving-point problem at d=4: (30, 60, 2)"),
+            ("hyperelliptic_sextuple", "two total points on the line, degree 4"),
+        ],
+        id="pieri_mul",
+    ),
+    pytest.param(
+        # the quadruple sweeps take Pieri steps, and s(1,0)^2 has no s(1,1) factor;
+        # the consolidation sweep's sigma1 products catch it
+        grassmann, "mul", _mul_forgetting_the_s11_shift,
+        lambda: genus1.count_schubert(Genus1Tuple(5, 4, 3, 2)), 0,
+        [
+            ("basis_duality", "pairing (0,0)x(1,1) on Gr(2,3)"),
+            ("four_method_agreement",
+             "methods disagree on (3, 3, 2, 2): "
+             "{'schubert': -8, 'laurent': 16, 'polynomial': 16, 'series': 16}"),
+            ("weighted_consolidation_invariance",
+             "sigma1 powers of fixed (3,) multiply wrongly on Gr(2,4)"),
+        ],
+        id="mul",
+    ),
     pytest.param(
         # the consolidation sweep reads the same wrong class on both sides
         grassmann, "sigma1_power", _sigma1_power_scaled_by_two_to_the_k,

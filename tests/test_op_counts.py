@@ -40,6 +40,7 @@ def _traffic(memo):
 def _gate(bindings):
     tau = genus1._tau
     series = bindings.record(TruncatedSeries, "__mul__")
+    squares = bindings.record(qseries, "_truncated_product")
     schubert = bindings.record(grassmann, "mul", everywhere=True)
     read = bindings.record(genus1, "_tau")
     assert all(result.passed for result in verify.run_suite("all", 9))
@@ -51,12 +52,21 @@ def _gate(bindings):
     assert tau.cache_info().misses == misses
     return {
         "TruncatedSeries products": len(series),
+        "integer coefficient products": len(squares),
         "grassmann.mul calls, every namespace": len(schubert),
         "_tau classes (read, cached)": (len(keys), cached),
         "_block_pair (misses, hits)": _traffic(genus1._block_pair),
         "_series_half (misses, hits)": _traffic(qseries._series_half),
         "_schubert_pair (misses, hits)": _traffic(genus1._schubert_pair),
     }
+
+
+def _quadruple_sweeps(bindings):
+    steps = bindings.record(verify, "pieri_mul")
+    assert verify.fourfold_closed_form_matches_engine(9) == "697 quadruples on Gr(2,N), N <= 14"
+    assert verify.special_quadratic_integral_matches_engine(9) == (
+        "528 quadruples against the 6/4/2/-2/0 table, N <= 14")
+    return {"verify.pieri_mul calls": len(steps)}
 
 
 def _four_methods(bindings):
@@ -72,6 +82,12 @@ def _consolidation(bindings):
     return {"verify.genus_g_weighted calls": len(counts),
             "sigma1_power (misses, hits)": _traffic(grassmann.sigma1_power),
             "degeneration.mul calls": len(tails)}
+
+
+def _consolidation_sigma1(bindings):
+    products = bindings.record(verify, "mul")
+    assert verify.weighted_consolidation_invariance(9) == "1493 problems with g <= 2, d <= 7"
+    return {"verify.mul calls": len(products)}
 
 
 def _basis_duality(bindings):
@@ -160,11 +176,21 @@ SERIES = "TruncatedSeries products (cold, repeat)"
 # sweep read one run of it, and together pin every count it returns
 TABLE = {
     "gate-products": (_gate, {
-        "TruncatedSeries products": (635, "842 before the halves were paired, 647 before "
-                                          "(1-4q)^(3/2) had a closed form"),
-        "grassmann.mul calls, every namespace": (11_949, "12,992 before the halves were paired, "
-                                                 "12,615 before Pieri fixed classes"),
+        "TruncatedSeries products": (617, "635 before the Catalan powers were squared in "
+                                          "integers, 842 before the halves were paired, 647 "
+                                          "before (1-4q)^(3/2) had a closed form"),
+        "grassmann.mul calls, every namespace": (6_750, "11,949 before the quadruple sweeps took "
+                                                 "Pieri steps (-4,900) and the sigma1 products "
+                                                 "walked a prefix tree (-299), 12,992 before the "
+                                                 "halves were paired, 12,615 before Pieri fixed "
+                                                 "classes"),
     }),
+    "gate-catalan-squarings": (_gate, {"integer coefficient products": (
+        18, "f_1..f_8: one square per bit of t after the leading one, one product per set bit")}),
+    "gate-quadruple-pieri-steps": (_quadruple_sweeps, {"verify.pieri_mul calls": (
+        3_426, "one per prefix of the 1,225 quadruples; 4,900 mul calls before")}),
+    "gate-consolidation-sigma1-products": (_consolidation_sigma1, {"verify.mul calls": (
+        1_042, "one per prefix of the partitions of each weight; 1,341 before")}),
     "gate-tau-classes": (_gate, {"_tau classes (read, cached)": (
         (64, 64), "386 reads of 64 keys, all still cached")}),
     "gate-block-pairs": (_gate, {"_block_pair (misses, hits)": ((214, 3244), (
@@ -180,7 +206,8 @@ TABLE = {
     "consolidation-merged-problems": (_consolidation, {"verify.genus_g_weighted calls": (
         259, "192 problems and 67 merged problems")}),
     "consolidation-sigma1-powers": (_consolidation, {"sigma1_power (misses, hits)": (
-        (16, 496), "each (exponent, ambient) built once")}),
+        (16, 474), "each (exponent, ambient) built once; (16, 496) before the sigma1 products "
+                   "walked a prefix tree, 162 products in place of 184")}),
     "consolidation-tails": (_consolidation, {"degeneration.mul calls": (
         47, "tail products only, g - 1 per multiset")}),
     "basis-duality": (_basis_duality, {"verify.sigma calls": (84, "N(N-1)/2 on Gr(2, N), N <= 8")}),

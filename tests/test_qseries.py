@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from pencils import qseries
 from pencils.errors import DomainError
 from pencils.exactmath import catalan, syt_count
 from pencils.genus1 import Genus1Tuple, _weighted_unit, on_shell_tuples
@@ -144,11 +145,14 @@ def test_catalan_power_series_matches_the_convolution_oracle():
 
 
 def test_catalan_power_series_squares(bindings):
-    # one square per bit of t after the leading one, one product per set bit
-    calls = bindings.record(TruncatedSeries, "__mul__")
+    # one square per bit of t after the leading one, one product per set bit,
+    # all on integer coefficient lists
+    calls = bindings.record(qseries, "_truncated_product")
+    series = bindings.record(TruncatedSeries, "__mul__")
     for t in range(1, 9):
         catalan_power_series(t, 19)
     assert len(calls) == 0 + 1 + 2 + 2 + 3 + 3 + 4 + 3 == 18
+    assert series == []
 
 
 def test_catalan_power_series_multiplicative():

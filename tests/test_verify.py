@@ -7,7 +7,35 @@ from pencils import degeneration, genus1, grassmann, verify
 from pencils.degeneration import RamificationProblem
 from pencils.errors import CrossCheckError
 from pencils.genus1 import count_series
-from pencils.grassmann import SchubertClass
+from pencils.grassmann import SchubertClass, mul, sigma, unit
+
+from oracles import quadruple_chain, sigma1_chain
+
+
+# ------------------------------------------- prefix walks against chains
+
+
+def test_quadruple_walk_matches_the_mul_chain():
+    # every ambient of the level-9 gate's two quadruple sweeps, and level 13's last
+    for ambient in (*range(2, 15), 18):
+        s1 = sigma(1, 0, ambient)
+        starts = [(unit(ambient), 2 * ambient - 4)]
+        if ambient >= 3:
+            starts.append((8 * sigma(1, 1, ambient) - 2 * mul(s1, s1), 2 * ambient - 6))
+        for start, total in starts:
+            got = list(verify._quadruple_integrals(start, total))
+            assert got == list(quadruple_chain(start, total)), (ambient, total)
+
+
+def test_sigma1_walk_matches_the_per_partition_chain():
+    # every degree of the level-9 consolidation sweep, and level 13's last
+    for d in (*range(2, 8), 11):
+        for w in range(1, 2 * d - 2):
+            got = list(verify._sigma1_products(unit(d + 1), w, w))
+            assert got == list(sigma1_chain(d + 1, w)), (d, w)
+
+
+# ------------------------------------------------ mutants of the facts
 
 
 def _sigma1_power_missing_its_first_term(k, ambient):
