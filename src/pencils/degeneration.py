@@ -171,10 +171,11 @@ def distributions(labels, g: int) -> list[Distribution]:
     The tails are attached at distinct points, so component order is
     significant: there are (3g)!/6^g assignments (by position; repeated
     label values are enumerated with multiplicity).  Genus 4 already
-    gives 369,600 of them, so the genus is bounded by MAX_GENUS.
+    gives 369,600 of them, so the genus is bounded by MAX_GENUS.  The
+    labels are sorted first, so any order of them gives the same list.
     """
     require_within("distributions", "genus", g, MAX_GENUS, _GENUS_SCOPE)
-    labels = tuple(labels)
+    labels = tuple(sorted(labels))
     if len(labels) != 3 * g:
         raise DomainError(
             f"distributions: need 3*genus = {3 * g} labels, got {len(labels)}"
@@ -209,12 +210,12 @@ def _triple_multisets(labels: tuple[int, ...], g: int):
     """The ordered distributions of ``labels`` folded into multisets of
     sorted triples, as (multiset, multiplicity) pairs.
 
-    Permuting the labels permutes the distributions, so callers key this
-    by the sorted labels; ``distributions`` takes positions in increasing
-    order, so each triple of sorted labels comes sorted and only the
-    multiset itself is sorted.  Genus 1 never reads it, so the bound
-    covers the 47-50 distinct label tuples of a genusg-mix pass and the 90
-    of the verify gate.  An entry of genus 2 holds at most 10 multisets
+    ``distributions`` sorts the labels and takes positions in increasing
+    order, so each triple comes sorted and only the multiset itself is
+    sorted; callers pass sorted labels so that permutations share an
+    entry.  Genus 1 never reads it, so the bound covers the 47-50
+    distinct label tuples of a genusg-mix pass and the 90 of the verify
+    gate.  An entry of genus 2 holds at most 10 multisets
     and one of genus 3 at most 280 (~74 KB), so 128 entries hold ~9.4 MB;
     a genus-4 entry with 12 distinct labels holds 15,400 (~4.6 MB,
     measured with tracemalloc), which puts the worst case at ~590 MB.

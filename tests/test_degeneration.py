@@ -8,6 +8,7 @@ import functools
 import gc
 import itertools
 import math
+import random
 from collections import Counter, defaultdict
 from fractions import Fraction
 
@@ -135,12 +136,13 @@ def test_on_shell_problems():
 def test_classical_counts():
     # Eisenbud-Harris: vanishing (0, o) at one general point with
     # o - 1 = 2d - g - 2 gives g! o / (k! (k + o)!) with k = g - d + 1
-    for g, d, o, want in ((1, 2, 2, 1), (2, 3, 3, 1), (3, 3, 2, 2), (3, 4, 4, 1)):
+    for g, d, o, want in ((1, 2, 2, 1), (2, 3, 3, 1), (3, 3, 2, 2), (3, 4, 4, 1),
+                          (4, 4, 3, 3), (4, 5, 5, 1)):
         k = g - d + 1
         assert math.factorial(g) * o // (math.factorial(k) * math.factorial(k + o)) == want
         assert count_with_padding(RamificationProblem(g, d, (o,)))[0] == want, (g, d, o)
     # Weierstrass points: one moving point of order g in degree g, g^3 - g of them
-    for g in (2, 3):
+    for g in (2, 3, 4):
         assert count_with_padding(RamificationProblem(g, g, (), (g,)))[0] == g**3 - g
 
 
@@ -169,6 +171,22 @@ def test_distributions_match_the_generator_oracle():
     assert len(checked) == 151
     # genus 4 only by length: (3g)!/6^g
     assert len(distributions(tuple(range(2, 14)), 4)) == math.factorial(12) // 6**4 == 369_600
+
+
+def test_distributions_sort_their_labels():
+    # any order of the labels, or a list, gives the sorted labels' list, so
+    # the fold's keys are sorted triples in a sorted multiset
+    labels = (2, 4, 2, 3, 2, 2, 3, 2, 4)
+    want = distributions(tuple(sorted(labels)), 3)
+    assert want == ordered_distributions(tuple(sorted(labels)), 3)
+    folded = degeneration._triple_multisets.__wrapped__(tuple(sorted(labels)), 3)
+    rng = random.Random(33)
+    for _ in range(5):
+        shuffled = list(labels)
+        rng.shuffle(shuffled)
+        assert distributions(shuffled, 3) == want, shuffled
+        assert degeneration._triple_multisets.__wrapped__(tuple(shuffled), 3) == folded, shuffled
+    assert distributions([7, 3, 5, 2, 4, 6], 2) == distributions((2, 3, 4, 5, 6, 7), 2)
 
 
 def test_enumeration_leaves_no_reference_cycle():
