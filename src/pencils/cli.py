@@ -10,13 +10,15 @@ without big-integer support survive.
 Exit codes: 0 on success, 1 on a domain/validation error (the message
 names the violated hypothesis), 2 on an internal cross-check failure —
 method disagreement or a failed verification property is never reported
-as success.
+as success.  A reader that closes stdout early (``| head``) gets exit 1
+and nothing on stderr, as with SIGPIPE.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import asdict
@@ -270,7 +272,13 @@ def main(argv=None) -> int:
         query = {k: v for k, v in vars(args).items() if k != "format"}
         record = {"query": query, **body}
         record["elapsed_ms"] = int(1000 * (time.perf_counter() - start))
-        print(json.dumps(record, indent=2) if args.format == "json" else "\n".join(lines))
+        try:
+            print(json.dumps(record, indent=2) if args.format == "json" else "\n".join(lines))
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # Python's SIGPIPE recipe: the flush at exit must not raise again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 1
         if code == 2:
             print("error: cross-check failed, see output", file=sys.stderr)
         return code

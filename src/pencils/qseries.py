@@ -5,11 +5,12 @@ polynomials specialized at root sum 1 and root product q, and the
 series-coefficient count pipeline.  Nothing here ever touches floating
 point: the half powers have integer coefficients, the square root's
 from Catalan numbers and the 3/2 power's from its binomial series.
+Every product runs one loop, ``_truncated_product``, shared by the
+series' ``Fraction`` coefficients and the Catalan powers' integer lists.
 """
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING
@@ -74,16 +75,7 @@ class TruncatedSeries:
         return TruncatedSeries._of([a + b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        left, right = self.coeffs, other.coeffs
-        t = min(len(left), len(right))
-        out = [Fraction(0)] * t
-        for i in range(t):
-            a = left[i]
-            if a == 0:
-                continue
-            for j in range(t - i):
-                out[i + j] += a * right[j]
-        return TruncatedSeries._of(out)
+        return TruncatedSeries._of(_truncated_product(self.coeffs, other.coeffs))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TruncatedSeries):
@@ -98,9 +90,7 @@ def sqrt_one_minus_4q(order: int) -> TruncatedSeries:
     """(1 - 4q)^(1/2) to the given order: 1, then -2*catalan(n-1) at q^n."""
     if order < 0:
         raise DomainError(f"truncation order must be >= 0, got {order}")
-    coeffs = [Fraction(1)]
-    coeffs += [Fraction(-2 * catalan(n - 1)) for n in range(1, order + 1)]
-    return TruncatedSeries(coeffs)
+    return TruncatedSeries([1] + [-2 * catalan(n - 1) for n in range(1, order + 1)])
 
 
 def power_3_2(order: int) -> TruncatedSeries:
@@ -130,27 +120,36 @@ def schur_q(j: int, order: int) -> TruncatedSeries:
     return TruncatedSeries(coeffs or [0], order=order)
 
 
-def _truncated_product(left: list[int], right: list[int]) -> list[int]:
-    """The product of two integer coefficient lists, q^0 first, truncated
-    to the shorter one."""
+def _truncated_product(left, right) -> list:
+    """The product of two nonempty coefficient lists, q^0 first, truncated
+    to the shorter one.  Zero coefficients of ``left`` are skipped, so the
+    sparser operand goes on the left; the zeros the result starts from
+    are ``left[0] * 0``, so int lists give ints and Fractions Fractions."""
     t = min(len(left), len(right))
-    return [sum(map(operator.mul, left[: n + 1], right[n::-1])) for n in range(t)]
+    out = [left[0] * 0] * t
+    for i in range(t):
+        a = left[i]
+        if a == 0:
+            continue
+        for j in range(t - i):
+            out[i + j] += a * right[j]
+    return out
 
 
 def catalan_power_series(t: int, order: int) -> TruncatedSeries:
     """t-th power of the Catalan generating function (1 - sqrt(1-4q))/(2q).
 
-    The base is (1 - 4q)^(1/2) shifted down one power and divided by -2,
-    all integers.  Powered by squaring on integer coefficient lists,
-    reading the bits of t from the top: one square per bit after the
-    leading one and one product by the base per set bit, so f_t takes at
-    most 2*floor(log2(t)) products, and is wrapped as a series once.
+    The base is the Catalan numbers themselves, read from ``catalan``.
+    Powered by squaring on integer coefficient lists, reading the bits of
+    t from the top: one square per bit after the leading one and one
+    product by the base per set bit, so f_t takes at most
+    2*floor(log2(t)) products, and is wrapped as a series once.
     """
     if t < 1:
         raise DomainError(f"catalan_power_series: power must be >= 1, got {t}")
-    s = sqrt_one_minus_4q(order + 1).coeffs
-    base = [exact_div(-c, 2, "catalan_power_series") for c in s[1:]]
-    out = base
+    if order < 0:
+        raise DomainError(f"truncation order must be >= 0, got {order}")
+    out = base = [catalan(m) for m in range(order + 1)]
     for bit in bin(t)[3:]:
         out = _truncated_product(out, out)
         if bit == "1":

@@ -249,6 +249,9 @@ def series_coefficient_identities(level: int) -> str:
     lhs = TruncatedSeries((-1, 6), order=level + 4) + power_3_2(
         level + 4
     )
+    for m in (0, 1):
+        if lhs.coefficient(m):
+            raise CrossCheckError(f"weighted generating function coefficient {m}")
     for m in range(2, level + 5):
         if m * lhs.coefficient(m) != 12 * catalan(m - 2):
             raise CrossCheckError(f"weighted generating function coefficient {m}")

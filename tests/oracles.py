@@ -10,9 +10,9 @@ distributions into triples from a chain of generators, Schur polynomials
 and the unweighted count from their recursions, the q-series count with
 every factor multiplied in, the series and Schubert counts as the
 accumulating chains their pipelines once were, Catalan powers by
-sequential convolution,
-and the closed form's two branches as transcribed monomial tables, one
-power per factor.
+sequential convolution, truncated products as one antidiagonal sum per
+coefficient, and the closed form's two branches as transcribed monomial
+tables, one power per factor.
 The gate's Schubert sweeps as they first were, one ``mul`` chain per
 quadruple or partition, are the one exception: they are the package's
 own products, kept as the path its prefix walks replaced.
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 
@@ -538,6 +539,14 @@ def catalan_power(t: int, order: int) -> list[int]:
     for _ in range(t):
         out = [sum(out[i] * base[n - i] for i in range(n + 1)) for n in range(order + 1)]
     return out
+
+
+def truncated_product(left, right) -> list:
+    """The product of two coefficient lists, q^0 first, truncated to the
+    shorter one: each coefficient one sum over its antidiagonal, zeros and
+    all, as ``qseries._truncated_product`` was before it skipped them."""
+    t = min(len(left), len(right))
+    return [sum(map(operator.mul, left[: n + 1], right[n::-1])) for n in range(t)]
 
 
 def evaluate_terms(table, orders) -> Fraction:

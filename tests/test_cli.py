@@ -507,3 +507,18 @@ def test_import_pencils_leaves_verify_unloaded():
         [sys.executable, "-c", code, src], capture_output=True, text=True, timeout=60
     )
     assert (proc.returncode, proc.stdout.strip()) == (0, "True"), proc.stderr
+
+
+def test_a_closed_stdout_exits_one_without_a_traceback():
+    # the ordered degree-30 table is ~270 KB, more than a pipe buffer holds,
+    # so the CLI is still writing when the reader closes its end
+    src = str(Path(pencils.__file__).resolve().parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "pencils", "table", "--degree", "30", "--ordered"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.stdout.readline() == "d1 d2 d3 d4 count\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (1, "")

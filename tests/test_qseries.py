@@ -1,9 +1,11 @@
 """Truncated power series: square roots, Catalan powers, convolution
 identities, and the series route to the genus-1 count."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -28,6 +30,7 @@ from oracles import (
     geometric_inverse,
     schur_table,
     series_count,
+    truncated_product,
 )
 
 
@@ -74,6 +77,36 @@ def test_arithmetic_results_are_canonical():
             assert all(type(c) is Fraction for c in s.coeffs), (a, b, s)
             assert s == TruncatedSeries(s.coeffs), (a, b, s)
         assert (a * b).order == (a + b).order == min(m, n), (a, b)
+
+
+def _coefficients(rng, kind, length, zeros):
+    """``length`` coefficients of type ``kind``, the first ``zeros`` zero;
+    the rest drawn by ``_coefficient``, truncated for ``int``."""
+    return [kind(0)] * zeros + [kind(_coefficient(rng)) for _ in range(length - zeros)]
+
+
+def test_truncated_product_matches_the_antidiagonal_oracle():
+    # the oracle is the product the zero-skipping loop replaced; every pair
+    # of lengths 1..6, left operands with each count of leading zeros up to
+    # all zero, and int or Fraction coefficients, whose type the product keeps
+    rng = random.Random(34)
+    for kind in (int, Fraction):
+        for m, n in itertools.product(range(1, 7), repeat=2):
+            for zeros in range(m + 1):
+                left = _coefficients(rng, kind, m, zeros)
+                right = _coefficients(rng, kind, n, rng.randint(0, n))
+                got = qseries._truncated_product(left, right)
+                assert got == truncated_product(left, right), (left, right)
+                assert all(type(c) is kind for c in got), (left, right, got)
+
+
+def test_negative_orders_are_refused_before_any_product(bindings):
+    calls = bindings.record(qseries, "_truncated_product")
+    for build in (sqrt_one_minus_4q, power_3_2, partial(schur_q, 3),
+                  partial(catalan_power_series, 3)):
+        with pytest.raises(DomainError, match="^truncation order must be >= 0, got -1$"):
+            build(-1)
+    assert calls == []
 
 
 def test_sqrt_series_coefficients():
@@ -164,6 +197,7 @@ def test_catalan_power_series_multiplicative():
 def test_weighted_generating_function_coefficients():
     # (6q - 1) + (1-4q)^{3/2} generates the weighted-count prefactors
     lhs = TruncatedSeries((-1, 6), order=10) + power_3_2(10)
+    assert lhs.coefficient(0) == lhs.coefficient(1) == 0
     for d in range(2, 11):
         assert lhs.coefficient(d) == Fraction(12 * catalan(d - 2), d)
 
