@@ -2,6 +2,8 @@
 the package, shows that it changes a count, and names every property that
 must fail in the level-9 suite, with its exact text."""
 
+from fractions import Fraction
+
 import pytest
 
 from pencils import degeneration, genus1, grassmann, qseries, verify
@@ -17,6 +19,8 @@ _count_schubert = genus1.count_schubert
 _bottom_gap_value = genus1._bottom_gap_value
 _series_half = qseries._series_half
 _schubert_pair = genus1._schubert_pair
+_truncated_product = qseries._truncated_product
+_sqrt_one_minus_4q = qseries.sqrt_one_minus_4q
 
 EXAMPLE = RamificationProblem(1, 4, (3, 2), (3, 3, 2))  # weighted count 72
 
@@ -86,6 +90,22 @@ def _series_half_with_the_power_on_both(with_power, a, b, degree):
 def _schubert_pair_shifting_one_tau_index(a, b, ambient):
     # tau(a - 1) * tau(b - 3) in place of tau(a - 2) * tau(b - 2)
     return _schubert_pair(a + 1, b - 1, ambient)
+
+
+def _truncated_product_one_high_at_the_end_on_ints(left, right):
+    # the series pipeline's Fraction products stay right
+    out = _truncated_product(left, right)
+    if isinstance(left[0], int):
+        out[-1] += 1
+    return out
+
+
+def _sqrt_one_minus_4q_half_off_at_q3(order):
+    # int() would truncate -9/2 back to the right -4: only an integrality check sees it
+    coeffs = list(_sqrt_one_minus_4q(order).coeffs)
+    if order >= 3:
+        coeffs[3] -= Fraction(1, 2)
+    return qseries.TruncatedSeries(coeffs)
 
 
 ROWS = [
@@ -241,6 +261,20 @@ ROWS = [
              "anchor (2,2,2,2): {'schubert': 0, 'laurent': 6, 'polynomial': 6, 'series': 6}"),
         ],
         id="schubert-half-wrong-tau",
+    ),
+    pytest.param(
+        # only the Catalan powers and the gate's identities multiply int lists
+        qseries, "_truncated_product", _truncated_product_one_high_at_the_end_on_ints,
+        lambda: list(qseries.catalan_power_series(2, 3).coeffs), [1, 2, 5, 15],
+        [("series_coefficient_identities", "f_2 coefficient 19")],
+        id="truncated-product-on-ints",
+    ),
+    pytest.param(
+        # no count reads the square root; the gate reads it as integers
+        qseries, "sqrt_one_minus_4q", _sqrt_one_minus_4q_half_off_at_q3,
+        lambda: qseries.sqrt_one_minus_4q(3).coefficient(3), Fraction(-9, 2),
+        [("series_coefficient_identities", "sqrt(1-4q) coefficient 3 is not an integer: -9/2")],
+        id="sqrt-one-minus-4q-fractional",
     ),
 ]
 

@@ -3,7 +3,7 @@ must catch, and the text each failure reports."""
 
 import pytest
 
-from pencils import degeneration, genus1, grassmann, verify
+from pencils import degeneration, genus1, grassmann, qseries, verify
 from pencils.degeneration import RamificationProblem
 from pencils.errors import CrossCheckError
 from pencils.genus1 import count_series
@@ -90,6 +90,12 @@ def _pieri_missing_its_last_term(c, k):
     return SchubertClass(c.ambient, out)
 
 
+def _product_one_high_at_the_end(left, right):
+    out = qseries._truncated_product(left, right)
+    out[-1] += 1
+    return out
+
+
 @pytest.mark.parametrize(
     "prop, namespace, name, mutant, detail",
     [
@@ -116,8 +122,16 @@ def _pieri_missing_its_last_term(c, k):
             _pieri_missing_its_last_term,
             "sigma1^1 on Gr(2,3) at (1,0): 0 != 1",
         ),
+        (
+            # the gate's own integer products, with the Catalan powers left right
+            verify.series_coefficient_identities,
+            vars(verify),
+            "_truncated_product",
+            _product_one_high_at_the_end,
+            "f_1 * f_1 != f_2",
+        ),
     ],
-    ids=["methods", "closed-form", "pieri"],
+    ids=["methods", "closed-form", "pieri", "identity-products"],
 )
 def test_a_failing_check_reports_its_case(prop, namespace, name, mutant, detail, monkeypatch,
                                           fresh_memos):
