@@ -87,10 +87,11 @@ class RamificationProblem:
     moving: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        g, d = self.g, self.d
-        fixed, moving = tuple(self.fixed), tuple(self.moving)
-        object.__setattr__(self, "fixed", fixed)
-        object.__setattr__(self, "moving", moving)
+        g, d, fixed, moving = self.g, self.d, self.fixed, self.moving
+        if type(fixed) is not tuple or type(moving) is not tuple:  # lists, say
+            fixed, moving = tuple(fixed), tuple(moving)
+            object.__setattr__(self, "fixed", fixed)
+            object.__setattr__(self, "moving", moving)
         if g < 0:
             raise DomainError(f"genus must be >= 0, got {g}")
         if d < 2:

@@ -63,14 +63,30 @@ def bounded_partitions(total: int, length: int, max_part: int):
     """Non-increasing ``length``-tuples of ints in 0..max_part summing to total.
 
     Yields them in descending lexicographic order, nothing when there
-    are none (a negative total or max_part included).
+    are none (a negative total or max_part included).  One loop: each
+    step shrinks the rightmost part whose tail can still take the surplus
+    under it, by one, and refills that tail greedily.
     """
     if length == 0:
         if total == 0:
             yield ()
         return
-    for first in range(min(total, max_part), -1, -1):
-        if first * length < total:
-            break
-        for rest in bounded_partitions(total - first, length - 1, first):
-            yield (first,) + rest
+    if not (length > 0 and 0 <= total <= length * max_part):
+        return
+    parts = [0] * length
+    start, rest, cap = 0, total, max_part
+    while True:
+        for i in range(start, length):
+            parts[i] = part = min(rest, cap)
+            rest -= part
+        yield tuple(parts)
+        rest = parts[-1]
+        for i in range(length - 2, -1, -1):
+            cap = parts[i] - 1
+            if rest < (length - 1 - i) * cap:
+                break
+            rest += parts[i]
+        else:
+            return
+        parts[i] = cap
+        start, rest = i + 1, rest + 1

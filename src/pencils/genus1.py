@@ -67,10 +67,11 @@ class Genus1Tuple:
     d4: int
 
     def __post_init__(self) -> None:
-        for di in self.orders():
+        d1, d2, d3, d4 = self.d1, self.d2, self.d3, self.d4
+        for di in (d1, d2, d3, d4):
             if di < 1:
                 raise DomainError(f"order {di} < 1")
-        total = sum(self.orders())
+        total = d1 + d2 + d3 + d4
         if total % 2 != 0:
             raise DomainError(f"off-shell: d1+d2+d3+d4 = {total} must be even")
         if total < 8:
@@ -83,7 +84,7 @@ class Genus1Tuple:
 
     @property
     def degree(self) -> int:
-        return (sum(self.orders()) - 4) // 2
+        return (self.d1 + self.d2 + self.d3 + self.d4 - 4) // 2
 
     def sorted_desc(self) -> tuple[int, int, int, int]:
         a, b, c, d = sorted(self.orders(), reverse=True)
@@ -121,12 +122,18 @@ MAX_ANSWER_DEGREE = 6000
 _ANSWER_SCOPE = "counts that grow as 4^degree"
 
 
+@lru_cache(maxsize=2048)
 def _weighted_unit(m: int) -> int:
     """12 C_(m-2)/m, the paper's weighted count at degree m >= 2 per unit of
     prod (d_i - 1); an integer, the q^m coefficient of (1-4q)^(3/2).
 
     Only the weighted counts read it: ``qseries.power_3_2`` must not, or the
-    series pipeline would become the inversion.
+    series pipeline would become the inversion.  Memoized as a series
+    coefficient, keyed by m: the release gate (level 9) reads 3,033 units,
+    9 distinct, and one inversion at its bound, degree 2000, reads the 1,999
+    units m = 2..2000, which the bound covers.  An entry is 88-120 bytes at
+    the gate, 0.6 KB at m = 2000 and 1.7 KB at the answer bound, m = 6000
+    (measured with tracemalloc), so 2048 entries hold at most ~3.5 MB.
     """
     return exact_div(12 * catalan(m - 2), m, "weighted unit")
 
@@ -394,6 +401,22 @@ def weighted_from_unweighted(t: Genus1Tuple) -> int:
     return _paired_blocks(_weighted_block, t)
 
 
+@lru_cache(maxsize=32)
+def _inversion_block(di: int) -> tuple[int, ...]:
+    """A_d = ((-1)^j C(d-1-j, j) (d-2j-1))_j for j < (d+1)/2, the inversion's
+    coefficients of the order d.
+
+    Keyed by the order, so the inversion reads each order's block once
+    built: the release gate (level 9) reads 1,484 blocks, 19 distinct, and
+    the verify suite at its bound (level 13) 27 distinct orders, which the
+    bound covers.  An entry is 0.1-0.4 KB at the gate's orders, 0.17 MB at
+    order 2000 and 0.61 MB at order 4001, the largest the inversion bound
+    admits (measured with tracemalloc), so 32 entries hold at most ~20 MB.
+    """
+    return tuple((-1) ** j * math.comb(di - 1 - j, j) * (di - 2 * j - 1)
+                 for j in range((di + 1) // 2))
+
+
 def unweighted_from_weighted(t: Genus1Tuple) -> int:
     """Invert the weight recursion by inclusion-exclusion, in closed form.
 
@@ -408,8 +431,7 @@ def unweighted_from_weighted(t: Genus1Tuple) -> int:
     d = t.degree
     poly = [1]
     for di in t.orders():
-        block = [(-1) ** j * math.comb(di - 1 - j, j) * (di - 2 * j - 1)
-                 for j in range((di + 1) // 2)]
+        block = _inversion_block(di)
         out = [0] * min(d - 1, len(poly) + len(block) - 1)
         for i, a in enumerate(poly):
             for j, b in enumerate(block[: len(out) - i]):

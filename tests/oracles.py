@@ -11,8 +11,9 @@ and the unweighted count from their recursions, the q-series count with
 every factor multiplied in, the series and Schubert counts as the
 accumulating chains their pipelines once were, Catalan powers by
 sequential convolution, truncated products as one antidiagonal sum per
-coefficient, and the closed form's two branches as transcribed monomial
-tables, one power per factor.
+coefficient, the closed form's two branches as transcribed monomial
+tables, one power per factor, and bounded partitions by the recursion,
+one generator level per part, that the enumerator's loop replaced.
 The gate's Schubert sweeps as they first were, one ``mul`` chain per
 quadruple or partition, are the one exception: they are the package's
 own products, kept as the path its prefix walks replaced.
@@ -502,6 +503,20 @@ def schubert_chain_count(orders) -> int:
     for d in orders[:3]:
         acc = schubert_product(acc, tau_class(d - 2, n), n)
     return schubert_product(acc, tau_class(orders[3] - 2, n), n).get((n - 2, n - 2), 0)
+
+
+def recursive_bounded_partitions(total: int, length: int, max_part: int):
+    """``exactmath.bounded_partitions`` as it first was: the first part
+    from the largest down, then the rest by recursion under it."""
+    if length == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(min(total, max_part), -1, -1):
+        if first * length < total:
+            break
+        for rest in recursive_bounded_partitions(total - first, length - 1, first):
+            yield (first,) + rest
 
 
 def quadruple_chain(start, total: int):

@@ -47,6 +47,8 @@ def test_problem_validation():
         ((0, 1, (1,), (2,)), "degree must be >= 2, got 1"),
         ((0, 3, (1, 3), (2,)), "order 1 < 2 imposes no condition"),
         ((1, 3, (2,), (1, 2)), "order 1 < 2 imposes no condition"),
+        ((1, 3, (2, 1), (0, 2)), "order 1 < 2 imposes no condition"),  # fixed before moving
+        ((1, 3, (3, 1, 0), (2,)), "order 1 < 2 imposes no condition"),
         ((1, 2, (), (2,) * 4), "4 moving conditions exceed 3*genus = 3"),
         ((1, 2, (), (2, 2, 2)), "unstable: need 2*genus - 2 + #fixed > 0, got 0"),
         ((1, 3, (2, 2), (2, 2)),
@@ -66,6 +68,11 @@ def test_problem_properties():
     p = RamificationProblem(1, 3, (2, 2), (2, 2, 3))
     assert (p.n, p.m) == (2, 3)
     assert p.fixed == (2, 2) and p.moving == (2, 2, 3)
+    # lists in either field become tuples: the same problem, with the same hash
+    for fixed, moving in (([2, 2], [2, 2, 3]), ([2, 2], (2, 2, 3)), ((2, 2), [2, 2, 3])):
+        listed = RamificationProblem(1, 3, fixed, moving)
+        assert (listed.fixed, listed.moving) == ((2, 2), (2, 2, 3)), (fixed, moving)
+        assert listed == p and hash(listed) == hash(p), (fixed, moving)
 
 
 def _genus0(d, fixed):

@@ -15,7 +15,7 @@ from pencils.exactmath import (
     syt_count,
 )
 
-from oracles import pascal_triangle, syt_brute
+from oracles import pascal_triangle, recursive_bounded_partitions, syt_brute
 
 PASCAL = pascal_triangle(40)
 
@@ -120,3 +120,17 @@ def test_bounded_partitions_match_brute_force():
                 assert list(bounded_partitions(total, length, max_part)) == want, (
                     total, length, max_part,
                 )
+    # a negative length has no tuples; the recursion never reached its base case
+    for total in range(-1, 3):
+        assert list(bounded_partitions(total, -1, 2)) == [], total
+
+
+def test_bounded_partitions_match_the_recursion():
+    # the gate's length = total shapes up to 11 parts, and every empty or
+    # negative case, against the recursion the loop replaced
+    for total in range(-2, 25):
+        for length in range(0, 13):
+            for max_part in range(-2, 26):
+                assert list(bounded_partitions(total, length, max_part)) == list(
+                    recursive_bounded_partitions(total, length, max_part)
+                ), (total, length, max_part)

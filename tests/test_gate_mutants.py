@@ -21,6 +21,8 @@ _series_half = qseries._series_half
 _schubert_pair = genus1._schubert_pair
 _truncated_product = qseries._truncated_product
 _sqrt_one_minus_4q = qseries.sqrt_one_minus_4q
+_weighted_unit = genus1._weighted_unit
+_inversion_block = genus1._inversion_block
 
 EXAMPLE = RamificationProblem(1, 4, (3, 2), (3, 3, 2))  # weighted count 72
 
@@ -106,6 +108,16 @@ def _sqrt_one_minus_4q_half_off_at_q3(order):
     if order >= 3:
         coeffs[3] -= Fraction(1, 2)
     return qseries.TruncatedSeries(coeffs)
+
+
+def _weighted_unit_one_high_at_degree_5(m):
+    return _weighted_unit(m) + (m == 5)
+
+
+def _inversion_block_one_high_at_order_6(di):
+    # the coefficient of x^1 in A_6, -C(4, 1) * 3 = -12, read as -11
+    block = _inversion_block(di)
+    return (block[0], block[1] + 1, *block[2:]) if di == 6 else block
 
 
 ROWS = [
@@ -275,6 +287,24 @@ ROWS = [
         lambda: qseries.sqrt_one_minus_4q(3).coefficient(3), Fraction(-9, 2),
         [("series_coefficient_identities", "sqrt(1-4q) coefficient 3 is not an integer: -9/2")],
         id="sqrt-one-minus-4q-fractional",
+    ),
+    pytest.param(
+        # a memoized unit is still compared with the assembly and the tails
+        genus1, "_weighted_unit", _weighted_unit_one_high_at_degree_5,
+        lambda: genus1.weighted_count(Genus1Tuple(5, 3, 3, 3)), 13 * 4 * 2 * 2 * 2,
+        [
+            ("weighted_recursion_consistency", "weight assembly vs closed form on (4, 4, 3, 3)"),
+            ("genus1_reduction",
+             "weighted tail assembly vs closed form on (4, 4, 3, 3) (pivot 0)"),
+        ],
+        id="weighted-unit",
+    ),
+    pytest.param(
+        # a memoized block is still compared with the constant term
+        genus1, "_inversion_block", _inversion_block_one_high_at_order_6,
+        lambda: genus1.unweighted_from_weighted(Genus1Tuple(6, 3, 3, 2)), 24,  # 0 by the others
+        [("weighted_recursion_consistency", "inversion vs constant term on (6, 2, 2, 2)")],
+        id="inversion-block",
     ),
 ]
 

@@ -68,12 +68,19 @@ def rep_tuples(degree, min_order=1, max_order=None):
 
 
 def test_tuple_validation():
-    with pytest.raises(DomainError):
-        Genus1Tuple(0, 3, 3, 2)
-    with pytest.raises(DomainError):
-        Genus1Tuple(3, 2, 2, 2)  # odd sum
-    with pytest.raises(DomainError):
-        Genus1Tuple(2, 2, 1, 1)  # degree below 2
+    # the orders are checked first, in label order, then the sum
+    cases = [
+        ((0, 3, 3, 2), "order 0 < 1"),
+        ((3, 0, -1, 2), "order 0 < 1"),  # the first bad order, not the least
+        ((5, 1, -2, 0), "order -2 < 1"),
+        ((3, 2, 2, 2), "off-shell: d1+d2+d3+d4 = 9 must be even"),
+        ((1, 1, 1, 1), "off-shell: d1+d2+d3+d4 = 4 < 8 leaves degree < 2"),
+        ((2, 2, 1, 1), "off-shell: d1+d2+d3+d4 = 6 < 8 leaves degree < 2"),
+    ]
+    for args, text in cases:
+        with pytest.raises(DomainError) as err:
+            Genus1Tuple(*args)
+        assert str(err.value) == text, args
     t = Genus1Tuple(5, 4, 3, 2)
     assert t.degree == 5
     assert t.sorted_desc() == (5, 4, 3, 2)

@@ -1,5 +1,6 @@
 """Every memo in the package is bounded, by the number its docstring states,
-and holds a class, a series or a Laurent product, never a count."""
+and holds a class, a series, a Laurent product, a series coefficient or a
+polynomial's coefficients, never a count."""
 
 import re
 from pathlib import Path
@@ -32,6 +33,8 @@ def test_every_memo_has_its_documented_bound(package_memos):
         "_block_pair",
         "_series_half",
         "_schubert_pair",
+        "_weighted_unit",
+        "_inversion_block",
     }
 
 

@@ -89,6 +89,8 @@ def _gate(bindings):
         "_block_pair (misses, hits)": _traffic(genus1._block_pair),
         "_series_half (misses, hits)": _traffic(qseries._series_half),
         "_schubert_pair (misses, hits)": _traffic(genus1._schubert_pair),
+        "_weighted_unit (misses, hits)": _traffic(genus1._weighted_unit),
+        "_inversion_block (misses, hits)": _traffic(genus1._inversion_block),
     }
 
 
@@ -235,6 +237,12 @@ TABLE = {
     "gate-half-products": (_gate, {
         "_series_half (misses, hits)": ((168, 130), "149 series counts, two halves each"),
         "_schubert_pair (misses, hits)": ((193, 187), "190 Schubert counts, two halves each"),
+    }),
+    "gate-weighted-tables": (_gate, {
+        "_weighted_unit (misses, hits)": ((9, 3024), (
+            "371 weighted counts and the inversions' 2,662 units read degrees 2..10")),
+        "_inversion_block (misses, hits)": ((19, 1465), (
+            "371 inversions read four blocks each, orders 1..19")),
     }),
     "four-methods-tau": (_four_methods, {"_tau (misses, hits)": (
         (43, 175), "two classes for each of 109 pairs, 43 keys")}),
