@@ -55,8 +55,10 @@ __all__ = [
 
 Distribution = tuple[tuple[int, int, int], ...]
 
-# genus 4 lists 369,600 distributions (the trigonal count takes 1.4-2.1 s and
-# ~93 MB on the host below); genus 5 would list 168,168,000
+# genus 4 lists 369,600 distributions: the trigonal count (4, 3, (), (2,)*12)
+# takes 1.2-1.5 s in a fresh interpreter on the host below, with a peak RSS
+# (ru_maxrss) of ~94 MB, 78.5 MB of it the Python heap's tracemalloc peak
+# (tracing itself lifts ru_maxrss to ~216 MB); genus 5 would list 168,168,000
 MAX_GENUS = 4
 _GENUS_SCOPE = "the (3*genus)!/6^genus enumeration"
 # Per genus, the degree above which a count is refused, and the slowest shape

@@ -185,10 +185,13 @@ def _tau(k: int, ambient: int) -> SchubertClass:
     ambient, so repeated orders and the pairs ``_schubert_pair`` builds
     read each class once built; callers only read it.  The release gate
     (level 9) reads 386 classes, 64 distinct: the bound covers those and
-    the 118 of the verify suite at its bound (level 13).
-    An entry is 0.6-0.7 KB on the sweeps' Gr(2, N), N <= 16, and 67 KB
-    at the Schubert bound, degree 800 (measured with tracemalloc), so
-    128 entries hold ~0.1 MB there and at most ~8.6 MB.
+    the 118 of the verify suite at its bound (level 13).  A genus1-all
+    pass reads 342 distinct keys and misses 484 times (seed 1), or 349
+    and 528 (seed 2); a bound that held them all would cost that
+    workload resident memory.  An entry is 0.6-0.7 KB on the sweeps'
+    Gr(2, N), N <= 16, and 67 KB at the Schubert bound, degree 800
+    (measured with tracemalloc), so 128 entries hold ~0.1 MB there and
+    at most ~8.6 MB.
     """
     return sum(
         (pieri_mul(sigma(a, 0, ambient), k - a) for a in range(k + 1)), zero(ambient)

@@ -204,7 +204,7 @@ def sigma1_power(k: int, ambient: int) -> SchubertClass:
     Brill-Noether anchors of hyperelliptic_sextuple read (2d-g-2, d+1) for
     g <= 2 and d <= level + 3, five keys past that property's range.  The
     37 keys the consolidation sweep reads again and again (101 at level
-    13) fit, so the gate misses 242 times and level 13 545 times (measured
+    13) fit, so the gate misses 241 times and level 13 549 times (measured
     with every memo cleared first).  An entry is
     0.6-1.1 KB on Gr(2, N), N <= 16, 7 KB at N = 101 and 99 KB at N = 801
     (measured with tracemalloc, at k near N), so 128 entries hold ~0.14 MB

@@ -7,6 +7,10 @@ point: the half powers have integer coefficients, the square root's
 from Catalan numbers and the 3/2 power's from its binomial series.
 Every product runs one loop, ``_truncated_product``, shared by the
 series' ``Fraction`` coefficients and the Catalan powers' integer lists.
+Each factor the pipeline repeats is built once, in a bounded memo: a
+Schur polynomial's coefficients by its index, F_d by order and degree,
+F_b * (1-4q)^(3/2) by order and degree, and each half by its order
+pair and degree.
 """
 
 from __future__ import annotations
@@ -107,17 +111,40 @@ def power_3_2(order: int) -> TruncatedSeries:
     return TruncatedSeries(coeffs, order=order)
 
 
+_ZERO = Fraction(0)
+
+
 def schur_q(j: int, order: int) -> TruncatedSeries:
     """Two-variable Schur polynomial s_j at root sum 1, root product q.
 
     A polynomial of degree floor(j/2) in q, delivered at the requested
-    truncation order: s_j = sum_k (-1)^k C(j-k, k) q^k, the closed form of
-    s_j = s_{j-1} - q s_{j-2}.  s_{-1} = 0 by convention.
+    truncation order: its coefficients come from the memo
+    ``_schur_coefficients``, cut or padded with zeros to the order.
     """
     if j < -1:
         raise DomainError(f"schur_q: index must be >= -1, got {j}")
-    coeffs = [(-1) ** k * binomial(j - k, k) for k in range(min(j // 2, order) + 1)]
-    return TruncatedSeries(coeffs or [0], order=order)
+    if order < 0:
+        raise DomainError(f"truncation order must be >= 0, got {order}")
+    coeffs = _schur_coefficients(j)
+    return TruncatedSeries._of(coeffs[: order + 1] + (_ZERO,) * (order + 1 - len(coeffs)))
+
+
+@lru_cache(maxsize=128)
+def _schur_coefficients(j: int) -> tuple[Fraction, ...]:
+    """The floor(j/2) + 1 coefficients of s_j, q^0 first:
+    s_j = sum_k (-1)^k C(j-k, k) q^k, the closed form of
+    s_j = s_{j-1} - q s_{j-2}; s_{-1} = 0 by convention.
+
+    Keyed by the index alone, so every order ``schur_q`` is asked for reads
+    one tuple: the release gate (level 9) reads 355 polynomials, 19
+    distinct, the verify suite at its bound (level 13) 833, 27 distinct,
+    and a genus1-all pass about 3,500, 29 distinct.  The series bound,
+    degree 120, asks for indices up to 118, so the bound holds every one.
+    An entry is 0.3-0.8 KB at the gate's indices (to 17), 1.6 KB at
+    index 28 and 5.6 KB at index 118 (measured with tracemalloc), so
+    128 entries hold at most ~0.7 MB.
+    """
+    return tuple(Fraction((-1) ** k * binomial(j - k, k)) for k in range(j // 2 + 1)) or (_ZERO,)
 
 
 def _truncated_product(left, right) -> list:
@@ -161,11 +188,11 @@ def catalan_power_series(t: int, order: int) -> TruncatedSeries:
 def _convolution(d: int, degree: int) -> TruncatedSeries:
     """F_d = sum_{j=0}^{d-2} s_j * s_{d-2-j} at truncation order ``degree``.
 
-    Keyed by the order and the degree, so each half ``_series_half``
-    builds reads the same series it would build: the release gate
-    (level 9) reads 355 factors, 64 distinct.  The bound covers the
-    334-350 keys of a genus1-all pass and the 118 of the verify suite at
-    its bound (level 13).  An entry is 2.0-2.4 KB at degree 30 and
+    Keyed by the order and the degree, so each half ``_series_half`` and
+    each factor ``_powered`` builds reads the same series it would build:
+    the release gate (level 9) reads 301 factors, 64 distinct.  The bound
+    covers the 334-350 keys of a genus1-all pass and the 118 of the verify
+    suite at its bound (level 13).  An entry is 2.0-2.4 KB at degree 30 and
     6.9-9.8 KB at the series bound, degree 120 (measured with
     tracemalloc), so 512 entries hold at most ~5 MB.
     """
@@ -177,22 +204,40 @@ def _convolution(d: int, degree: int) -> TruncatedSeries:
 
 
 @lru_cache(maxsize=64)
+def _powered(b: int, degree: int) -> TruncatedSeries:
+    """F_b * (1-4q)^(3/2) at truncation order ``degree``, the power from
+    its binomial series ``power_3_2`` and never from the weighted units
+    of ``genus1``, which the gate checks against that series.
+
+    Keyed by the order and the degree, so the halves with the power that
+    share their right factor build it once: the release gate (level 9)
+    reads 84 factors, 30 distinct, and the verify suite at its bound
+    (level 13) 206, 56 distinct, which the bound holds.  A genus1-all pass
+    reads about 195, 121-122 distinct, and misses 138-143 times.  An entry
+    is 0.4-0.9 KB at the gate's degrees (to 11), 2.6 KB at degree 30 and
+    9-11 KB at the series bound, degree 120 (measured with tracemalloc),
+    so 64 entries hold at most ~0.7 MB.
+    """
+    return _convolution(b, degree) * power_3_2(degree)
+
+
+@lru_cache(maxsize=64)
 def _series_half(with_power: bool, a: int, b: int, degree: int) -> TruncatedSeries:
-    """F_a * (F_b * (1-4q)^(3/2)) with the power, else F_a * F_b, at
+    """F_a * ``_powered(b, degree)`` with the power, else F_a * F_b, at
     truncation order ``degree``; called with a <= b, so each unordered
     order pair is one key.
 
     F stays the left operand of each product, so its zero coefficients
     are skipped, and a count that meets a known pair at its degree reads
-    the half, and the power in it, instead of building them.  Keyed by the
-    power, the two orders and the degree: the release gate (level 9)
-    reads 298 halves, 168 distinct.  An entry is 1.5-2.0 KB at the gate's degrees (to 11),
-    2.6-3.6 KB at degree 30 and 7.5-13 KB at the series bound, degree 120
-    (measured with tracemalloc), so 64 entries hold at most ~0.8 MB.
+    the half instead of building it; a half with the power that meets a
+    known right order at its degree reads F_b * (1-4q)^(3/2) from
+    ``_powered``.  Keyed by the power, the two orders and the degree: the
+    release gate (level 9) reads 298 halves, 168 distinct.  An entry is
+    1.5-2.0 KB at the gate's degrees (to 11), 2.6-3.6 KB at degree 30 and
+    7.5-13 KB at the series bound, degree 120 (measured with tracemalloc),
+    so 64 entries hold at most ~0.8 MB.
     """
-    right = _convolution(b, degree)
-    if with_power:
-        right = right * power_3_2(degree)
+    right = _powered(b, degree) if with_power else _convolution(b, degree)
     return _convolution(a, degree) * right
 
 
@@ -207,12 +252,13 @@ def n_via_series(t: Genus1Tuple) -> int:
     F_d comes from the bounded memo ``_convolution``, keyed by order and
     degree, and (1-4q)^(3/2) from its closed form ``power_3_2``.  The
     product is paired in two halves from the memo ``_series_half``:
-    H = F_d1 * (F_d2 * (1-4q)^(3/2)) and H' = F_d3 * F_d4,
-    each keyed by its unordered order pair and the degree, and the count
-    is sum_j H[degree - j] * H'[j] over the nonzero coefficients of H',
-    a polynomial of degree at most (d3 + d4)/2 - 2 in q; both halves are
-    truncated at the degree, so H is read from its end.  A cold count
-    makes three products, and one that meets both pairs again none.
+    H = F_d1 * (F_d2 * (1-4q)^(3/2)), its right factor from the memo
+    ``_powered``, and H' = F_d3 * F_d4, each keyed by its unordered order
+    pair and the degree, and the count is sum_j H[degree - j] * H'[j]
+    over the nonzero coefficients of H', a polynomial of degree at most
+    (d3 + d4)/2 - 2 in q; both halves are truncated at the degree, so H is
+    read from its end.  A cold count makes three products, and one that
+    meets both pairs again none.
     """
     d1, d2, d3, d4 = orders = t.orders()
     if 1 in orders:

@@ -326,6 +326,33 @@ def test_weighted_tail_class_is_a_function_of_the_triple_sum():
             assert classes[n, 40].coefficient(n - b, b) == row(n), (n, b)
 
 
+def test_tail_class_in_closed_indexing():
+    """The tail class of a sorted triple T, read by its shape (l1, l2).
+
+    ``_tail_class`` sums over the node vanishing a with s = 2d + 4 - sum(T):
+    l1 = d - a - 1 and l2 = d - s + a, so l1 + l2 = sum(T) - 5; the first
+    order s - 2a is l1 - l2 + 1; and the tuple (l1 - l2 + 1, *T) has degree
+    d - a = l1 + 1.  So the class is free of d up to the box of Gr(2, d+1).
+    """
+    triples = [t for t in itertools.combinations_with_replacement(range(2, 23), 3)
+               if sum(t) <= 26]
+    classes = 0
+    for factor in (count_laurent, weighted_fixed_first):
+        for d in (12, 25, 40):
+            for t in triples:
+                n = sum(t) - 5
+                want = {}
+                for l1 in range(1, d):
+                    l2 = n - l1
+                    if 0 <= l2 <= l1:
+                        value = factor(Genus1Tuple(l1 - l2 + 1, *t))
+                        if value:
+                            want[l1, l2] = value
+                assert degeneration._tail_class(factor, t, d).terms == want, (factor, t, d)
+                classes += 1
+    assert classes == 2148
+
+
 def test_genus3_weighted_quotient_is_not_a_function_of_the_square_sum():
     # the genus-2 law has no genus-3 analogue in sum(m^2) alone: at d = 6 with
     # no fixed point these two share sum(m^2) = 77 and differ in the quotient

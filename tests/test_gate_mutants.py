@@ -18,6 +18,8 @@ _assemble = degeneration._assemble
 _count_schubert = genus1.count_schubert
 _bottom_gap_value = genus1._bottom_gap_value
 _series_half = qseries._series_half
+_powered = qseries._powered
+_schur_coefficients = qseries._schur_coefficients
 _schubert_pair = genus1._schubert_pair
 _truncated_product = qseries._truncated_product
 _sqrt_one_minus_4q = qseries.sqrt_one_minus_4q
@@ -89,6 +91,20 @@ def _series_half_with_the_power_on_both(with_power, a, b, degree):
     return _series_half(True, a, b, degree)
 
 
+def _powered_one_high_at_the_end_for_order_4(b, degree):
+    # the coefficient a count reads against the other half's constant term
+    coeffs = list(_powered(b, degree).coeffs)
+    if b == 4:
+        coeffs[-1] += 1
+    return qseries.TruncatedSeries(coeffs)
+
+
+def _schur_coefficients_one_high_at_q1_for_index_4(j):
+    # s_4 = 1 - 3q + q^2 read as 1 - 2q + q^2, so F_d is wrong from d = 6
+    coeffs = _schur_coefficients(j)
+    return (coeffs[0], coeffs[1] + 1, *coeffs[2:]) if j == 4 else coeffs
+
+
 def _schubert_pair_shifting_one_tau_index(a, b, ambient):
     # tau(a - 1) * tau(b - 3) in place of tau(a - 2) * tau(b - 2)
     return _schubert_pair(a + 1, b - 1, ambient)
@@ -140,7 +156,8 @@ ROWS = [
     ),
     pytest.param(
         # the quadruple sweeps take Pieri steps, and s(1,0)^2 has no s(1,1) factor;
-        # the consolidation sweep's sigma1 products catch it
+        # the consolidation sweep's sigma1 products catch it, and its one tree per
+        # degree meets the weight 3 of (4,) first on Gr(2,4)
         grassmann, "mul", _mul_forgetting_the_s11_shift,
         lambda: genus1.count_schubert(Genus1Tuple(5, 4, 3, 2)), 0,
         [
@@ -149,7 +166,7 @@ ROWS = [
              "methods disagree on (3, 3, 2, 2): "
              "{'schubert': -8, 'laurent': 16, 'polynomial': 16, 'series': 16}"),
             ("weighted_consolidation_invariance",
-             "sigma1 powers of fixed (3,) multiply wrongly on Gr(2,4)"),
+             "sigma1 powers of fixed (4,) multiply wrongly on Gr(2,4)"),
         ],
         id="mul",
     ),
@@ -264,6 +281,30 @@ ROWS = [
              "anchor (2,2,2,2): {'schubert': 6, 'laurent': 6, 'polynomial': 6, 'series': 48}"),
         ],
         id="series-half-power-on-both",
+    ),
+    pytest.param(
+        # a memoized powered factor is still compared with the other pipelines
+        qseries, "_powered", _powered_one_high_at_the_end_for_order_4,
+        lambda: qseries.n_via_series(Genus1Tuple(4, 4, 3, 3)), 220,  # 208 by the others
+        [
+            ("four_method_agreement",
+             "methods disagree on (4, 3, 3, 2): "
+             "{'schubert': 40, 'laurent': 40, 'polynomial': 40, 'series': 44}"),
+        ],
+        id="powered",
+    ),
+    pytest.param(
+        # a memoized Schur polynomial is still compared with the other
+        # pipelines and with the squared inverse
+        qseries, "_schur_coefficients", _schur_coefficients_one_high_at_q1_for_index_4,
+        lambda: qseries.n_via_series(Genus1Tuple(6, 3, 3, 2)), 48,  # 0 by the others
+        [
+            ("four_method_agreement",
+             "methods disagree on (6, 4, 3, 3): "
+             "{'schubert': 168, 'laurent': 168, 'polynomial': 168, 'series': 360}"),
+            ("series_coefficient_identities", "x^6 coefficient of the squared inverse at q^1"),
+        ],
+        id="schur-coefficients",
     ),
     pytest.param(
         genus1, "_schubert_pair", _schubert_pair_shifting_one_tau_index,

@@ -32,6 +32,8 @@ def test_every_memo_has_its_documented_bound(package_memos):
         "sigma1_power",
         "_block_pair",
         "_series_half",
+        "_powered",
+        "_schur_coefficients",
         "_schubert_pair",
         "_weighted_unit",
         "_inversion_block",

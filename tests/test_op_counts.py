@@ -88,6 +88,8 @@ def _gate(bindings):
         "_tau classes (read, cached)": (len(keys), cached),
         "_block_pair (misses, hits)": _traffic(genus1._block_pair),
         "_series_half (misses, hits)": _traffic(qseries._series_half),
+        "_powered (misses, hits)": _traffic(qseries._powered),
+        "_schur_coefficients (misses, hits)": _traffic(qseries._schur_coefficients),
         "_schubert_pair (misses, hits)": _traffic(genus1._schubert_pair),
         "_weighted_unit (misses, hits)": _traffic(genus1._weighted_unit),
         "_inversion_block (misses, hits)": _traffic(genus1._inversion_block),
@@ -119,8 +121,18 @@ def _consolidation(bindings):
 
 def _consolidation_sigma1(bindings):
     products = bindings.record(verify, "mul")
+    walk, compared = verify._sigma1_products, []
+
+    def recording(start, total):
+        for parts, cls in walk(start, total):
+            compared.append((start.ambient, parts))
+            yield parts, cls
+
+    bindings.replace(verify, "_sigma1_products", recording)
     assert verify.weighted_consolidation_invariance(9) == "1493 problems with g <= 2, d <= 7"
-    return {"verify.mul calls": len(products)}
+    return {"verify.mul calls": len(products),
+            "(partition, weight) pairs compared (all, distinct)":
+                (len(compared), len(set(compared)))}
 
 
 def _basis_duality(bindings):
@@ -209,27 +221,38 @@ SERIES = "TruncatedSeries products (cold, repeat)"
 # sweep read one run of it, and together pin every count it returns
 TABLE = {
     "gate-products": (_gate, {
-        "TruncatedSeries products": (607, "617 before the gate's identities (7 f_1 * f_(t-1), "
-                                          "the square root's square and its cube) ran on int "
-                                          "lists, 635 before the Catalan powers were squared in "
-                                          "integers, 842 before the halves were paired, 647 "
-                                          "before (1-4q)^(3/2) had a closed form"),
-        "grassmann.mul calls, every namespace": (6_750, "11,949 before the quadruple sweeps took "
-                                                 "Pieri steps (-4,900) and the sigma1 products "
-                                                 "walked a prefix tree (-299), 12,992 before the "
-                                                 "halves were paired, 12,615 before Pieri fixed "
-                                                 "classes"),
+        "TruncatedSeries products": (553, "607 before the 84 halves with the power read "
+                                          "their 30 factors F_b (1-4q)^(3/2) from a memo "
+                                          "(-54), 617 before the gate's identities (7 f_1 * "
+                                          "f_(t-1), the square root's square and its cube) "
+                                          "ran on int lists, 635 before the Catalan powers "
+                                          "were squared in integers, 842 before the halves "
+                                          "were paired, 647 before (1-4q)^(3/2) had a closed "
+                                          "form"),
+        "grassmann.mul calls, every namespace": (6_067, "6,750 before the consolidation "
+                                                 "sweep's sigma1 products walked one tree per "
+                                                 "degree (-683), 11,949 before the quadruple "
+                                                 "sweeps took Pieri steps (-4,900) and the "
+                                                 "sigma1 products walked a prefix tree (-299), "
+                                                 "12,992 before the halves were paired, 12,615 "
+                                                 "before Pieri fixed classes"),
     }),
     "gate-catalan-squarings": (_gate, {"_truncated_product calls": (
-        634, "the 607 series products, f_1..f_8's 18 squarings (one square per bit of t "
+        580, "the 553 series products, f_1..f_8's 18 squarings (one square per bit of t "
              "after the leading one, one product per set bit) and the gate's 9 int identity "
              "products (f_1 * f_(t-1) for t = 2..8, the square root's square, its cube from "
-             "that square) run one loop, bound in qseries and verify; 635 when the identities "
-             "were 10 series products; 18 before")}),
+             "that square) run one loop, bound in qseries and verify; 634 before the powered "
+             "factors were memoized, 635 when the identities were 10 series products; 18 "
+             "before")}),
     "gate-quadruple-pieri-steps": (_quadruple_sweeps, {"verify.pieri_mul calls": (
         3_426, "one per prefix of the 1,225 quadruples; 4,900 mul calls before")}),
     "gate-consolidation-sigma1-products": (_consolidation_sigma1, {"verify.mul calls": (
-        1_042, "one per prefix of the partitions of each weight; 1,341 before")}),
+        359, "one per node of one tree per degree, a partition of a weight w <= 2d - 3; "
+             "1,042 when each weight walked its own tree, 1,341 before")}),
+    "gate-consolidation-sigma1-coverage": (_consolidation_sigma1, {
+        "(partition, weight) pairs compared (all, distinct)": ((359, 359), (
+            "each partition of each weight w <= 2d - 3 on Gr(2, d+1), d = 2..7, once: "
+            "1 + 6 + 18 + 44 + 96 + 194"))}),
     "gate-tau-classes": (_gate, {"_tau classes (read, cached)": (
         (64, 64), "386 reads of 64 keys, all still cached")}),
     "gate-block-pairs": (_gate, {"_block_pair (misses, hits)": ((214, 3244), (
@@ -237,6 +260,12 @@ TABLE = {
     "gate-half-products": (_gate, {
         "_series_half (misses, hits)": ((168, 130), "149 series counts, two halves each"),
         "_schubert_pair (misses, hits)": ((193, 187), "190 Schubert counts, two halves each"),
+    }),
+    "gate-series-factors": (_gate, {
+        "_powered (misses, hits)": ((30, 54), (
+            "168 halves, 84 with the power, 30 (order, degree) keys")),
+        "_schur_coefficients (misses, hits)": ((19, 336), (
+            "64 convolutions read 355 Schur polynomials, indices 0..18")),
     }),
     "gate-weighted-tables": (_gate, {
         "_weighted_unit (misses, hits)": ((9, 3024), (
@@ -247,12 +276,15 @@ TABLE = {
     "four-methods-tau": (_four_methods, {"_tau (misses, hits)": (
         (43, 175), "two classes for each of 109 pairs, 43 keys")}),
     "four-methods-convolution": (_four_methods, {"_convolution (misses, hits)": (
-        (36, 152), "188 factors of 94 halves, 36 keys")}),
+        (36, 125), "161 factors: F_a for 94 halves, F_b for the 47 without the power and "
+                   "for 20 of the 47 with it, whose other 27 read F_b (1-4q)^(3/2) from its "
+                   "memo; (36, 152) before, 188 factors of 94 halves")}),
     "consolidation-merged-problems": (_consolidation, {"verify.genus_g_weighted calls": (
         259, "192 problems and 67 merged problems")}),
     "consolidation-sigma1-powers": (_consolidation, {"sigma1_power (misses, hits)": (
-        (16, 474), "each (exponent, ambient) built once; (16, 496) before the sigma1 products "
-                   "walked a prefix tree, 162 products in place of 184")}),
+        (16, 381), "each (exponent, ambient) built once; (16, 474) before the sigma1 "
+                   "products walked one tree per degree, 69 products in place of 162, (16, 496) "
+                   "before they walked a prefix tree per weight, 162 products in place of 184")}),
     "consolidation-tails": (_consolidation, {"degeneration.mul calls": (
         47, "tail products only, g - 1 per multiset")}),
     "basis-duality": (_basis_duality, {"verify.sigma calls": (84, "N(N-1)/2 on Gr(2, N), N <= 8")}),

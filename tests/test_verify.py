@@ -28,11 +28,14 @@ def test_quadruple_walk_matches_the_mul_chain():
 
 
 def test_sigma1_walk_matches_the_per_partition_chain():
-    # every degree of the level-9 consolidation sweep, and level 13's last
+    # every degree of the level-9 consolidation sweep, and level 13's last:
+    # one tree per degree holds each weight's partitions in the chain's order
     for d in (*range(2, 8), 11):
-        for w in range(1, 2 * d - 2):
-            got = list(verify._sigma1_products(unit(d + 1), w, w))
-            assert got == list(sigma1_chain(d + 1, w)), (d, w)
+        nodes = list(verify._sigma1_products(unit(d + 1), 2 * d - 3))
+        want = [list(sigma1_chain(d + 1, w)) for w in range(1, 2 * d - 2)]
+        assert len(nodes) == sum(map(len, want)), d
+        for w, chain in enumerate(want, start=1):
+            assert [node for node in nodes if sum(node[0]) == w] == chain, (d, w)
 
 
 # ------------------------------------------------ mutants of the facts
