@@ -151,8 +151,12 @@ def on_shell_problems(g: int, d: int):
     Fixed orders come non-increasing and may exceed the degree (the
     unweighted count is then 0); the 3g moving orders come non-increasing,
     padded with simple ones.  Problems that are unstable at g >= 1 are
-    skipped.
+    skipped; a genus or degree no problem has is refused at once.
     """
+    if g < 0:
+        raise DomainError(f"genus must be >= 0, got {g}")
+    if d < 2:
+        raise DomainError(f"degree must be >= 2, got {d}")
     target = g + 2 * (d - g - 1)
     for fixed_cost in range(0, target + 1):
         moving_cost = target - fixed_cost

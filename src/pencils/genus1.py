@@ -159,13 +159,13 @@ def weighted_fixed_first(t: Genus1Tuple) -> int:
     return exact_div(num * binomial(2 * d - d1 - 2, d - d1), d * (d - 1), "weighted_fixed_first")
 
 
-# Each pipeline's cost on one core of an Intel Xeon server, worst shape of
-# orders measured, and the degree above which it is refused up front:
-# the series costs about deg^3, 3-5 s at degree 120 with four distinct
-# orders (a repeated order builds its factor once); Schubert about deg^3,
-# 3.5-5 s at degree 800 with orders (202, 202, 600, 600) and 1.9-2.8 s with
-# four equal orders; Laurent about deg^2, 3 s
-# at degree 4000 with orders (deg, deg, 2, 2).
+# Each pipeline's cost, worst shape of orders measured, and the degree above
+# which it is refused up front.  The series costs about deg^3, 1.7-2.0 s at
+# degree 120 with four distinct orders such as (120, 119, 3, 2), cold, on a
+# shared 2-core Intel Xeon host (a repeated order builds its factor once).
+# On one core of an Intel Xeon server: Schubert about deg^3, 3.5-5 s at
+# degree 800 with orders (202, 202, 600, 600) and 1.9-2.8 s with four equal
+# orders; Laurent about deg^2, 3 s at degree 4000 with orders (deg, deg, 2, 2).
 MAX_SERIES_DEGREE = 120
 MAX_SCHUBERT_DEGREE = 800
 MAX_LAURENT_DEGREE = 4000
@@ -455,10 +455,12 @@ def on_shell_tuples(
     per multiset, sorted descending.  Rows come back in lexicographic
     order either way.  The representatives are the partitions of
     2*deg + 4 into four orders in min_order..max_order, shifted down by
-    min_order to parts from 0.
+    min_order to parts from 0; a min_order below 1 is refused.
     """
     if degree < 2:
         raise DomainError(f"degree must be >= 2, got {degree}")
+    if min_order < 1:
+        raise DomainError(f"order {min_order} < 1")
     cap = degree if max_order is None else max_order
     rows = [
         tuple(part + min_order for part in parts)

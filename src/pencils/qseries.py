@@ -9,8 +9,9 @@ Every product runs one loop, ``_truncated_product``, shared by the
 series' ``Fraction`` coefficients and the Catalan powers' integer lists.
 Each factor the pipeline repeats is built once, in a bounded memo: a
 Schur polynomial's coefficients by its index, F_d by order and degree,
-F_b * (1-4q)^(3/2) by order and degree, and each half by its order
-pair and degree.
+and each pair product F_a * F_b, as exact ints, by its order pair and
+degree.  The count pairs two pair products against the ints of
+(1-4q)^(3/2), so its extraction never touches a ``Fraction``.
 """
 
 from __future__ import annotations
@@ -105,10 +106,15 @@ def power_3_2(order: int) -> TruncatedSeries:
     12 C_(m-2)/m of ``genus1``, so the gate's check of the weighted
     generating function compares two derivations.
     """
+    return TruncatedSeries(_power_3_2_coefficients(order), order=order)
+
+
+def _power_3_2_coefficients(order: int) -> list[int]:
+    """c_0..c_order of (1 - 4q)^(3/2) as ints, from the recurrence above."""
     coeffs = [1]
     for n in range(1, order + 1):
         coeffs.append(exact_div(coeffs[-1] * 2 * (2 * n - 5), n, "power_3_2"))
-    return TruncatedSeries(coeffs, order=order)
+    return coeffs
 
 
 _ZERO = Fraction(0)
@@ -188,11 +194,11 @@ def catalan_power_series(t: int, order: int) -> TruncatedSeries:
 def _convolution(d: int, degree: int) -> TruncatedSeries:
     """F_d = sum_{j=0}^{d-2} s_j * s_{d-2-j} at truncation order ``degree``.
 
-    Keyed by the order and the degree, so each half ``_series_half`` and
-    each factor ``_powered`` builds reads the same series it would build:
-    the release gate (level 9) reads 301 factors, 64 distinct.  The bound
-    covers the 334-350 keys of a genus1-all pass and the 118 of the verify
-    suite at its bound (level 13).  An entry is 2.0-2.4 KB at degree 30 and
+    Keyed by the order and the degree, so each pair product ``_pair``
+    builds reads the same series it would build: the release gate
+    (level 9) reads 345 factors, 64 distinct.  The bound covers the
+    334-350 keys of a genus1-all pass and the 118 of the verify suite at
+    its bound (level 13).  An entry is 2.0-2.4 KB at degree 30 and
     6.9-9.8 KB at the series bound, degree 120 (measured with
     tracemalloc), so 512 entries hold at most ~5 MB.
     """
@@ -204,67 +210,48 @@ def _convolution(d: int, degree: int) -> TruncatedSeries:
 
 
 @lru_cache(maxsize=64)
-def _powered(b: int, degree: int) -> TruncatedSeries:
-    """F_b * (1-4q)^(3/2) at truncation order ``degree``, the power from
-    its binomial series ``power_3_2`` and never from the weighted units
-    of ``genus1``, which the gate checks against that series.
+def _pair(a: int, b: int, degree: int) -> tuple[int, ...]:
+    """F_a * F_b as exact ints, q^0 first; called with a <= b, so each
+    unordered order pair is one key at its degree.
 
-    Keyed by the order and the degree, so the halves with the power that
-    share their right factor build it once: the release gate (level 9)
-    reads 84 factors, 30 distinct, and the verify suite at its bound
-    (level 13) 206, 56 distinct, which the bound holds.  A genus1-all pass
-    reads about 195, 121-122 distinct, and misses 138-143 times.  An entry
-    is 0.4-0.9 KB at the gate's degrees (to 11), 2.6 KB at degree 30 and
-    9-11 KB at the series bound, degree 120 (measured with tracemalloc),
-    so 64 entries hold at most ~0.7 MB.
+    The product has q-degree at most (a + b)/2 - 2, at most degree - 2
+    beside two orders >= 2, so no degree truncates it; its zero tail is
+    dropped and each coefficient goes through ``as_integer``.  The degree
+    stays in the key only to read ``_convolution``'s factors.  The release
+    gate (level 9) reads 298 pairs, 163 distinct, and the verify suite at
+    its bound (level 13) 926, 405 distinct, each built once; a genus1-all
+    pass reads 400, 369-377 distinct, and misses 386-389 times.  An entry
+    is 0.2-0.6 KB at the gate's degrees (to 11), 0.6-1.3 KB at degree 30
+    and 2.6-6.0 KB at the series bound, degree 120 (measured with
+    tracemalloc), so 64 entries hold at most ~0.4 MB.
     """
-    return _convolution(b, degree) * power_3_2(degree)
-
-
-@lru_cache(maxsize=64)
-def _series_half(with_power: bool, a: int, b: int, degree: int) -> TruncatedSeries:
-    """F_a * ``_powered(b, degree)`` with the power, else F_a * F_b, at
-    truncation order ``degree``; called with a <= b, so each unordered
-    order pair is one key.
-
-    F stays the left operand of each product, so its zero coefficients
-    are skipped, and a count that meets a known pair at its degree reads
-    the half instead of building it; a half with the power that meets a
-    known right order at its degree reads F_b * (1-4q)^(3/2) from
-    ``_powered``.  Keyed by the power, the two orders and the degree: the
-    release gate (level 9) reads 298 halves, 168 distinct.  An entry is
-    1.5-2.0 KB at the gate's degrees (to 11), 2.6-3.6 KB at degree 30 and
-    7.5-13 KB at the series bound, degree 120 (measured with tracemalloc),
-    so 64 entries hold at most ~0.8 MB.
-    """
-    right = _powered(b, degree) if with_power else _convolution(b, degree)
-    return _convolution(a, degree) * right
+    product = (_convolution(a, degree) * _convolution(b, degree)).coeffs
+    return tuple(as_integer(c, "_pair") for c in product[: (a + b) // 2 - 1])
 
 
 def n_via_series(t: Genus1Tuple) -> int:
-    """Count via coefficient extraction from a q-series product.
+    """Count via coefficient extraction from a q-series product: the
+    coefficient of q^degree in (1-4q)^(3/2) * F_d1 * F_d2 * F_d3 * F_d4,
+    with F_d = sum_{j=0}^{d-2} s_j * s_{d-2-j}.  The tuple has been
+    checked on shell by ``Genus1Tuple``.
 
-    Multiplies (1-4q)^(3/2) by, for each order d_i, the convolution
-    F_d = sum_{j=0}^{d-2} s_j * s_{d-2-j}, and reads off the coefficient of
-    q^degree.  The tuple has been checked on shell by ``Genus1Tuple``.
-
-    F_1 is the empty convolution, so an order 1 gives 0 at once.  Each
-    F_d comes from the bounded memo ``_convolution``, keyed by order and
-    degree, and (1-4q)^(3/2) from its closed form ``power_3_2``.  The
-    product is paired in two halves from the memo ``_series_half``:
-    H = F_d1 * (F_d2 * (1-4q)^(3/2)), its right factor from the memo
-    ``_powered``, and H' = F_d3 * F_d4, each keyed by its unordered order
-    pair and the degree, and the count is sum_j H[degree - j] * H'[j]
-    over the nonzero coefficients of H', a polynomial of degree at most
-    (d3 + d4)/2 - 2 in q; both halves are truncated at the degree, so H is
-    read from its end.  A cold count makes three products, and one that
-    meets both pairs again none.
+    F_1 is the empty convolution, so an order 1 gives 0 at once.  Else
+    H = F_d1 * F_d2 and H' = F_d3 * F_d4 come from the memo ``_pair``, and
+    the count is sum H[i] * H'[j] * c_(degree - i - j) over their nonzero
+    coefficients, all in ints, with c_k from the binomial recurrence of
+    ``power_3_2``, never from the weighted units of ``genus1``, which the
+    gate checks against that series.  A cold count makes two pair
+    products, and one that meets both pairs again none.
     """
     d1, d2, d3, d4 = orders = t.orders()
     if 1 in orders:
         return 0
     degree = t.degree
-    half = _series_half(True, min(d1, d2), max(d1, d2), degree).coeffs
-    other = _series_half(False, min(d3, d4), max(d3, d4), degree).coeffs
-    value = sum(h * c for h, c in zip(reversed(half), other) if c)
-    return as_integer(value, "n_via_series")
+    half = _pair(min(d1, d2), max(d1, d2), degree)
+    other = _pair(min(d3, d4), max(d3, d4), degree)
+    power = _power_3_2_coefficients(degree)
+    return sum(
+        h * c * power[degree - i - j]
+        for i, h in enumerate(half) if h
+        for j, c in enumerate(other) if c
+    )

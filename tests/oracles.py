@@ -469,6 +469,11 @@ def _series_factors(orders):
     return degree, binomial_series(Fraction(3, 2), degree), factors
 
 
+def pair_product(a: int, b: int, degree: int) -> list[Fraction]:
+    """F_a * F_b as a Fraction list truncated at q^degree."""
+    return _truncated_times(_series_factor(a, degree), _series_factor(b, degree), degree)
+
+
 def series_count(orders) -> int:
     """The genus-1 count as the q^deg coefficient of the full q-series product
     (1-4q)^(3/2) * prod_i sum_{j=0}^{d_i-2} s_j s_(d_i-2-j), every factor

@@ -140,6 +140,19 @@ def test_on_shell_problems():
         assert p.moving == tuple(sorted(p.moving, reverse=True)) and p.m == 6
 
 
+@pytest.mark.parametrize("g, d, text", [
+    (2, 1, "degree must be >= 2, got 1"),  # once an empty listing
+    (-1, 3, "genus must be >= 0, got -1"),  # once an empty listing
+    (0, 1, "degree must be >= 2, got 1"),
+    (-1, 1, "genus must be >= 0, got -1"),  # the genus first, as RamificationProblem
+])
+def test_on_shell_problems_refuses_a_genus_or_degree_no_problem_has(g, d, text):
+    listing = on_shell_problems(g, d)  # a generator: nothing is checked before next
+    with pytest.raises(DomainError) as err:
+        next(listing)
+    assert str(err.value) == text
+
+
 def test_classical_counts():
     # Eisenbud-Harris: vanishing (0, o) at one general point with
     # o - 1 = 2d - g - 2 gives g! o / (k! (k + o)!) with k = g - d + 1

@@ -17,8 +17,7 @@ _weighted_fixed_first = genus1.weighted_fixed_first
 _assemble = degeneration._assemble
 _count_schubert = genus1.count_schubert
 _bottom_gap_value = genus1._bottom_gap_value
-_series_half = qseries._series_half
-_powered = qseries._powered
+_pair = qseries._pair
 _schur_coefficients = qseries._schur_coefficients
 _schubert_pair = genus1._schubert_pair
 _truncated_product = qseries._truncated_product
@@ -79,24 +78,10 @@ def _identity_reflection(t):
     return t
 
 
-_halves_by_pair = {}  # the one mutant with a memo of its own; each test empties it
-
-
-def _series_half_keyed_without_degree(with_power, a, b, degree):
-    # the half built at the first degree that meets a pair serves every later one
-    return _halves_by_pair.setdefault((with_power, a, b), _series_half(with_power, a, b, degree))
-
-
-def _series_half_with_the_power_on_both(with_power, a, b, degree):
-    return _series_half(True, a, b, degree)
-
-
-def _powered_one_high_at_the_end_for_order_4(b, degree):
-    # the coefficient a count reads against the other half's constant term
-    coeffs = list(_powered(b, degree).coeffs)
-    if b == 4:
-        coeffs[-1] += 1
-    return qseries.TruncatedSeries(coeffs)
+def _pair_one_high_at_the_end_for_orders_4_4(a, b, degree):
+    # F_4^2 = 9 - 12q + 4q^2 read as 9 - 12q + 5q^2
+    coeffs = _pair(a, b, degree)
+    return (*coeffs[:-1], coeffs[-1] + 1) if a == b == 4 else coeffs
 
 
 def _schur_coefficients_one_high_at_q1_for_index_4(j):
@@ -262,36 +247,15 @@ ROWS = [
         id="Genus1Tuple-reflected",
     ),
     pytest.param(
-        # the degree-3 half of (3, 3) is one coefficient short at degree 4
-        qseries, "_series_half", _series_half_keyed_without_degree,
-        lambda: [qseries.n_via_series(Genus1Tuple(*quad)) for quad in ((3, 3, 2, 2), (3, 3, 3, 3))],
-        [16, 64],
+        # a memoized pair product is still compared with the other pipelines
+        qseries, "_pair", _pair_one_high_at_the_end_for_orders_4_4,
+        lambda: qseries.n_via_series(Genus1Tuple(4, 4, 3, 3)), 224,  # 208 by the others
         [
             ("four_method_agreement",
-             "methods disagree on (3, 3, 3, 3): "
-             "{'schubert': 96, 'laurent': 96, 'polynomial': 96, 'series': 64}"),
+             "methods disagree on (4, 4, 2, 2): "
+             "{'schubert': 30, 'laurent': 30, 'polynomial': 30, 'series': 36}"),
         ],
-        id="series-half-without-degree",
-    ),
-    pytest.param(
-        qseries, "_series_half", _series_half_with_the_power_on_both,
-        lambda: qseries.n_via_series(Genus1Tuple(3, 3, 2, 2)), -256,
-        [
-            ("four_method_agreement",
-             "anchor (2,2,2,2): {'schubert': 6, 'laurent': 6, 'polynomial': 6, 'series': 48}"),
-        ],
-        id="series-half-power-on-both",
-    ),
-    pytest.param(
-        # a memoized powered factor is still compared with the other pipelines
-        qseries, "_powered", _powered_one_high_at_the_end_for_order_4,
-        lambda: qseries.n_via_series(Genus1Tuple(4, 4, 3, 3)), 220,  # 208 by the others
-        [
-            ("four_method_agreement",
-             "methods disagree on (4, 3, 3, 2): "
-             "{'schubert': 40, 'laurent': 40, 'polynomial': 40, 'series': 44}"),
-        ],
-        id="powered",
+        id="pair",
     ),
     pytest.param(
         # a memoized Schur polynomial is still compared with the other
@@ -354,7 +318,6 @@ ROWS = [
 def test_gate_fails_exactly_the_properties_a_mutant_breaks(
     target, name, mutant, witness, wrong, failures, bindings, fresh_memos
 ):
-    _halves_by_pair.clear()
     # in every package namespace that binds the name, so no caller keeps the original
     bindings.replace(target, name, mutant, everywhere=True)
     assert witness() == wrong  # the mutant changes a count

@@ -442,8 +442,17 @@ def test_on_shell_tuples_enumeration():
             assert on_shell_tuples(degree, ordered=True, **bounds) == labeled, bounds
             reps = sorted(set(tuple(sorted(q, reverse=True)) for q in labeled))
             assert on_shell_tuples(degree, **bounds) == reps, bounds
-    with pytest.raises(DomainError):
-        on_shell_tuples(1)
+
+
+@pytest.mark.parametrize("degree, bounds, text", [
+    (1, {}, "degree must be >= 2, got 1"),
+    (6, {"min_order": 0}, "order 0 < 1"),  # once tuples Genus1Tuple then refused
+    (6, {"min_order": -2, "ordered": True}, "order -2 < 1"),
+])
+def test_on_shell_tuples_refuses_what_no_tuple_has(degree, bounds, text):
+    with pytest.raises(DomainError) as err:
+        on_shell_tuples(degree, **bounds)
+    assert str(err.value) == text
 
 
 def test_agreement_property():

@@ -31,8 +31,7 @@ def test_every_memo_has_its_documented_bound(package_memos):
         "_tau",
         "sigma1_power",
         "_block_pair",
-        "_series_half",
-        "_powered",
+        "_pair",
         "_schur_coefficients",
         "_schubert_pair",
         "_weighted_unit",

@@ -87,8 +87,7 @@ def _gate(bindings):
         "grassmann.mul calls, every namespace": len(schubert),
         "_tau classes (read, cached)": (len(keys), cached),
         "_block_pair (misses, hits)": _traffic(genus1._block_pair),
-        "_series_half (misses, hits)": _traffic(qseries._series_half),
-        "_powered (misses, hits)": _traffic(qseries._powered),
+        "_pair (misses, hits)": _traffic(qseries._pair),
         "_schur_coefficients (misses, hits)": _traffic(qseries._schur_coefficients),
         "_schubert_pair (misses, hits)": _traffic(genus1._schubert_pair),
         "_weighted_unit (misses, hits)": _traffic(genus1._weighted_unit),
@@ -158,6 +157,22 @@ def _series(quad, bindings):
     return {"TruncatedSeries products (cold, repeat)": (cold, len(products) - cold)}
 
 
+def _series_sweep(bindings):
+    product, work = qseries._truncated_product, []
+
+    def counting(left, right):
+        # the loop multiplies each nonzero left[i] into the first t - i of right
+        t = min(len(left), len(right))
+        work.append(sum(t - i for i in range(t) if left[i] != 0))
+        return product(left, right)
+
+    bindings.replace(qseries, "_truncated_product", counting, everywhere=True)
+    for degree in range(6, 13):
+        for quad in genus1.on_shell_tuples(degree):
+            assert n_via_series(Genus1Tuple(*quad)) == genus1_constant_term(quad), quad
+    return {"_truncated_product (calls, coefficient products)": (len(work), sum(work))}
+
+
 def _laurent_products(bindings):
     t = Genus1Tuple(9, 7, 6, 4)
     products = bindings.record(LaurentPolynomial, "__mul__")
@@ -213,15 +228,17 @@ def _permuted_labels(bindings):
 
 
 # from cold memos a series count makes (d-1) Schur products per distinct
-# order d, then two for the half with the power (a closed form, no product)
-# and one for the other half; a repeat reads both halves from the memo
+# order d, then one per distinct pair; a repeat reads both pairs from the memo
 SERIES = "TruncatedSeries products (cold, repeat)"
 
 # group: (its sweep, {count: (exact value, why)}); groups that name one
 # sweep read one run of it, and together pin every count it returns
 TABLE = {
     "gate-products": (_gate, {
-        "TruncatedSeries products": (553, "607 before the 84 halves with the power read "
+        "TruncatedSeries products": (518, "553 before the 298 halves became pair products of "
+                                          "ints (-35): 163 pairs in place of 168 halves and "
+                                          "30 powered factors, 607 before the 84 halves with "
+                                          "the power read "
                                           "their 30 factors F_b (1-4q)^(3/2) from a memo "
                                           "(-54), 617 before the gate's identities (7 f_1 * "
                                           "f_(t-1), the square root's square and its cube) "
@@ -238,10 +255,11 @@ TABLE = {
                                                  "before Pieri fixed classes"),
     }),
     "gate-catalan-squarings": (_gate, {"_truncated_product calls": (
-        580, "the 553 series products, f_1..f_8's 18 squarings (one square per bit of t "
+        545, "the 518 series products, f_1..f_8's 18 squarings (one square per bit of t "
              "after the leading one, one product per set bit) and the gate's 9 int identity "
              "products (f_1 * f_(t-1) for t = 2..8, the square root's square, its cube from "
-             "that square) run one loop, bound in qseries and verify; 634 before the powered "
+             "that square) run one loop, bound in qseries and verify; 580 before the pair "
+             "products replaced the halves and the powered factors, 634 before the powered "
              "factors were memoized, 635 when the identities were 10 series products; 18 "
              "before")}),
     "gate-quadruple-pieri-steps": (_quadruple_sweeps, {"verify.pieri_mul calls": (
@@ -258,12 +276,12 @@ TABLE = {
     "gate-block-pairs": (_gate, {"_block_pair (misses, hits)": ((214, 3244), (
         "1,358 Laurent counts and 371 recursions ask 3,458 products: 108 P and 106 W pairs"))}),
     "gate-half-products": (_gate, {
-        "_series_half (misses, hits)": ((168, 130), "149 series counts, two halves each"),
         "_schubert_pair (misses, hits)": ((193, 187), "190 Schubert counts, two halves each"),
     }),
     "gate-series-factors": (_gate, {
-        "_powered (misses, hits)": ((30, 54), (
-            "168 halves, 84 with the power, 30 (order, degree) keys")),
+        "_pair (misses, hits)": ((163, 135), (
+            "149 series counts, two pairs each, 163 (orders, degree) keys; _series_half "
+            "(168, 130) and _powered (30, 54) before, the power in the key of a half")),
         "_schur_coefficients (misses, hits)": ((19, 336), (
             "64 convolutions read 355 Schur polynomials, indices 0..18")),
     }),
@@ -276,9 +294,9 @@ TABLE = {
     "four-methods-tau": (_four_methods, {"_tau (misses, hits)": (
         (43, 175), "two classes for each of 109 pairs, 43 keys")}),
     "four-methods-convolution": (_four_methods, {"_convolution (misses, hits)": (
-        (36, 125), "161 factors: F_a for 94 halves, F_b for the 47 without the power and "
-                   "for 20 of the 47 with it, whose other 27 read F_b (1-4q)^(3/2) from its "
-                   "memo; (36, 152) before, 188 factors of 94 halves")}),
+        (36, 144), "180 factors, two for each of 90 pair products; (36, 125) before, 161 "
+                   "factors of 94 halves, 27 of whose 47 powered factors came from a memo, "
+                   "and (36, 152) before that, 188 factors of 94 halves")}),
     "consolidation-merged-problems": (_consolidation, {"verify.genus_g_weighted calls": (
         259, "192 problems and 67 merged problems")}),
     "consolidation-sigma1-powers": (_consolidation, {"sigma1_power (misses, hits)": (
@@ -298,11 +316,18 @@ TABLE = {
         "cli.count_laurent calls (all, distinct)": ((67, 67), "one per multiset of orders"),
         "_block_pair (misses, hits)": ((54, 80), "134 products of 54 order pairs"),
     }),
+    "series-degrees-6-12": (_series_sweep, {"_truncated_product (calls, coefficient products)": (
+        (460, 10_309), "242 tuples from cold memos, 49 with an order 1 and no product: 56 "
+                       "convolutions make 266 products, 194 pairs one each; (494, 11,422) with "
+                       "the 198 halves and 30 powered factors before")}),
     "series-9731": (partial(_series, (9, 7, 3, 1)), {SERIES: ((0, 0), "an order 1: no product")}),
     "series-1555": (partial(_series, (1, 5, 5, 5)), {SERIES: ((0, 0), "an order 1: no product")}),
-    "series-8853": (partial(_series, (8, 8, 5, 3)), {SERIES: ((16, 0), "(7 + 4 + 2) + 3")}),
-    "series-6666": (partial(_series, (6, 6, 6, 6)), {SERIES: ((8, 0), "5 + 3")}),
-    "series-7542": (partial(_series, (7, 5, 4, 2)), {SERIES: ((17, 0), "(6 + 4 + 3 + 1) + 3")}),
+    "series-8853": (partial(_series, (8, 8, 5, 3)), {SERIES: ((15, 0), "(7 + 4 + 2) + 2; 16 "
+                                                                      "with a powered factor")}),
+    "series-6666": (partial(_series, (6, 6, 6, 6)), {SERIES: ((6, 0), "5 + 1: one pair read "
+                                                                     "twice; 8 before")}),
+    "series-7542": (partial(_series, (7, 5, 4, 2)), {SERIES: ((16, 0), "(6 + 4 + 3 + 1) + 2; "
+                                                                      "17 before")}),
     "laurent-9764": (_laurent_products, {
         "LaurentPolynomial products (unweighted, weighted, relabeled)": (
             (2, 2, 0), "one per block pair; relabelings within and across pairs read them"),

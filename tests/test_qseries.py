@@ -28,6 +28,7 @@ from oracles import (
     catalan_power,
     genus1_constant_term,
     geometric_inverse,
+    pair_product,
     schur_table,
     series_count,
     truncated_product,
@@ -264,6 +265,23 @@ def test_n_via_series_matches_the_full_product_oracle(fresh_memos):
     for deg in range(2, 9):
         for quad in on_shell_tuples(deg, ordered=True):
             assert n_via_series(Genus1Tuple(*quad)) == series_count(quad), quad
+
+
+def test_pair_is_the_same_at_every_degree_that_admits_it(fresh_memos):
+    # F_a * F_b has q-degree at most (a + b)/2 - 2, and a count pairs (a, b)
+    # at degree deg only when its other two orders, both >= 2, give
+    # a + b <= 2 deg: no degree truncates the pair, and the degree in its
+    # key only names the convolutions it is built from
+    first = {}
+    for degree in range(2, 31):
+        for b in range(2, 31):
+            for a in range(2, min(b, 2 * degree - b) + 1):
+                pair = qseries._pair(a, b, degree)
+                assert first.setdefault((a, b), pair) == pair, (a, b, degree)
+    assert len(first) == 435
+    for (a, b), pair in first.items():
+        assert len(pair) <= (a + b) // 2 - 1, (a, b)
+        assert pair_product(a, b, 30) == [*pair] + [0] * (31 - len(pair)), (a, b)
 
 
 def test_product_commutes_across_sparsity_and_orders():
