@@ -70,6 +70,7 @@ _GENUS_SCOPE = "the (3*genus)!/6^genus enumeration"
 # fixed (7,), ten distinct moving orders (12, 11, 10, 8, 7, 6, 5, 4, 3, 2, 2, 2);
 # degree 32 admits eleven, 6-8 s.
 MAX_DEGENERATION_DEGREE = {0: 1500, 1: 500, 2: 250, 3: 89, 4: 30}
+_DEGENERATION_SCOPE = {g: f"the degeneration at genus {g}" for g in MAX_DEGENERATION_DEGREE}
 
 
 @dataclass(frozen=True)
@@ -298,7 +299,7 @@ def _assemble(p: RamificationProblem, weighted: bool) -> int:
     require_within(what, "genus", p.g, MAX_GENUS, _GENUS_SCOPE)
     if p.g or not weighted:  # weighted genus 0 is one closed-form class
         require_within(what, "degree", p.d, MAX_DEGENERATION_DEGREE[p.g],
-                       f"the degeneration at genus {p.g}")
+                       _DEGENERATION_SCOPE[p.g])
     d, ambient = p.d, p.d + 1
     if weighted:
         fixed_part = sigma1_power(sum(o - 1 for o in p.fixed), ambient)

@@ -169,11 +169,15 @@ def weighted_fixed_first(t: Genus1Tuple) -> int:
 MAX_SERIES_DEGREE = 120
 MAX_SCHUBERT_DEGREE = 800
 MAX_LAURENT_DEGREE = 4000
-# tightest first, the order in which count checks the selected pipelines
+# tightest first, the order in which count checks the selected pipelines:
+# each bounded pipeline's bound, its name in a refusal and its scope
 _DEGREE_BOUNDS = {
-    "series": MAX_SERIES_DEGREE,
-    "schubert": MAX_SCHUBERT_DEGREE,
-    "laurent": MAX_LAURENT_DEGREE,
+    name: (bound, f"count_{name}", f"the {name} pipeline")
+    for name, bound in (
+        ("series", MAX_SERIES_DEGREE),
+        ("schubert", MAX_SCHUBERT_DEGREE),
+        ("laurent", MAX_LAURENT_DEGREE),
+    )
 }
 
 
@@ -360,9 +364,9 @@ def count(t: Genus1Tuple, methods="all") -> CountReport:
             raise DomainError(
                 f"unknown method {name!r}; choose from {sorted(METHODS)}"
             )
-    for name, bound in _DEGREE_BOUNDS.items():
+    for name, (bound, what, scope) in _DEGREE_BOUNDS.items():
         if name in names:
-            require_within(f"count_{name}", "degree", t.degree, bound, f"the {name} pipeline")
+            require_within(what, "degree", t.degree, bound, scope)
     values = {name: METHODS[name](t) for name in names}
     agreed = len(set(values.values())) == 1
     return CountReport(t, values, agreed)
@@ -379,11 +383,15 @@ def _weighted_block(di: int) -> LaurentPolynomial:
     )
 
 
-# Each recursion direction's cost on the same host, worst shape of orders
-# measured, and the degree above which it is refused up front: the weighted
-# assembly costs about deg^3, 1.9-2.2 s at degree 1000 with orders
-# (deg+1, deg+1, 1, 1), whose W pair holds 0.58 MB; the inversion about
-# deg^3.5, 3.1-4.6 s at degree 2000 with orders (deg, deg, 2, 2).
+# Each recursion direction's cost, worst shape of orders measured, and the
+# degree above which it is refused up front: the weighted assembly costs
+# about deg^3, 1.9-2.2 s at degree 1000 with orders (deg+1, deg+1, 1, 1),
+# whose W pair holds 0.58 MB, on one core of an Intel Xeon server.  The
+# inversion costs about deg^3.5: at degree 2000, 2.1-2.7 s with balanced
+# orders such as (1000, 1000, 1000, 1004), whose two pair products meet as
+# two 1,000-coefficient polynomials, and 1.9-2.7 s with orders
+# (deg, deg, 2, 2), each the least of three cold runs in-process on a
+# shared 2-core Intel Xeon host.
 MAX_ASSEMBLY_DEGREE = 1000
 MAX_INVERSION_DEGREE = 2000
 
@@ -404,20 +412,41 @@ def weighted_from_unweighted(t: Genus1Tuple) -> int:
     return _paired_blocks(_weighted_block, t)
 
 
-@lru_cache(maxsize=32)
 def _inversion_block(di: int) -> tuple[int, ...]:
     """A_d = ((-1)^j C(d-1-j, j) (d-2j-1))_j for j < (d+1)/2, the inversion's
-    coefficients of the order d.
-
-    Keyed by the order, so the inversion reads each order's block once
-    built: the release gate (level 9) reads 1,484 blocks, 19 distinct, and
-    the verify suite at its bound (level 13) 27 distinct orders, which the
-    bound covers.  An entry is 0.1-0.4 KB at the gate's orders, 0.17 MB at
-    order 2000 and 0.61 MB at order 4001, the largest the inversion bound
-    admits (measured with tracemalloc), so 32 entries hold at most ~20 MB.
-    """
+    coefficients of the order d; ``_inversion_pair`` reads it."""
     return tuple((-1) ** j * math.comb(di - 1 - j, j) * (di - 2 * j - 1)
                  for j in range((di + 1) // 2))
+
+
+@lru_cache(maxsize=256)
+def _inversion_pair(a: int, b: int) -> tuple[int, ...]:
+    """A_a * A_b as exact ints, x^0 first; called with a <= b, so each
+    unordered order pair is one key.
+
+    Built from ``_inversion_block`` alone, never from ``qseries``, whose
+    pair products F_a * F_b have the same coefficients: the series count
+    must not become the inversion.  Keyed by the two orders, so an
+    inversion that meets a known pair, on either side, reads its product:
+    the release gate (level 9) reads 742 pairs, 106 distinct, and the
+    verify suite at its bound (level 13) 2,246, 205 distinct, which the
+    bound covers.  An entry is 0.3-0.9 KB at the gate's orders (to 19),
+    1.7 KB at (30, 30) and 0.6 MB at (2000, 2000), as at every pair the
+    inversion bound admits, orders summing to at most 4002 (measured with
+    tracemalloc), so 256 entries hold at most ~0.15 GB.
+    """
+    left, right = _inversion_block(a), _inversion_block(b)
+    return tuple(_cut_product(left, right, len(left) + len(right) - 1))
+
+
+def _cut_product(left, right, n: int) -> list[int]:
+    """The first n coefficients of the product of two int lists."""
+    out = [0] * n
+    for i, x in enumerate(left[:n]):
+        if x:
+            for j, y in enumerate(right[: n - i]):
+                out[i + j] += x * y
+    return out
 
 
 def unweighted_from_weighted(t: Genus1Tuple) -> int:
@@ -426,21 +455,20 @@ def unweighted_from_weighted(t: Genus1Tuple) -> int:
     Inverting W_d gives P_{d-1} = sum_j (-1)^j C(d-1-j, j) W_{d-2j}, so the
     weighted closed form gives N = sum_J [x^J](A_d1 A_d2 A_d3 A_d4) *
     _weighted_unit(deg-J) with A_d(x) = sum_j (-1)^j C(d-1-j, j) (d-2j-1) x^j,
-    up to J = deg-2: a tuple shifted below degree 2 counts 0.  Degrees above
-    ``MAX_INVERSION_DEGREE`` are refused before any product.
+    up to J = deg-2: a tuple shifted below degree 2 counts 0.  The products
+    H = A_d1 A_d2 and H' = A_d3 A_d4 come from the memo ``_inversion_pair``;
+    their product is formed cut to J <= deg-2, then met with the units in
+    one sum.  Degrees above ``MAX_INVERSION_DEGREE`` are refused before any
+    product.
     """
     require_within("unweighted_from_weighted", "degree", t.degree, MAX_INVERSION_DEGREE,
                    "the recursion")
     d = t.degree
-    poly = [1]
-    for di in t.orders():
-        block = _inversion_block(di)
-        out = [0] * min(d - 1, len(poly) + len(block) - 1)
-        for i, a in enumerate(poly):
-            for j, b in enumerate(block[: len(out) - i]):
-                out[i + j] += a * b
-        poly = out
-    return sum(c * _weighted_unit(d - j) for j, c in enumerate(poly))
+    d1, d2, d3, d4 = t.orders()
+    half = _inversion_pair(min(d1, d2), max(d1, d2))
+    other = _inversion_pair(min(d3, d4), max(d3, d4))
+    cut = _cut_product(half, other, min(d - 1, len(half) + len(other) - 1))
+    return sum(c * _weighted_unit(d - j) for j, c in enumerate(cut))
 
 
 def on_shell_tuples(

@@ -10,8 +10,9 @@ series' ``Fraction`` coefficients and the Catalan powers' integer lists.
 Each factor the pipeline repeats is built once, in a bounded memo: a
 Schur polynomial's coefficients by its index, F_d by order and degree,
 and each pair product F_a * F_b, as exact ints, by its order pair and
-degree.  The count pairs two pair products against the ints of
-(1-4q)^(3/2), so its extraction never touches a ``Fraction``.
+degree; a pair multiplies only the coefficients it keeps.  The count
+pairs two pair products against the ints of (1-4q)^(3/2), so its
+extraction never touches a ``Fraction``.
 """
 
 from __future__ import annotations
@@ -195,7 +196,8 @@ def _convolution(d: int, degree: int) -> TruncatedSeries:
     """F_d = sum_{j=0}^{d-2} s_j * s_{d-2-j} at truncation order ``degree``.
 
     Keyed by the order and the degree, so each pair product ``_pair``
-    builds reads the same series it would build: the release gate
+    builds reads the same series it would build, kept whole though a pair
+    reads only its first floor((a+b)/2) - 1 coefficients: the release gate
     (level 9) reads 345 factors, 64 distinct.  The bound covers the
     334-350 keys of a genus1-all pass and the 118 of the verify suite at
     its bound (level 13).  An entry is 2.0-2.4 KB at degree 30 and
@@ -215,18 +217,24 @@ def _pair(a: int, b: int, degree: int) -> tuple[int, ...]:
     unordered order pair is one key at its degree.
 
     The product has q-degree at most (a + b)/2 - 2, at most degree - 2
-    beside two orders >= 2, so no degree truncates it; its zero tail is
-    dropped and each coefficient goes through ``as_integer``.  The degree
-    stays in the key only to read ``_convolution``'s factors.  The release
-    gate (level 9) reads 298 pairs, 163 distinct, and the verify suite at
-    its bound (level 13) 926, 405 distinct, each built once; a genus1-all
-    pass reads 400, 369-377 distinct, and misses 386-389 times.  An entry
-    is 0.2-0.6 KB at the gate's degrees (to 11), 0.6-1.3 KB at degree 30
-    and 2.6-6.0 KB at the series bound, degree 120 (measured with
-    tracemalloc), so 64 entries hold at most ~0.4 MB.
+    beside two orders >= 2, so no degree truncates it.  Both factors are
+    cut to the k = floor((a+b)/2) - 1 coefficients it keeps before the one
+    product loop, exactly: a coefficient below q^k reads only factor
+    coefficients below q^k, and k <= degree - 1.  Those k coefficients go
+    through ``as_integer``, and the gate's 163 pair products make 1,505
+    coefficient products.  The degree stays in the key only to read
+    ``_convolution``'s factors.  The release gate (level 9) reads 298
+    pairs, 163 distinct, and the verify suite at its bound (level 13) 926,
+    405 distinct, each built once; a genus1-all pass reads 400, 369-377
+    distinct, and misses 386-389 times.  An entry is 0.2-0.6 KB at the
+    gate's degrees (to 11), 0.6-1.3 KB at degree 30 and 2.6-6.0 KB at the
+    series bound, degree 120 (measured with tracemalloc), so
+    64 entries hold at most ~0.4 MB.
     """
-    product = (_convolution(a, degree) * _convolution(b, degree)).coeffs
-    return tuple(as_integer(c, "_pair") for c in product[: (a + b) // 2 - 1])
+    keep = (a + b) // 2 - 1
+    product = _truncated_product(_convolution(a, degree).coeffs[:keep],
+                                 _convolution(b, degree).coeffs[:keep])
+    return tuple(as_integer(c, "_pair") for c in product)
 
 
 def n_via_series(t: Genus1Tuple) -> int:
@@ -241,7 +249,8 @@ def n_via_series(t: Genus1Tuple) -> int:
     coefficients, all in ints, with c_k from the binomial recurrence of
     ``power_3_2``, never from the weighted units of ``genus1``, which the
     gate checks against that series.  A cold count makes two pair
-    products, and one that meets both pairs again none.
+    products, each multiplying only the coefficients it keeps, and one that
+    meets both pairs again none.
     """
     d1, d2, d3, d4 = orders = t.orders()
     if 1 in orders:

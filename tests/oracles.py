@@ -9,7 +9,8 @@ from the Pieri rule, genus-g problems from plain partitions, ordered
 distributions into triples from a chain of generators, Schur polynomials
 and the unweighted count from their recursions, the q-series count with
 every factor multiplied in, the series and Schubert counts as the
-accumulating chains their pipelines once were, Catalan powers by
+accumulating chains their pipelines once were, the inversion as its
+four-block running product, Catalan powers by
 sequential convolution, truncated products as one antidiagonal sum per
 coefficient, the closed form's two branches as transcribed monomial
 tables, one power per factor, and bounded partitions by the recursion,
@@ -508,6 +509,29 @@ def schubert_chain_count(orders) -> int:
     for d in orders[:3]:
         acc = schubert_product(acc, tau_class(d - 2, n), n)
     return schubert_product(acc, tau_class(orders[3] - 2, n), n).get((n - 2, n - 2), 0)
+
+
+def inversion_count(orders) -> int:
+    """The genus-1 count by the inversion as it first ran: the blocks
+    A_d = ((-1)^j C(d-1-j, j) (d-2j-1))_j multiplied in one at a time, each
+    running product cut to x^(deg-2), then met with the weighted units
+    12 C_(m-2)/m = 12 C(2m-4, m-2)/((m-1) m)."""
+    degree = (sum(orders) - 4) // 2
+    poly = [1]
+    for d in orders:
+        block = [(-1) ** j * math.comb(d - 1 - j, j) * (d - 2 * j - 1)
+                 for j in range((d + 1) // 2)]
+        out = [0] * min(degree - 1, len(poly) + len(block) - 1)
+        for i, a in enumerate(poly):
+            for j, b in enumerate(block[: len(out) - i]):
+                out[i + j] += a * b
+        poly = out
+    total = Fraction(0)
+    for j, c in enumerate(poly):
+        m = degree - j
+        total += c * Fraction(12 * math.comb(2 * m - 4, m - 2), (m - 1) * m)
+    assert total.denominator == 1, orders
+    return int(total)
 
 
 def recursive_bounded_partitions(total: int, length: int, max_part: int):

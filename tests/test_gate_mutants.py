@@ -24,6 +24,7 @@ _truncated_product = qseries._truncated_product
 _sqrt_one_minus_4q = qseries.sqrt_one_minus_4q
 _weighted_unit = genus1._weighted_unit
 _inversion_block = genus1._inversion_block
+_inversion_pair = genus1._inversion_pair
 
 EXAMPLE = RamificationProblem(1, 4, (3, 2), (3, 3, 2))  # weighted count 72
 
@@ -84,6 +85,11 @@ def _pair_one_high_at_the_end_for_orders_4_4(a, b, degree):
     return (*coeffs[:-1], coeffs[-1] + 1) if a == b == 4 else coeffs
 
 
+def _pair_cut_one_short(a, b, degree):
+    # each factor cut to floor((a+b)/2) - 2 coefficients: the pair's top one is lost
+    return _pair(a, b, degree)[: (a + b) // 2 - 2]
+
+
 def _schur_coefficients_one_high_at_q1_for_index_4(j):
     # s_4 = 1 - 3q + q^2 read as 1 - 2q + q^2, so F_d is wrong from d = 6
     coeffs = _schur_coefficients(j)
@@ -119,6 +125,12 @@ def _inversion_block_one_high_at_order_6(di):
     # the coefficient of x^1 in A_6, -C(4, 1) * 3 = -12, read as -11
     block = _inversion_block(di)
     return (block[0], block[1] + 1, *block[2:]) if di == 6 else block
+
+
+def _inversion_pair_one_high_at_x0_for_orders_3_3(a, b):
+    # A_3^2 = 4 + 0x + 0x^2 read as 5 + 0x + 0x^2
+    coeffs = _inversion_pair(a, b)
+    return (coeffs[0] + 1, *coeffs[1:]) if a == b == 3 else coeffs
 
 
 ROWS = [
@@ -258,6 +270,16 @@ ROWS = [
         id="pair",
     ),
     pytest.param(
+        # a pair cut short of what it keeps is still compared with the other pipelines
+        qseries, "_pair", _pair_cut_one_short,
+        lambda: qseries.n_via_series(Genus1Tuple(4, 4, 3, 3)), 144,  # 208 by the others
+        [
+            ("four_method_agreement",
+             "anchor (2,2,2,2): {'schubert': 6, 'laurent': 6, 'polynomial': 6, 'series': 0}"),
+        ],
+        id="pair-cut-one-short",
+    ),
+    pytest.param(
         # a memoized Schur polynomial is still compared with the other
         # pipelines and with the squared inverse
         qseries, "_schur_coefficients", _schur_coefficients_one_high_at_q1_for_index_4,
@@ -310,6 +332,13 @@ ROWS = [
         lambda: genus1.unweighted_from_weighted(Genus1Tuple(6, 3, 3, 2)), 24,  # 0 by the others
         [("weighted_recursion_consistency", "inversion vs constant term on (6, 2, 2, 2)")],
         id="inversion-block",
+    ),
+    pytest.param(
+        # a memoized pair product is still compared with the constant term
+        genus1, "_inversion_pair", _inversion_pair_one_high_at_x0_for_orders_3_3,
+        lambda: genus1.unweighted_from_weighted(Genus1Tuple(3, 3, 2, 2)), 20,  # 16 by the others
+        [("weighted_recursion_consistency", "inversion vs constant term on (3, 3, 2, 2)")],
+        id="inversion-pair",
     ),
 ]
 

@@ -4,10 +4,11 @@ reference values; the four pipelines must also agree among themselves.
 """
 
 import itertools
+import math
 
 import pytest
 
-from pencils import genus1, verify
+from pencils import genus1, qseries, verify
 from pencils.errors import DomainError
 from pencils.genus1 import (
     MAX_ASSEMBLY_DEGREE,
@@ -35,6 +36,7 @@ from oracles import (
     TOP_GAP_TERMS,
     evaluate_terms,
     genus1_constant_term,
+    inversion_count,
     ordered_on_shell,
     p_dict,
     polynomial_value,
@@ -227,6 +229,54 @@ def test_inversion_closed_form_matches_the_recursion_oracle():
     for degree in range(2, 11):
         for quad in rep_tuples(degree, max_order=2 * degree + 1):
             assert unweighted_from_weighted(Genus1Tuple(*quad)) == unweighted_recursive(quad)
+
+
+def test_inversion_matches_the_four_block_running_product(fresh_memos):
+    # every sorted tuple of degree <= 30 with orders to 2*deg - 1, under its
+    # three pairings of orders into two memoized pair products
+    tuples = in_domain = 0
+    for degree in range(2, 31):
+        for quad in rep_tuples(degree, max_order=2 * degree - 1):
+            want = inversion_count(quad)
+            a, b, c, d = quad
+            for relabeled in (quad, (a, c, b, d), (d, a, c, b)):
+                assert unweighted_from_weighted(Genus1Tuple(*relabeled)) == want, relabeled
+            if a <= degree:
+                assert count_laurent(Genus1Tuple(*quad)) == want, quad
+                in_domain += 1
+            tuples += 1
+    assert (tuples, in_domain) == (16380, 7225)
+    # the inversion bound's shapes, balanced to skewed, scaled to degree ~200
+    for quad in ((200, 200, 2, 2), (101, 101, 101, 101), (100, 100, 100, 104), (134, 134, 134, 2),
+                 (201, 199, 3, 1), (399, 3, 2, 2), (150, 130, 70, 54)):
+        t = Genus1Tuple(*quad)
+        want = inversion_count(quad)
+        assert unweighted_from_weighted(t) == want, quad
+        if max(quad) <= t.degree:
+            assert count_laurent(t) == want, quad
+
+
+def test_inversion_pairs_are_built_from_the_blocks_alone(bindings, fresh_memos):
+    # the series' pair products F_a * F_b have the same coefficients: an
+    # inversion that read them would be the series count, not a check of it
+    def never(*args):
+        raise AssertionError("the inversion reached qseries")
+
+    for name, obj in list(vars(qseries).items()):
+        if callable(obj) and getattr(obj, "__module__", None) == qseries.__name__:
+            bindings.replace(qseries, name, never, everywhere=True)
+    blocks = bindings.record(genus1, "_inversion_block")
+    for a in range(1, 31):
+        for b in range(a, 31):
+            blocks.clear()
+            want = [0] * ((a + 1) // 2 + (b + 1) // 2 - 1)
+            for i in range((a + 1) // 2):
+                for j in range((b + 1) // 2):
+                    want[i + j] += ((-1) ** (i + j) * math.comb(a - 1 - i, i) * (a - 2 * i - 1)
+                                    * math.comb(b - 1 - j, j) * (b - 2 * j - 1))
+            assert genus1._inversion_pair(a, b) == tuple(want), (a, b)
+            assert blocks == [(a,), (b,)], (a, b)
+    assert unweighted_from_weighted(Genus1Tuple(6, 6, 6, 6)) == genus1_constant_term((6, 6, 6, 6))
 
 
 def test_count_laurent_matches_the_three_product_constant_term(fresh_memos):

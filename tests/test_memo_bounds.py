@@ -35,7 +35,7 @@ def test_every_memo_has_its_documented_bound(package_memos):
         "_schur_coefficients",
         "_schubert_pair",
         "_weighted_unit",
-        "_inversion_block",
+        "_inversion_pair",
     }
 
 

@@ -8,6 +8,7 @@ change that moves a count re-pins its row here.
 """
 
 import io
+import sys
 from contextlib import redirect_stdout
 from functools import partial
 
@@ -35,6 +36,13 @@ from oracles import genus1_constant_term, tau_class
 def _traffic(memo):
     info = memo.cache_info()
     return info.misses, info.hits
+
+
+def _coefficient_products(left, right) -> int:
+    """What ``qseries._truncated_product`` multiplies: each nonzero left[i]
+    into the first t - i of right, t the shorter length."""
+    t = min(len(left), len(right))
+    return sum(t - i for i in range(t) if left[i] != 0)
 
 
 # every property's detail at the release gate, so a rewrite that changes a
@@ -68,7 +76,16 @@ GATE_DETAILS = [
 def _gate(bindings):
     tau = genus1._tau
     series = bindings.record(TruncatedSeries, "__mul__")
-    products = bindings.record(qseries, "_truncated_product", everywhere=True)
+    product, pair_body = qseries._truncated_product, qseries._pair.__wrapped__.__code__
+    products, pair_work = [], []
+
+    def counting(left, right):
+        products.append((left, right))
+        if sys._getframe(1).f_code is pair_body:  # called by _pair itself
+            pair_work.append(_coefficient_products(left, right))
+        return product(left, right)
+
+    bindings.replace(qseries, "_truncated_product", counting, everywhere=True)
     schubert = bindings.record(grassmann, "mul", everywhere=True)
     read = bindings.record(genus1, "_tau")
     results = verify.run_suite("all", 9)
@@ -84,6 +101,7 @@ def _gate(bindings):
     return {
         "TruncatedSeries products": len(series),
         "_truncated_product calls": len(products),
+        "_pair coefficient products": sum(pair_work),
         "grassmann.mul calls, every namespace": len(schubert),
         "_tau classes (read, cached)": (len(keys), cached),
         "_block_pair (misses, hits)": _traffic(genus1._block_pair),
@@ -91,7 +109,7 @@ def _gate(bindings):
         "_schur_coefficients (misses, hits)": _traffic(qseries._schur_coefficients),
         "_schubert_pair (misses, hits)": _traffic(genus1._schubert_pair),
         "_weighted_unit (misses, hits)": _traffic(genus1._weighted_unit),
-        "_inversion_block (misses, hits)": _traffic(genus1._inversion_block),
+        "_inversion_pair (misses, hits)": _traffic(genus1._inversion_pair),
     }
 
 
@@ -150,27 +168,51 @@ def _table(extra, bindings):
 
 
 def _series(quad, bindings):
-    products = bindings.record(TruncatedSeries, "__mul__")
+    products = bindings.record(qseries, "_truncated_product", everywhere=True)
     assert n_via_series(Genus1Tuple(*quad)) == genus1_constant_term(quad)
     cold = len(products)
     assert n_via_series(Genus1Tuple(*quad)) == genus1_constant_term(quad)
-    return {"TruncatedSeries products (cold, repeat)": (cold, len(products) - cold)}
+    return {SERIES: (cold, len(products) - cold)}
 
 
-def _series_sweep(bindings):
+def _counted_products(bindings) -> list:
+    """Wrap ``qseries._truncated_product`` in every namespace; the returned
+    list gets each call's coefficient products."""
     product, work = qseries._truncated_product, []
 
     def counting(left, right):
-        # the loop multiplies each nonzero left[i] into the first t - i of right
-        t = min(len(left), len(right))
-        work.append(sum(t - i for i in range(t) if left[i] != 0))
+        work.append(_coefficient_products(left, right))
         return product(left, right)
 
     bindings.replace(qseries, "_truncated_product", counting, everywhere=True)
+    return work
+
+
+def _series_sweep(bindings):
+    work = _counted_products(bindings)
     for degree in range(6, 13):
         for quad in genus1.on_shell_tuples(degree):
             assert n_via_series(Genus1Tuple(*quad)) == genus1_constant_term(quad), quad
     return {"_truncated_product (calls, coefficient products)": (len(work), sum(work))}
+
+
+# perfbench/workloads.genus1_sample(1)[:30]: the first 30 operations of a
+# genus1-all pass, which the harness's calibration test times
+GENUS1_ALL_FIRST_30 = [
+    (17, 12, 8, 3), (19, 14, 11, 10), (24, 14, 11, 7), (29, 25, 5, 3), (5, 5, 4, 2),
+    (18, 16, 12, 2), (13, 13, 12, 10), (16, 8, 8, 8), (9, 7, 6, 6), (10, 10, 3, 3),
+    (18, 10, 9, 3), (6, 6, 4, 2), (20, 18, 6, 6), (6, 4, 4, 4), (7, 7, 5, 3),
+    (15, 12, 12, 3), (12, 12, 5, 3), (22, 20, 13, 5), (17, 12, 9, 8), (9, 9, 7, 7),
+    (19, 19, 16, 4), (12, 12, 8, 4), (17, 15, 10, 10), (8, 8, 7, 3), (26, 26, 3, 3),
+    (18, 18, 11, 7), (8, 8, 6, 2), (11, 10, 8, 5), (27, 15, 15, 7), (10, 9, 7, 4),
+]
+
+
+def _genus1_all_first_30(bindings):
+    work = _counted_products(bindings)
+    for quad in GENUS1_ALL_FIRST_30:
+        assert genus1.count(Genus1Tuple(*quad)).agreed, quad
+    return {"series coefficient products": sum(work)}
 
 
 def _laurent_products(bindings):
@@ -228,14 +270,18 @@ def _permuted_labels(bindings):
 
 
 # from cold memos a series count makes (d-1) Schur products per distinct
-# order d, then one per distinct pair; a repeat reads both pairs from the memo
-SERIES = "TruncatedSeries products (cold, repeat)"
+# order d, then one per distinct pair; a repeat reads both pairs from the memo.
+# Counted where both kinds meet, in the one product loop: a pair multiplies its
+# factors' cut coefficient lists, not two series
+SERIES = "_truncated_product calls (cold, repeat)"
 
 # group: (its sweep, {count: (exact value, why)}); groups that name one
 # sweep read one run of it, and together pin every count it returns
 TABLE = {
     "gate-products": (_gate, {
-        "TruncatedSeries products": (518, "553 before the 298 halves became pair products of "
+        "TruncatedSeries products": (355, "518 before the 163 pair products multiplied "
+                                          "their cut factors' coefficient lists (-163), "
+                                          "553 before the 298 halves became pair products of "
                                           "ints (-35): 163 pairs in place of 168 halves and "
                                           "30 powered factors, 607 before the 84 halves with "
                                           "the power read "
@@ -255,8 +301,9 @@ TABLE = {
                                                  "before Pieri fixed classes"),
     }),
     "gate-catalan-squarings": (_gate, {"_truncated_product calls": (
-        545, "the 518 series products, f_1..f_8's 18 squarings (one square per bit of t "
-             "after the leading one, one product per set bit) and the gate's 9 int identity "
+        545, "the 355 series products, the 163 pair products, f_1..f_8's 18 squarings "
+             "(one square per bit of t after the leading one, one product per set bit) and "
+             "the gate's 9 int identity "
              "products (f_1 * f_(t-1) for t = 2..8, the square root's square, its cube from "
              "that square) run one loop, bound in qseries and verify; 580 before the pair "
              "products replaced the halves and the powered factors, 634 before the powered "
@@ -285,11 +332,15 @@ TABLE = {
         "_schur_coefficients (misses, hits)": ((19, 336), (
             "64 convolutions read 355 Schur polynomials, indices 0..18")),
     }),
+    "gate-pair-products": (_gate, {"_pair coefficient products": (1_505, (
+        "163 pair products, each factor cut to the floor((a+b)/2) - 1 coefficients it "
+        "keeps; 3,160 when they multiplied out to q^degree"))}),
     "gate-weighted-tables": (_gate, {
         "_weighted_unit (misses, hits)": ((9, 3024), (
             "371 weighted counts and the inversions' 2,662 units read degrees 2..10")),
-        "_inversion_block (misses, hits)": ((19, 1465), (
-            "371 inversions read four blocks each, orders 1..19")),
+        "_inversion_pair (misses, hits)": ((106, 636), (
+            "371 inversions read two pairs each, 106 order pairs; _inversion_block (19, "
+            "1,465) before, four blocks each")),
     }),
     "four-methods-tau": (_four_methods, {"_tau (misses, hits)": (
         (43, 175), "two classes for each of 109 pairs, 43 keys")}),
@@ -317,9 +368,13 @@ TABLE = {
         "_block_pair (misses, hits)": ((54, 80), "134 products of 54 order pairs"),
     }),
     "series-degrees-6-12": (_series_sweep, {"_truncated_product (calls, coefficient products)": (
-        (460, 10_309), "242 tuples from cold memos, 49 with an order 1 and no product: 56 "
-                       "convolutions make 266 products, 194 pairs one each; (494, 11,422) with "
-                       "the 198 halves and 30 powered factors before")}),
+        (460, 7_957), "242 tuples from cold memos, 49 with an order 1 and no product: 56 "
+                      "convolutions make 266 products, 194 pairs one each; (460, 10,309) "
+                      "before the pairs cut their factors to what they keep, (494, 11,422) "
+                      "with the 198 halves and 30 powered factors before that")}),
+    "genus1-all-first-30": (_genus1_all_first_30, {"series coefficient products": (75_394, (
+        "the four pipelines on 30 tuples from cold memos; 77,601 before the pairs cut "
+        "their factors to what they keep"))}),
     "series-9731": (partial(_series, (9, 7, 3, 1)), {SERIES: ((0, 0), "an order 1: no product")}),
     "series-1555": (partial(_series, (1, 5, 5, 5)), {SERIES: ((0, 0), "an order 1: no product")}),
     "series-8853": (partial(_series, (8, 8, 5, 3)), {SERIES: ((15, 0), "(7 + 4 + 2) + 2; 16 "
