@@ -38,13 +38,9 @@ from .verify import SUITES, run_suite
 
 __all__ = ["main", "build_parser", "argv_from_query", "MAX_TABLE_DEGREE"]
 
-# A table runs count_laurent once per on-shell multiset, and its counts
-# build each product of two blocks once per unordered pair of orders (318
-# at degree 30); --ordered adds only the listing of the labeled rows.
-# In-process on a shared 2-core Intel Xeon host degree 30 takes 0.03-0.06 s
-# (865 counts) and 0.10-0.18 s with --ordered (17,893 rows); degree 60
-# would spend 0.3-0.4 s on its 6,455 counts and 1.6 s listing its 143,783
-# ordered rows, so larger degrees are refused up front.
+# A table runs count_laurent once per on-shell multiset, each block pair built
+# once per unordered pair of orders; --ordered adds only the listing of the
+# labeled rows, which grows fastest (timings in README's bounds table).
 MAX_TABLE_DEGREE = 30
 
 

@@ -55,20 +55,16 @@ __all__ = [
 
 Distribution = tuple[tuple[int, int, int], ...]
 
-# genus 4 lists 369,600 distributions: the trigonal count (4, 3, (), (2,)*12)
-# takes 1.2-1.5 s in a fresh interpreter on the host below, with a peak RSS
-# (ru_maxrss) of ~94 MB, 78.5 MB of it the Python heap's tracemalloc peak
-# (tracing itself lifts ru_maxrss to ~216 MB); genus 5 would list 168,168,000
+# genus 4 lists 369,600 distributions, genus 5 would list 168,168,000; the
+# worst shape's time and memory are in README's bounds table
 MAX_GENUS = 4
 _GENUS_SCOPE = "the (3*genus)!/6^genus enumeration"
-# Per genus, the degree above which a count is refused, and the slowest shape
-# found at it in-process on a shared 2-core Intel Xeon host.  Genus 0 (unweighted;
-# the weighted class is closed-form): 1.6-1.9 s with fixed orders (2,)*(2d-2).
-# Genus 1: 2.9-3.1 s, fixed (d,) and three moving orders near d/3 (about deg^3).
-# Genus 2: 2.0-2.5 s, fixed (75,), moving (81, 78, 74, 70, 67, 64); 7 s at 300.
-# Genus 3: 1.6-2.9 s, nine evenly spaced moving orders.  Genus 4: 4.2-4.9 s,
-# fixed (7,), ten distinct moving orders (12, 11, 10, 8, 7, 6, 5, 4, 3, 2, 2, 2);
-# degree 32 admits eleven, 6-8 s.
+# Per genus, the degree above which a count is refused, sized on the slowest
+# shape found at it (timings in README's bounds table).  Genus 0 (unweighted;
+# the weighted class is closed-form): fixed orders (2,)*(2d-2).  Genus 1: fixed
+# (d,), three moving orders near d/3.  Genus 2: fixed (75,), moving (81, 78,
+# 74, 70, 67, 64).  Genus 3: nine evenly spaced moving orders.  Genus 4: fixed
+# (7,), moving (12, 11, 10, 8, 7, 6, 5, 4, 3, 2, 2, 2).
 MAX_DEGENERATION_DEGREE = {0: 1500, 1: 500, 2: 250, 3: 89, 4: 30}
 _DEGENERATION_SCOPE = {g: f"the degeneration at genus {g}" for g in MAX_DEGENERATION_DEGREE}
 
@@ -221,12 +217,10 @@ def _triple_multisets(labels: tuple[int, ...], g: int):
     ``distributions`` sorts the labels and takes positions in increasing
     order, so each triple comes sorted and only the multiset itself is
     sorted; callers pass sorted labels so that permutations share an
-    entry.  Genus 1 never reads it, so the bound covers the 47-50
-    distinct label tuples of a genusg-mix pass and the 90 of the verify
-    gate.  An entry of genus 2 holds at most 10 multisets
-    and one of genus 3 at most 280 (~74 KB), so 128 entries hold ~9.4 MB;
-    a genus-4 entry with 12 distinct labels holds 15,400 (~4.6 MB,
-    measured with tracemalloc), which puts the worst case at ~590 MB.
+    entry.  A genus-1 count never calls it.  The bound holds every key of a
+    genusg-mix pass and of the verify gate (level 9).  A genus-4 entry
+    with 12 different labels holds 15,400 multisets, ~4.6 MB (tracemalloc),
+    so 128 entries hold at most ~590 MB.  Op-count groups: ``gate-degeneration-tails``.
     """
     return tuple(Counter(map(tuple, map(sorted, distributions(labels, g)))).items())
 
@@ -237,11 +231,11 @@ def _tail_class(factor, triple: tuple[int, int, int], d: int) -> SchubertClass:
 
     The sum runs over the node vanishing sequences 0 <= a < b <= d with
     a + b = s; a <= d-2 keeps the tail's pencil degree d-a at least 2,
-    below that the factor is 0.  The bound covers the at most 300
-    distinct (factor, triple, d) keys of a genusg-mix pass or of the
-    verify gate.  A class has at most d/2 terms, ~2.4 KB at degree 30 and
-    ~30 KB at degree 500, genus 1's degree bound, so 512 entries hold
-    ~1.2 MB up to degree 30 and ~16 MB at that bound.
+    below that the factor is 0.  Keyed by the factor, the sorted triple and
+    the degree.  The bound holds every key of a genusg-mix pass and of the
+    verify gate (level 9).  A class has at most d/2 terms, ~30 KB at degree
+    500, genus 1's degree bound, so 512 entries hold at most ~16 MB.
+    Op-count groups: ``gate-degeneration-tails``.
     """
     s = 2 * d + 4 - sum(triple)
     return SchubertClass(d + 1, {
@@ -260,14 +254,11 @@ def _tails_class(factor, labels: tuple[int, ...], d: int) -> SchubertClass:
     symmetric in a triple, so ordered distributions with the same triples
     multiply alike, and problems that differ only in their fixed points
     share this class and cost one pairing each.  ``labels`` are sorted,
-    as ``_triple_multisets`` needs.  The bound covers the 200 distinct
-    (factor, labels, d) keys of a genusg-mix pass and the 472 of the
-    verify gate (level 9); the suite at its bound (level 13) reads 3,351.
-    Entries average 0.2-0.4 KB up to degree 16.  A genus-1 entry is its
-    tail class, ~30 KB at degree 500, genus 1's degree bound, and a
-    genus-3 one at degree 89, genus 3's, takes ~6.3 KB (measured with
-    tracemalloc), so 1024 entries hold ~0.4 MB on the sweeps, ~6.4 MB at
-    genus 3's bound and ~31 MB at genus 1's.
+    as ``_triple_multisets`` needs.  The bound holds every key of a
+    genusg-mix pass and of the verify gate (level 9), not of the suite at
+    its bound.  A genus-1 entry is its tail class, ~30 KB at degree 500,
+    genus 1's degree bound (tracemalloc), so 1024 entries hold at most
+    ~31 MB.  Op-count groups: ``gate-degeneration-tails``.
     """
     g = len(labels) // 3
     if g == 1:  # one distribution of one triple

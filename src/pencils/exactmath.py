@@ -1,7 +1,8 @@
 """Exact integer helpers for ramification weights: binomials, tableau
 and Catalan numbers as ballot differences of binomials, ``exact_div``,
-the one checked division, which refuses a remainder, and
-``bounded_partitions``, the enumerator of order data.
+the one checked division, which refuses a remainder,
+``bounded_partitions``, the enumerator of order data, and
+``cut_product``, the one loop over dense coefficient lists.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ __all__ = [
     "catalan",
     "syt_count",
     "bounded_partitions",
+    "cut_product",
 ]
 
 
@@ -90,3 +92,16 @@ def bounded_partitions(total: int, length: int, max_part: int):
             return
         parts[i] = cap
         start, rest = i + 1, rest + 1
+
+
+def cut_product(left, right, n: int) -> list:
+    """The first n coefficients of the product of two nonempty coefficient
+    lists, x^0 first.  Zero coefficients of ``left`` are skipped, so the
+    sparser operand goes on the left; the result starts from ``left[0] * 0``,
+    so int lists give ints and Fractions Fractions."""
+    out = [left[0] * 0] * n
+    for i, x in enumerate(left[:n]):
+        if x:
+            for j, y in enumerate(right[: n - i]):
+                out[i + j] += x * y
+    return out

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DomainError, require_within
-from .exactmath import binomial, bounded_partitions, catalan, exact_div
+from .exactmath import binomial, bounded_partitions, catalan, cut_product, exact_div
 from .grassmann import SchubertClass, mul, pairing, pieri_mul, sigma, zero
 from .laurent import LaurentPolynomial, p_poly, pairing as laurent_pairing
 from .qseries import n_via_series
@@ -128,12 +128,10 @@ def _weighted_unit(m: int) -> int:
     prod (d_i - 1); an integer, the q^m coefficient of (1-4q)^(3/2).
 
     Only the weighted counts read it: ``qseries.power_3_2`` must not, or the
-    series pipeline would become the inversion.  Memoized as a series
-    coefficient, keyed by m: the release gate (level 9) reads 3,033 units,
-    9 distinct, and one inversion at its bound, degree 2000, reads the 1,999
-    units m = 2..2000, which the bound covers.  An entry is 88-120 bytes at
-    the gate, 0.6 KB at m = 2000 and 1.7 KB at the answer bound, m = 6000
-    (measured with tracemalloc), so 2048 entries hold at most ~3.5 MB.
+    series pipeline would become the inversion.  Keyed by m; the bound holds
+    the units of degrees 2..d that an inversion at ``MAX_INVERSION_DEGREE``
+    reads.  An entry is 1.7 KB at the answer bound, m = 6000 (tracemalloc),
+    so 2048 entries hold at most ~3.5 MB.  Op-count groups: ``gate-weighted-tables``.
     """
     return exact_div(12 * catalan(m - 2), m, "weighted unit")
 
@@ -159,13 +157,11 @@ def weighted_fixed_first(t: Genus1Tuple) -> int:
     return exact_div(num * binomial(2 * d - d1 - 2, d - d1), d * (d - 1), "weighted_fixed_first")
 
 
-# Each pipeline's cost, worst shape of orders measured, and the degree above
-# which it is refused up front.  The series costs about deg^3, 1.7-2.0 s at
-# degree 120 with four distinct orders such as (120, 119, 3, 2), cold, on a
-# shared 2-core Intel Xeon host (a repeated order builds its factor once).
-# On one core of an Intel Xeon server: Schubert about deg^3, 3.5-5 s at
-# degree 800 with orders (202, 202, 600, 600) and 1.9-2.8 s with four equal
-# orders; Laurent about deg^2, 3 s at degree 4000 with orders (deg, deg, 2, 2).
+# Each pipeline's degree bound, refused up front, sized on its worst shape of
+# orders (timings in README's bounds table): the series, about deg^3, four
+# distinct orders such as (120, 119, 3, 2), as a repeated order builds its
+# factor once; Schubert, about deg^3, (202, 202, 600, 600); Laurent, about
+# deg^2, (deg, deg, 2, 2).
 MAX_SERIES_DEGREE = 120
 MAX_SCHUBERT_DEGREE = 800
 MAX_LAURENT_DEGREE = 4000
@@ -181,21 +177,24 @@ _DEGREE_BOUNDS = {
 }
 
 
+def _require_degree(name: str, t: Genus1Tuple) -> None:
+    """Refuse a degree past the named pipeline's bound, from ``_DEGREE_BOUNDS``."""
+    bound, what, scope = _DEGREE_BOUNDS[name]
+    require_within(what, "degree", t.degree, bound, scope)
+
+
 @lru_cache(maxsize=128)
 def _tau(k: int, ambient: int) -> SchubertClass:
     """Sum over ordered pairs a+b = k of s(a,0)*s(b,0); zero for k < 0.
 
     Each pair is one Pieri step on s(a, 0).  Keyed by the index and the
     ambient, so repeated orders and the pairs ``_schubert_pair`` builds
-    read each class once built; callers only read it.  The release gate
-    (level 9) reads 386 classes, 64 distinct: the bound covers those and
-    the 118 of the verify suite at its bound (level 13).  A genus1-all
-    pass reads 342 distinct keys and misses 484 times (seed 1), or 349
-    and 528 (seed 2); a bound that held them all would cost that
-    workload resident memory.  An entry is 0.6-0.7 KB on the sweeps'
-    Gr(2, N), N <= 16, and 67 KB at the Schubert bound, degree 800
-    (measured with tracemalloc), so 128 entries hold ~0.1 MB there and
-    at most ~8.6 MB.
+    read each class once built; callers only read it.  The bound holds
+    every key of the verify suite at its bound (level 13); one that held a
+    genus1-all pass's would cost that workload resident memory.  An entry
+    is 67 KB at the Schubert bound, degree 800 (tracemalloc), so
+    128 entries hold at most ~8.6 MB.  Op-count groups:
+    ``gate-tau-classes``, ``four-methods-tau``, ``level-13-held``.
     """
     return sum(
         (pieri_mul(sigma(a, 0, ambient), k - a) for a in range(k + 1)), zero(ambient)
@@ -209,10 +208,9 @@ def _schubert_pair(a: int, b: int, ambient: int) -> SchubertClass:
 
     Keyed by the two orders and the ambient, so a count that meets a known
     pair at its degree, on either side, reads the product instead of
-    building it: the release gate (level 9) reads 380 pairs, 193
-    distinct.  An entry is 0.3-0.6 KB on the gate's Gr(2, N), N <= 12,
-    0.4-1.3 KB at degree 30 and up to 55 KB at the Schubert bound, degree
-    800 (measured with tracemalloc), so 64 entries hold at most ~3.5 MB.
+    building it.  An entry is up to 55 KB at the Schubert bound, degree 800
+    (tracemalloc), so 64 entries hold at most ~3.5 MB.  Op-count groups:
+    ``gate-half-products``.
     """
     return mul(_tau(a - 2, ambient), _tau(b - 2, ambient))
 
@@ -225,11 +223,9 @@ def count_schubert(t: Genus1Tuple) -> int:
     correction times the pair tau(d1 - 2) * tau(d2 - 2), paired with
     tau(d3 - 2) * tau(d4 - 2), both pairs from the memo ``_schubert_pair``.
     The correction is written as its Pieri expansion 6*s(1,1) - 2*s(2,0),
-    whose s(2,0) leaves the box at degree 2.  A count makes that product
-    and one more for each pair it has not met before at its degree.
+    whose s(2,0) leaves the box at degree 2.
     """
-    require_within("count_schubert", "degree", t.degree, MAX_SCHUBERT_DEGREE,
-                   "the schubert pipeline")
+    _require_degree("schubert", t)
     _require_in_domain(t, "count_schubert")
     d1, d2, d3, d4 = t.orders()
     ambient = t.degree + 1
@@ -252,18 +248,11 @@ def _block_pair(block, a: int, b: int) -> LaurentPolynomial:
     Keyed by the block (P or W) and the two orders, so the counts of the
     verify sweeps, of a table and of the tail factors that meet one order
     pair again read its product; the counts themselves are not memoized.
-    The bound covers the 412 keys of the verify suite at its bound (level
-    13) and the 318 of a degree-30 table.  The release gate (level 9)
-    reads 3,458 products, 214 distinct, and the benchmark's genus1-all and
-    genusg-mix passes 400 and 798-862, of 164-170 and 35-37 distinct
-    (measured from empty memos).  An
-    entry is 1.1 KB at orders (10, 10), 4.9 KB at (30, 30), 193 KB at
-    (1000, 1000) and 0.8 MB at (4000, 4000), the Laurent bound; a W pair is
-    1.4 KB at (10, 10) and 0.56 MB at (1000, 1000) (measured with
-    tracemalloc).  So 512 entries hold ~2.5 MB at orders up to 30 and at
-    most ~0.4 GB of P pairs at the Laurent bound.  W pairs grow faster, as
-    their coefficients are binomials: 0.58 MB at the assembly bound, degree
-    1000, so at most ~0.3 GB.
+    The bound holds every key of the verify suite at its bound (level 13)
+    and of a degree-30 table.  A P pair is 0.8 MB at (4000, 4000), the
+    Laurent bound, and a W pair 0.58 MB at the assembly bound, degree 1000
+    (tracemalloc), so 512 entries hold at most ~0.4 GB.  Op-count groups:
+    ``gate-block-pairs``, ``table-30``, ``level-13-held``.
     """
     return block(a) * block(b)
 
@@ -285,12 +274,10 @@ def count_laurent(t: Genus1Tuple) -> int:
     relies on the extension: on every tuple of degree <= 20, with orders
     up to 2*deg + 1, the count is 0 when an order exceeds the degree and
     the closed form otherwise; the tests pin that range.  Not memoized:
-    the two products P_d1 P_d2 and P_d3 P_d4 come from ``_block_pair``,
-    so a count that meets both order pairs again is one pairing, and the
-    degeneration reads its tail factors through ``_tail_class``.
+    P_d1 P_d2 and P_d3 P_d4 come from ``_block_pair``, and the degeneration
+    reads its tail factors through ``_tail_class``.
     """
-    require_within("count_laurent", "degree", t.degree, MAX_LAURENT_DEGREE,
-                   "the laurent pipeline")
+    _require_degree("laurent", t)
     return _paired_blocks(_unweighted_block, t)
 
 
@@ -330,7 +317,7 @@ def count_polynomial(t: Genus1Tuple) -> int:
 
 def count_series(t: Genus1Tuple) -> int:
     """Coefficient extraction from the generating-function identity."""
-    require_within("count_series", "degree", t.degree, MAX_SERIES_DEGREE, "the series pipeline")
+    _require_degree("series", t)
     _require_in_domain(t, "count_series")
     return n_via_series(t)
 
@@ -364,9 +351,9 @@ def count(t: Genus1Tuple, methods="all") -> CountReport:
             raise DomainError(
                 f"unknown method {name!r}; choose from {sorted(METHODS)}"
             )
-    for name, (bound, what, scope) in _DEGREE_BOUNDS.items():
+    for name in _DEGREE_BOUNDS:
         if name in names:
-            require_within(what, "degree", t.degree, bound, scope)
+            _require_degree(name, t)
     values = {name: METHODS[name](t) for name in names}
     agreed = len(set(values.values())) == 1
     return CountReport(t, values, agreed)
@@ -383,15 +370,11 @@ def _weighted_block(di: int) -> LaurentPolynomial:
     )
 
 
-# Each recursion direction's cost, worst shape of orders measured, and the
-# degree above which it is refused up front: the weighted assembly costs
-# about deg^3, 1.9-2.2 s at degree 1000 with orders (deg+1, deg+1, 1, 1),
-# whose W pair holds 0.58 MB, on one core of an Intel Xeon server.  The
-# inversion costs about deg^3.5: at degree 2000, 2.1-2.7 s with balanced
+# Each recursion direction's degree bound, refused up front, sized on its
+# worst shapes of orders (timings in README's bounds table): the assembly,
+# about deg^3, (deg+1, deg+1, 1, 1); the inversion, about deg^3.5, balanced
 # orders such as (1000, 1000, 1000, 1004), whose two pair products meet as
-# two 1,000-coefficient polynomials, and 1.9-2.7 s with orders
-# (deg, deg, 2, 2), each the least of three cold runs in-process on a
-# shared 2-core Intel Xeon host.
+# two 1,000-coefficient polynomials, and (deg, deg, 2, 2).
 MAX_ASSEMBLY_DEGREE = 1000
 MAX_INVERSION_DEGREE = 2000
 
@@ -427,26 +410,14 @@ def _inversion_pair(a: int, b: int) -> tuple[int, ...]:
     Built from ``_inversion_block`` alone, never from ``qseries``, whose
     pair products F_a * F_b have the same coefficients: the series count
     must not become the inversion.  Keyed by the two orders, so an
-    inversion that meets a known pair, on either side, reads its product:
-    the release gate (level 9) reads 742 pairs, 106 distinct, and the
-    verify suite at its bound (level 13) 2,246, 205 distinct, which the
-    bound covers.  An entry is 0.3-0.9 KB at the gate's orders (to 19),
-    1.7 KB at (30, 30) and 0.6 MB at (2000, 2000), as at every pair the
-    inversion bound admits, orders summing to at most 4002 (measured with
-    tracemalloc), so 256 entries hold at most ~0.15 GB.
+    inversion that meets a known pair, on either side, reads its product.
+    The bound holds every key of the verify suite at its bound (level 13).
+    An entry is 0.6 MB at (2000, 2000), as at every pair the inversion
+    bound admits (tracemalloc), so 256 entries hold at most ~0.15 GB.
+    Op-count groups: ``gate-weighted-tables``, ``level-13-held``.
     """
     left, right = _inversion_block(a), _inversion_block(b)
-    return tuple(_cut_product(left, right, len(left) + len(right) - 1))
-
-
-def _cut_product(left, right, n: int) -> list[int]:
-    """The first n coefficients of the product of two int lists."""
-    out = [0] * n
-    for i, x in enumerate(left[:n]):
-        if x:
-            for j, y in enumerate(right[: n - i]):
-                out[i + j] += x * y
-    return out
+    return tuple(cut_product(left, right, len(left) + len(right) - 1))
 
 
 def unweighted_from_weighted(t: Genus1Tuple) -> int:
@@ -467,7 +438,7 @@ def unweighted_from_weighted(t: Genus1Tuple) -> int:
     d1, d2, d3, d4 = t.orders()
     half = _inversion_pair(min(d1, d2), max(d1, d2))
     other = _inversion_pair(min(d3, d4), max(d3, d4))
-    cut = _cut_product(half, other, min(d - 1, len(half) + len(other) - 1))
+    cut = cut_product(half, other, min(d - 1, len(half) + len(other) - 1))
     return sum(c * _weighted_unit(d - j) for j, c in enumerate(cut))
 
 

@@ -199,16 +199,11 @@ def sigma1_power(k: int, ambient: int) -> SchubertClass:
 
     Keyed by the exponent and the ambient; callers only read the class.
     The verify property that checks this closed form against Pieri steps
-    reads each (k, N) once: 209 keys at the release gate (level 9), 405 at
-    the suite's bound (level 13), more than the bound holds.  The weighted
-    Brill-Noether anchors of hyperelliptic_sextuple read (2d-g-2, d+1) for
-    g <= 2 and d <= level + 3, five keys past that property's range.  The
-    37 keys the consolidation sweep reads again and again (101 at level
-    13) fit, so the gate misses 241 times and level 13 549 times (measured
-    with every memo cleared first).  An entry is
-    0.6-1.1 KB on Gr(2, N), N <= 16, 7 KB at N = 101 and 99 KB at N = 801
-    (measured with tracemalloc, at k near N), so 128 entries hold ~0.14 MB
-    on the sweeps' Gr(2, N) and ~0.9 MB at N = 101.
+    reads each key once, more keys than the bound holds; the bound keeps
+    those the consolidation sweep reads again and again.  An entry is at
+    most ~240 KB on Gr(2, 1501), at genus 0's degree bound (tracemalloc, k
+    near 1501), so 128 entries hold at most ~30 MB.  Op-count groups:
+    ``gate-sigma1-powers``, ``consolidation-sigma1-powers``, ``level-13-held``.
     """
     if k < 0:
         raise DomainError(f"sigma1_power: exponent must be >= 0, got {k}")

@@ -5,13 +5,10 @@ polynomials specialized at root sum 1 and root product q, and the
 series-coefficient count pipeline.  Nothing here ever touches floating
 point: the half powers have integer coefficients, the square root's
 from Catalan numbers and the 3/2 power's from its binomial series.
-Every product runs one loop, ``_truncated_product``, shared by the
-series' ``Fraction`` coefficients and the Catalan powers' integer lists.
-Each factor the pipeline repeats is built once, in a bounded memo: a
-Schur polynomial's coefficients by its index, F_d by order and degree,
-and each pair product F_a * F_b, as exact ints, by its order pair and
-degree; a pair multiplies only the coefficients it keeps.  The count
-pairs two pair products against the ints of (1-4q)^(3/2), so its
+Every product runs ``exactmath.cut_product``, on the series' ``Fraction``
+coefficients and the Catalan powers' integer lists.  Each factor the
+pipeline repeats is built once, in a bounded memo, and the count pairs two
+pair products, as exact ints, against the ints of (1-4q)^(3/2), so its
 extraction never touches a ``Fraction``.
 """
 
@@ -22,7 +19,7 @@ from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from .errors import DomainError
-from .exactmath import as_integer, binomial, catalan, exact_div
+from .exactmath import as_integer, binomial, catalan, cut_product, exact_div
 
 if TYPE_CHECKING:
     from .genus1 import Genus1Tuple
@@ -81,7 +78,8 @@ class TruncatedSeries:
         return TruncatedSeries._of([a + b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return TruncatedSeries._of(_truncated_product(self.coeffs, other.coeffs))
+        n = min(len(self.coeffs), len(other.coeffs))
+        return TruncatedSeries._of(cut_product(self.coeffs, other.coeffs, n))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TruncatedSeries):
@@ -143,31 +141,12 @@ def _schur_coefficients(j: int) -> tuple[Fraction, ...]:
     s_j = s_{j-1} - q s_{j-2}; s_{-1} = 0 by convention.
 
     Keyed by the index alone, so every order ``schur_q`` is asked for reads
-    one tuple: the release gate (level 9) reads 355 polynomials, 19
-    distinct, the verify suite at its bound (level 13) 833, 27 distinct,
-    and a genus1-all pass about 3,500, 29 distinct.  The series bound,
-    degree 120, asks for indices up to 118, so the bound holds every one.
-    An entry is 0.3-0.8 KB at the gate's indices (to 17), 1.6 KB at
-    index 28 and 5.6 KB at index 118 (measured with tracemalloc), so
-    128 entries hold at most ~0.7 MB.
+    one tuple.  The series bound, degree 120, asks for indices up to 118,
+    so the bound holds every one.  An entry is 5.6 KB at index 118
+    (tracemalloc), so 128 entries hold at most ~0.7 MB.  Op-count groups:
+    ``gate-series-factors``.
     """
     return tuple(Fraction((-1) ** k * binomial(j - k, k)) for k in range(j // 2 + 1)) or (_ZERO,)
-
-
-def _truncated_product(left, right) -> list:
-    """The product of two nonempty coefficient lists, q^0 first, truncated
-    to the shorter one.  Zero coefficients of ``left`` are skipped, so the
-    sparser operand goes on the left; the zeros the result starts from
-    are ``left[0] * 0``, so int lists give ints and Fractions Fractions."""
-    t = min(len(left), len(right))
-    out = [left[0] * 0] * t
-    for i in range(t):
-        a = left[i]
-        if a == 0:
-            continue
-        for j in range(t - i):
-            out[i + j] += a * right[j]
-    return out
 
 
 def catalan_power_series(t: int, order: int) -> TruncatedSeries:
@@ -185,9 +164,9 @@ def catalan_power_series(t: int, order: int) -> TruncatedSeries:
         raise DomainError(f"truncation order must be >= 0, got {order}")
     out = base = [catalan(m) for m in range(order + 1)]
     for bit in bin(t)[3:]:
-        out = _truncated_product(out, out)
+        out = cut_product(out, out, order + 1)
         if bit == "1":
-            out = _truncated_product(out, base)
+            out = cut_product(out, base, order + 1)
     return TruncatedSeries(out)
 
 
@@ -197,12 +176,11 @@ def _convolution(d: int, degree: int) -> TruncatedSeries:
 
     Keyed by the order and the degree, so each pair product ``_pair``
     builds reads the same series it would build, kept whole though a pair
-    reads only its first floor((a+b)/2) - 1 coefficients: the release gate
-    (level 9) reads 345 factors, 64 distinct.  The bound covers the
-    334-350 keys of a genus1-all pass and the 118 of the verify suite at
-    its bound (level 13).  An entry is 2.0-2.4 KB at degree 30 and
-    6.9-9.8 KB at the series bound, degree 120 (measured with
-    tracemalloc), so 512 entries hold at most ~5 MB.
+    reads only its first floor((a+b)/2) - 1 coefficients.  The bound holds
+    every key of a genus1-all pass and of the verify suite at its bound
+    (level 13).  An entry is at most 9.8 KB at the series bound, degree 120
+    (tracemalloc), so 512 entries hold at most ~5 MB.  Op-count groups:
+    ``gate-convolutions``, ``four-methods-convolution``, ``level-13-held``.
     """
     schur = [schur_q(j, degree) for j in range(d - 1)]
     factor = TruncatedSeries((0,), order=degree)
@@ -217,23 +195,16 @@ def _pair(a: int, b: int, degree: int) -> tuple[int, ...]:
     unordered order pair is one key at its degree.
 
     The product has q-degree at most (a + b)/2 - 2, at most degree - 2
-    beside two orders >= 2, so no degree truncates it.  Both factors are
-    cut to the k = floor((a+b)/2) - 1 coefficients it keeps before the one
-    product loop, exactly: a coefficient below q^k reads only factor
-    coefficients below q^k, and k <= degree - 1.  Those k coefficients go
-    through ``as_integer``, and the gate's 163 pair products make 1,505
-    coefficient products.  The degree stays in the key only to read
-    ``_convolution``'s factors.  The release gate (level 9) reads 298
-    pairs, 163 distinct, and the verify suite at its bound (level 13) 926,
-    405 distinct, each built once; a genus1-all pass reads 400, 369-377
-    distinct, and misses 386-389 times.  An entry is 0.2-0.6 KB at the
-    gate's degrees (to 11), 0.6-1.3 KB at degree 30 and 2.6-6.0 KB at the
-    series bound, degree 120 (measured with tracemalloc), so
-    64 entries hold at most ~0.4 MB.
+    beside two orders >= 2, so no degree truncates it.  Only its
+    k = floor((a+b)/2) - 1 coefficients are multiplied, exactly: one below
+    q^k reads only factor coefficients below q^k, and k <= degree - 1.  The
+    degree stays in the key only to read ``_convolution``'s factors.  An
+    entry is at most 6.0 KB at the series bound, degree 120 (tracemalloc),
+    so 64 entries hold at most ~0.4 MB.  Op-count groups:
+    ``gate-series-factors``, ``gate-pair-products``.
     """
     keep = (a + b) // 2 - 1
-    product = _truncated_product(_convolution(a, degree).coeffs[:keep],
-                                 _convolution(b, degree).coeffs[:keep])
+    product = cut_product(_convolution(a, degree).coeffs, _convolution(b, degree).coeffs, keep)
     return tuple(as_integer(c, "_pair") for c in product)
 
 
@@ -248,9 +219,7 @@ def n_via_series(t: Genus1Tuple) -> int:
     the count is sum H[i] * H'[j] * c_(degree - i - j) over their nonzero
     coefficients, all in ints, with c_k from the binomial recurrence of
     ``power_3_2``, never from the weighted units of ``genus1``, which the
-    gate checks against that series.  A cold count makes two pair
-    products, each multiplying only the coefficients it keeps, and one that
-    meets both pairs again none.
+    gate checks against that series.
     """
     d1, d2, d3, d4 = orders = t.orders()
     if 1 in orders:

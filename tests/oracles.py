@@ -11,10 +11,11 @@ and the unweighted count from their recursions, the q-series count with
 every factor multiplied in, the series and Schubert counts as the
 accumulating chains their pipelines once were, the inversion as its
 four-block running product, Catalan powers by
-sequential convolution, truncated products as one antidiagonal sum per
+sequential convolution, cut products as one antidiagonal sum per
 coefficient, the closed form's two branches as transcribed monomial
 tables, one power per factor, and bounded partitions by the recursion,
-one generator level per part, that the enumerator's loop replaced.
+one level per part, that the enumerator's loop replaced.  The recursion,
+the inversion's blocks and its units are each built once per run.
 The gate's Schubert sweeps as they first were, one ``mul`` chain per
 quadruple or partition, are the one exception: they are the package's
 own products, kept as the path its prefix walks replaced.
@@ -511,41 +512,56 @@ def schubert_chain_count(orders) -> int:
     return schubert_product(acc, tau_class(orders[3] - 2, n), n).get((n - 2, n - 2), 0)
 
 
+@lru_cache(maxsize=None)
+def _inversion_block(d: int) -> tuple[int, ...]:
+    """A_d = ((-1)^j C(d-1-j, j) (d-2j-1))_j, built once per run."""
+    return tuple((-1) ** j * math.comb(d - 1 - j, j) * (d - 2 * j - 1)
+                 for j in range((d + 1) // 2))
+
+
+@lru_cache(maxsize=None)
+def _units(degree: int) -> tuple[int, list[int]]:
+    """The weighted units 12 C_(m-2)/m = 12 C(2m-4, m-2)/((m-1) m) for
+    m = degree down to 2, over one common denominator: (it, the numerators).
+    Built once per degree and run."""
+    units = [Fraction(12 * math.comb(2 * m - 4, m - 2), (m - 1) * m) for m in range(degree, 1, -1)]
+    common = math.lcm(*(unit.denominator for unit in units))
+    return common, [unit.numerator * (common // unit.denominator) for unit in units]
+
+
 def inversion_count(orders) -> int:
     """The genus-1 count by the inversion as it first ran: the blocks
-    A_d = ((-1)^j C(d-1-j, j) (d-2j-1))_j multiplied in one at a time, each
-    running product cut to x^(deg-2), then met with the weighted units
-    12 C_(m-2)/m = 12 C(2m-4, m-2)/((m-1) m)."""
+    A_d multiplied in one at a time, each running product cut to
+    x^(deg-2), then met with the weighted units."""
     degree = (sum(orders) - 4) // 2
     poly = [1]
     for d in orders:
-        block = [(-1) ** j * math.comb(d - 1 - j, j) * (d - 2 * j - 1)
-                 for j in range((d + 1) // 2)]
+        block = _inversion_block(d)
         out = [0] * min(degree - 1, len(poly) + len(block) - 1)
         for i, a in enumerate(poly):
             for j, b in enumerate(block[: len(out) - i]):
                 out[i + j] += a * b
         poly = out
-    total = Fraction(0)
-    for j, c in enumerate(poly):
-        m = degree - j
-        total += c * Fraction(12 * math.comb(2 * m - 4, m - 2), (m - 1) * m)
+    common, numerators = _units(degree)
+    total = Fraction(sum(map(operator.mul, poly, numerators)), common)
     assert total.denominator == 1, orders
     return int(total)
 
 
-def recursive_bounded_partitions(total: int, length: int, max_part: int):
+@lru_cache(maxsize=None)
+def recursive_bounded_partitions(total: int, length: int, max_part: int) -> tuple:
     """``exactmath.bounded_partitions`` as it first was: the first part
-    from the largest down, then the rest by recursion under it."""
+    from the largest down, then the rest by recursion under it; each
+    argument triple is listed once per run."""
     if length == 0:
-        if total == 0:
-            yield ()
-        return
+        return ((),) if total == 0 else ()
+    out = []
     for first in range(min(total, max_part), -1, -1):
         if first * length < total:
             break
-        for rest in recursive_bounded_partitions(total - first, length - 1, first):
-            yield (first,) + rest
+        out.extend((first,) + rest
+                   for rest in recursive_bounded_partitions(total - first, length - 1, first))
+    return tuple(out)
 
 
 def quadruple_chain(start, total: int):
@@ -585,12 +601,12 @@ def catalan_power(t: int, order: int) -> list[int]:
     return out
 
 
-def truncated_product(left, right) -> list:
-    """The product of two coefficient lists, q^0 first, truncated to the
-    shorter one: each coefficient one sum over its antidiagonal, zeros and
-    all, as ``qseries._truncated_product`` was before it skipped them."""
-    t = min(len(left), len(right))
-    return [sum(map(operator.mul, left[: n + 1], right[n::-1])) for n in range(t)]
+def antidiagonal_product(left, right, n: int) -> list:
+    """The first n coefficients of the product of two coefficient lists,
+    x^0 first: each coefficient one sum over its antidiagonal, zeros and
+    all, as the product loop was before it skipped them."""
+    return [sum(map(operator.mul, left[max(0, k - len(right) + 1): k + 1],
+                    right[min(k, len(right) - 1)::-1])) for k in range(n)]
 
 
 def evaluate_terms(table, orders) -> Fraction:

@@ -1,6 +1,7 @@
 """Tableau counts, binomials, Catalan numbers, integrality helpers."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,11 +12,17 @@ from pencils.exactmath import (
     binomial,
     bounded_partitions,
     catalan,
+    cut_product,
     exact_div,
     syt_count,
 )
 
-from oracles import pascal_triangle, recursive_bounded_partitions, syt_brute
+from oracles import (
+    antidiagonal_product,
+    pascal_triangle,
+    recursive_bounded_partitions,
+    syt_brute,
+)
 
 PASCAL = pascal_triangle(40)
 
@@ -134,3 +141,36 @@ def test_bounded_partitions_match_the_recursion():
                 assert list(bounded_partitions(total, length, max_part)) == list(
                     recursive_bounded_partitions(total, length, max_part)
                 ), (total, length, max_part)
+
+
+def _signed(rng, kind, length, lead, trail):
+    """``length`` coefficients of type ``kind``: ``lead`` zeros, nonzero ones
+    in -9..9 (over 1..5 for ``Fraction``), then ``trail`` zeros."""
+    def nonzero():
+        c = rng.choice((-1, 1)) * rng.randint(1, 9)
+        return c if kind is int else Fraction(c, rng.randint(1, 5))
+    middle = [nonzero() for _ in range(length - lead - trail)]
+    return [kind(0)] * lead + middle + [kind(0)] * trail
+
+
+def test_cut_product_matches_the_antidiagonal_oracle():
+    # signed ints and Fractions of lengths 1..6, the left operand with every
+    # run of zeros at either end (all zero included), the right one with
+    # drawn runs, and every cut n from 0 through the whole product,
+    # len(left) + len(right) - 1: below the shorter length, at it, between
+    # and at the end.  The result keeps the coefficients' type.
+    rng = random.Random(41)
+    cases = 0
+    for kind in (int, Fraction):
+        for m, k in itertools.product(range(1, 7), repeat=2):
+            for lead, trail in ((a, b) for a in range(m + 1) for b in range(m + 1 - a)):
+                left = _signed(rng, kind, m, lead, trail)
+                right_lead = rng.randint(0, k)
+                right = _signed(rng, kind, k, right_lead, rng.randint(0, k - right_lead))
+                for n in range(m + k):
+                    got = cut_product(left, right, n)
+                    assert got == antidiagonal_product(left, right, n), (left, right, n)
+                    assert all(type(c) is kind for c in got), (left, right, n, got)
+                    cases += 1
+    assert cases == 2 * sum((m + 1) * (m + 2) // 2 * (m + k)
+                            for m in range(1, 7) for k in range(1, 7))

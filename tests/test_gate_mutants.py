@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from pencils import degeneration, genus1, grassmann, qseries, verify
+from pencils import degeneration, exactmath, genus1, grassmann, qseries, verify
 from pencils.degeneration import RamificationProblem
 from pencils.genus1 import Genus1Tuple
 from pencils.grassmann import SchubertClass
@@ -20,7 +20,7 @@ _bottom_gap_value = genus1._bottom_gap_value
 _pair = qseries._pair
 _schur_coefficients = qseries._schur_coefficients
 _schubert_pair = genus1._schubert_pair
-_truncated_product = qseries._truncated_product
+_cut_product = exactmath.cut_product
 _sqrt_one_minus_4q = qseries.sqrt_one_minus_4q
 _weighted_unit = genus1._weighted_unit
 _inversion_block = genus1._inversion_block
@@ -101,9 +101,9 @@ def _schubert_pair_shifting_one_tau_index(a, b, ambient):
     return _schubert_pair(a + 1, b - 1, ambient)
 
 
-def _truncated_product_one_high_at_the_end_on_ints(left, right):
+def _cut_product_one_high_at_the_end_on_ints(left, right, n):
     # the series pipeline's Fraction products stay right
-    out = _truncated_product(left, right)
+    out = _cut_product(left, right, n)
     if isinstance(left[0], int):
         out[-1] += 1
     return out
@@ -302,10 +302,15 @@ ROWS = [
         id="schubert-half-wrong-tau",
     ),
     pytest.param(
-        # only the Catalan powers and the gate's identities multiply int lists
-        qseries, "_truncated_product", _truncated_product_one_high_at_the_end_on_ints,
+        # the Catalan powers, the gate's identities and the inversion multiply
+        # int lists; the inversion's products run through the same loop, so its
+        # first tuple now fails too
+        exactmath, "cut_product", _cut_product_one_high_at_the_end_on_ints,
         lambda: list(qseries.catalan_power_series(2, 3).coeffs), [1, 2, 5, 15],
-        [("series_coefficient_identities", "f_2 coefficient 19")],
+        [
+            ("series_coefficient_identities", "f_2 coefficient 19"),
+            ("weighted_recursion_consistency", "inversion vs constant term on (2, 2, 2, 2)"),
+        ],
         id="truncated-product-on-ints",
     ),
     pytest.param(

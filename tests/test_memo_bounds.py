@@ -1,11 +1,21 @@
 """Every memo in the package is bounded, by the number its docstring states,
 and holds a class, a series, a Laurent product, a series coefficient or a
-polynomial's coefficients, never a count."""
+polynomial's coefficients, never a count.  Its traffic is pinned in the
+op-count table, which its docstring names, not stated in prose."""
 
 import re
 from pathlib import Path
 
 from pencils import degeneration, genus1
+
+from test_op_counts import TABLE
+
+# a number within three words of a traffic word, either way round, in one clause
+_WORDS = r"[^\w.;:]+(?:\w+[^\w.;:]+){0,3}"
+TRAFFIC = re.compile(
+    rf"\d{_WORDS}(?:reads?|hits?|miss(?:es)?|distinct|keys?)\b"
+    rf"|\b(?:reads?|hits?|miss(?:es)?|distinct|keys?){_WORDS}\d"
+)
 
 
 def test_every_memo_has_its_documented_bound(package_memos):
@@ -37,6 +47,20 @@ def test_every_memo_has_its_documented_bound(package_memos):
         "_weighted_unit",
         "_inversion_pair",
     }
+
+
+def test_every_memo_names_its_op_count_groups_and_states_no_traffic(package_memos):
+    # measured traffic in prose goes stale silently; a row of the table fails
+    for module, memos in package_memos.items():
+        for memo in memos:
+            name = f"{module.__name__}.{memo.__name__}"
+            doc = " ".join((memo.__doc__ or "").split())
+            listed = re.search(r"Op-count groups: ((?:``[\w-]+``(?:, )?)+)\.", doc)
+            assert listed, f"{name} names no op-count group"
+            groups = re.findall(r"``([\w-]+)``", listed.group(1))
+            assert set(groups) <= set(TABLE), (name, groups)
+            stated = TRAFFIC.search(doc)
+            assert stated is None, (name, stated and stated.group())
 
 
 def test_no_public_count_is_memoized():

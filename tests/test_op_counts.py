@@ -14,7 +14,7 @@ from functools import partial
 
 import pytest
 
-from pencils import cli, degeneration, genus1, grassmann, qseries, verify
+from pencils import cli, degeneration, exactmath, genus1, grassmann, qseries, verify
 from pencils.cli import main
 from pencils.degeneration import RamificationProblem, genus_g_count, genus_g_weighted
 from pencils.exactmath import catalan
@@ -38,11 +38,10 @@ def _traffic(memo):
     return info.misses, info.hits
 
 
-def _coefficient_products(left, right) -> int:
-    """What ``qseries._truncated_product`` multiplies: each nonzero left[i]
-    into the first t - i of right, t the shorter length."""
-    t = min(len(left), len(right))
-    return sum(t - i for i in range(t) if left[i] != 0)
+def _coefficient_products(left, right, n) -> int:
+    """What ``exactmath.cut_product`` multiplies: each nonzero left[i],
+    i < n, into the first n - i of right."""
+    return sum(min(len(right), n - i) for i in range(min(len(left), n)) if left[i] != 0)
 
 
 # every property's detail at the release gate, so a rewrite that changes a
@@ -74,25 +73,27 @@ GATE_DETAILS = [
 
 
 def _gate(bindings):
-    tau = genus1._tau
+    tau, sigma1 = genus1._tau, grassmann.sigma1_power
     series = bindings.record(TruncatedSeries, "__mul__")
-    product, pair_body = qseries._truncated_product, qseries._pair.__wrapped__.__code__
-    products, pair_work = [], []
+    product, pair_body = exactmath.cut_product, qseries._pair.__wrapped__.__code__
+    callers, pair_work = [], []
 
-    def counting(left, right):
-        products.append((left, right))
-        if sys._getframe(1).f_code is pair_body:  # called by _pair itself
-            pair_work.append(_coefficient_products(left, right))
-        return product(left, right)
+    def counting(left, right, n):
+        caller = sys._getframe(1).f_code
+        callers.append(caller.co_filename)
+        if caller is pair_body:  # called by _pair itself
+            pair_work.append(_coefficient_products(left, right, n))
+        return product(left, right, n)
 
-    bindings.replace(qseries, "_truncated_product", counting, everywhere=True)
+    bindings.replace(exactmath, "cut_product", counting, everywhere=True)
     schubert = bindings.record(grassmann, "mul", everywhere=True)
     read = bindings.record(genus1, "_tau")
+    powers = bindings.record(grassmann, "sigma1_power", everywhere=True)
     results = verify.run_suite("all", 9)
     assert [(r.name, r.passed, r.detail) for r in results] == [
         (name, True, detail) for name, detail in GATE_DETAILS
     ]
-    keys, cached, misses = set(read), tau.cache_info().currsize, tau.cache_info().misses
+    keys, cached, (misses, hits) = set(read), tau.cache_info().currsize, _traffic(tau)
     # a caller that mutated a shared class would leave a wrong one cached;
     # reading each key again is a hit, so it is the class its callers got
     for key in keys:
@@ -100,16 +101,36 @@ def _gate(bindings):
     assert tau.cache_info().misses == misses
     return {
         "TruncatedSeries products": len(series),
-        "_truncated_product calls": len(products),
+        "cut_product calls (series and identities, inversion)": (
+            len(callers) - callers.count(genus1.__file__), callers.count(genus1.__file__)),
         "_pair coefficient products": sum(pair_work),
         "grassmann.mul calls, every namespace": len(schubert),
         "_tau classes (read, cached)": (len(keys), cached),
+        "_tau (misses, hits)": (misses, hits),
         "_block_pair (misses, hits)": _traffic(genus1._block_pair),
         "_pair (misses, hits)": _traffic(qseries._pair),
         "_schur_coefficients (misses, hits)": _traffic(qseries._schur_coefficients),
         "_schubert_pair (misses, hits)": _traffic(genus1._schubert_pair),
         "_weighted_unit (misses, hits)": _traffic(genus1._weighted_unit),
         "_inversion_pair (misses, hits)": _traffic(genus1._inversion_pair),
+        "_convolution (misses, hits)": _traffic(qseries._convolution),
+        "sigma1_power (misses, hits)": _traffic(sigma1),
+        "sigma1_power keys (read, distinct)": (len(powers), len(set(powers))),
+        "_triple_multisets (misses, hits)": _traffic(degeneration._triple_multisets),
+        "_tail_class (misses, hits)": _traffic(degeneration._tail_class),
+        "_tails_class (misses, hits)": _traffic(degeneration._tails_class),
+    }
+
+
+def _level_13(bindings):
+    held = (genus1._tau, qseries._convolution, genus1._block_pair, genus1._inversion_pair,
+            grassmann.sigma1_power)
+    powers = bindings.record(grassmann, "sigma1_power", everywhere=True)
+    assert all(r.passed for r in verify.run_suite("all", 13))
+    return {
+        "sigma1_power keys (read, distinct)": (len(powers), len(set(powers))),
+        **{f"{memo.__name__} (misses, hits, held)": (*_traffic(memo), memo.cache_info().currsize)
+           for memo in held},
     }
 
 
@@ -168,7 +189,7 @@ def _table(extra, bindings):
 
 
 def _series(quad, bindings):
-    products = bindings.record(qseries, "_truncated_product", everywhere=True)
+    products = bindings.record(exactmath, "cut_product", everywhere=True)
     assert n_via_series(Genus1Tuple(*quad)) == genus1_constant_term(quad)
     cold = len(products)
     assert n_via_series(Genus1Tuple(*quad)) == genus1_constant_term(quad)
@@ -176,15 +197,15 @@ def _series(quad, bindings):
 
 
 def _counted_products(bindings) -> list:
-    """Wrap ``qseries._truncated_product`` in every namespace; the returned
-    list gets each call's coefficient products."""
-    product, work = qseries._truncated_product, []
+    """Wrap ``exactmath.cut_product`` in every namespace; the returned list
+    gets each call's coefficient products."""
+    product, work = exactmath.cut_product, []
 
-    def counting(left, right):
-        work.append(_coefficient_products(left, right))
-        return product(left, right)
+    def counting(left, right, n):
+        work.append(_coefficient_products(left, right, n))
+        return product(left, right, n)
 
-    bindings.replace(qseries, "_truncated_product", counting, everywhere=True)
+    bindings.replace(exactmath, "cut_product", counting, everywhere=True)
     return work
 
 
@@ -193,7 +214,7 @@ def _series_sweep(bindings):
     for degree in range(6, 13):
         for quad in genus1.on_shell_tuples(degree):
             assert n_via_series(Genus1Tuple(*quad)) == genus1_constant_term(quad), quad
-    return {"_truncated_product (calls, coefficient products)": (len(work), sum(work))}
+    return {"cut_product (calls, coefficient products)": (len(work), sum(work))}
 
 
 # perfbench/workloads.genus1_sample(1)[:30]: the first 30 operations of a
@@ -273,7 +294,7 @@ def _permuted_labels(bindings):
 # order d, then one per distinct pair; a repeat reads both pairs from the memo.
 # Counted where both kinds meet, in the one product loop: a pair multiplies its
 # factors' cut coefficient lists, not two series
-SERIES = "_truncated_product calls (cold, repeat)"
+SERIES = "cut_product calls (cold, repeat)"
 
 # group: (its sweep, {count: (exact value, why)}); groups that name one
 # sweep read one run of it, and together pin every count it returns
@@ -300,15 +321,17 @@ TABLE = {
                                                  "12,992 before the halves were paired, 12,615 "
                                                  "before Pieri fixed classes"),
     }),
-    "gate-catalan-squarings": (_gate, {"_truncated_product calls": (
-        545, "the 355 series products, the 163 pair products, f_1..f_8's 18 squarings "
-             "(one square per bit of t after the leading one, one product per set bit) and "
-             "the gate's 9 int identity "
-             "products (f_1 * f_(t-1) for t = 2..8, the square root's square, its cube from "
-             "that square) run one loop, bound in qseries and verify; 580 before the pair "
-             "products replaced the halves and the powered factors, 634 before the powered "
-             "factors were memoized, 635 when the identities were 10 series products; 18 "
-             "before")}),
+    "gate-catalan-squarings": (_gate, {
+        "cut_product calls (series and identities, inversion)": ((545, 477), (
+            "the 355 series products, the 163 pair products, f_1..f_8's 18 squarings (one "
+            "square per bit of t after the leading one, one product per set bit) and the "
+            "gate's 9 int identity products (f_1 * f_(t-1) for t = 2..8, the square root's "
+            "square, its cube from that square); then the inversion's 106 pair products "
+            "and its 371 cut products, in the same loop since genus1._cut_product and "
+            "qseries._truncated_product became exactmath.cut_product; 545 "
+            "_truncated_product calls before, 580 before the pair products replaced the "
+            "halves and the powered factors, 634 before the powered factors were memoized, "
+            "635 when the identities were 10 series products; 18 before"))}),
     "gate-quadruple-pieri-steps": (_quadruple_sweeps, {"verify.pieri_mul calls": (
         3_426, "one per prefix of the 1,225 quadruples; 4,900 mul calls before")}),
     "gate-consolidation-sigma1-products": (_consolidation_sigma1, {"verify.mul calls": (
@@ -318,8 +341,10 @@ TABLE = {
         "(partition, weight) pairs compared (all, distinct)": ((359, 359), (
             "each partition of each weight w <= 2d - 3 on Gr(2, d+1), d = 2..7, once: "
             "1 + 6 + 18 + 44 + 96 + 194"))}),
-    "gate-tau-classes": (_gate, {"_tau classes (read, cached)": (
-        (64, 64), "386 reads of 64 keys, all still cached")}),
+    "gate-tau-classes": (_gate, {
+        "_tau classes (read, cached)": ((64, 64), "386 reads of 64 keys, all still cached"),
+        "_tau (misses, hits)": ((64, 322), "the 386 reads, each key built once"),
+    }),
     "gate-block-pairs": (_gate, {"_block_pair (misses, hits)": ((214, 3244), (
         "1,358 Laurent counts and 371 recursions ask 3,458 products: 108 P and 106 W pairs"))}),
     "gate-half-products": (_gate, {
@@ -341,6 +366,41 @@ TABLE = {
         "_inversion_pair (misses, hits)": ((106, 636), (
             "371 inversions read two pairs each, 106 order pairs; _inversion_block (19, "
             "1,465) before, four blocks each")),
+    }),
+    "gate-convolutions": (_gate, {"_convolution (misses, hits)": ((64, 281), (
+        "the 163 pair products read two factors each and the identities F_n for n = 2..20: "
+        "345 reads of 64 (order, degree) keys, all held"))}),
+    "gate-sigma1-powers": (_gate, {
+        "sigma1_power keys (read, distinct)": ((2869, 214), (
+            "the tableau sweep's 209 (exponent, ambient) keys, each read once, and five more "
+            "of the weighted anchors; the consolidation sweep reads its keys again and again")),
+        "sigma1_power (misses, hits)": ((241, 2628), (
+            "the 128 entries keep the consolidation sweep's keys, so 27 of the 214 are built "
+            "again")),
+    }),
+    "gate-degeneration-tails": (_gate, {
+        "_triple_multisets (misses, hits)": ((90, 89), (
+            "179 reads of 90 (sorted labels, genus) keys of genus >= 2, all held")),
+        "_tail_class (misses, hits)": ((293, 792), (
+            "1,085 reads of 293 (factor, triple, degree) keys, all held")),
+        "_tails_class (misses, hits)": ((472, 1751), (
+            "2,223 reads of 472 (factor, labels, degree) keys, all held")),
+    }),
+    "level-13-held": (_level_13, {
+        "_tau (misses, hits, held)": ((118, 814, 118), (
+            "932 reads of 118 (index, ambient) keys: the 128 entries hold them all")),
+        "_convolution (misses, hits, held)": ((118, 719, 118), (
+            "837 reads of 118 (order, degree) keys: the 512 entries hold them all")),
+        "_block_pair (misses, hits, held)": ((412, 13116, 412), (
+            "13,528 reads of 412 (block, order pair) keys: the 512 entries hold them all")),
+        "_inversion_pair (misses, hits, held)": ((205, 2041, 205), (
+            "2,246 reads of 205 order pairs: the 256 entries hold them all")),
+        "sigma1_power keys (read, distinct)": ((48050, 410), (
+            "the tableau sweep's 405 (exponent, ambient) keys, each read once, and five more "
+            "of the weighted anchors")),
+        "sigma1_power (misses, hits, held)": ((549, 47501, 128), (
+            "more keys than the 128 entries hold, which keep the consolidation sweep's "
+            "repeated ones, so 139 of the 410 are built again")),
     }),
     "four-methods-tau": (_four_methods, {"_tau (misses, hits)": (
         (43, 175), "two classes for each of 109 pairs, 43 keys")}),
@@ -367,7 +427,7 @@ TABLE = {
         "cli.count_laurent calls (all, distinct)": ((67, 67), "one per multiset of orders"),
         "_block_pair (misses, hits)": ((54, 80), "134 products of 54 order pairs"),
     }),
-    "series-degrees-6-12": (_series_sweep, {"_truncated_product (calls, coefficient products)": (
+    "series-degrees-6-12": (_series_sweep, {"cut_product (calls, coefficient products)": (
         (460, 7_957), "242 tuples from cold memos, 49 with an order 1 and no product: 56 "
                       "convolutions make 266 products, 194 pairs one each; (460, 10,309) "
                       "before the pairs cut their factors to what they keep, (494, 11,422) "

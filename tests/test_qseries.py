@@ -1,7 +1,6 @@
 """Truncated power series: square roots, Catalan powers, convolution
 identities, and the series route to the genus-1 count."""
 
-import itertools
 import math
 import random
 from fractions import Fraction
@@ -31,7 +30,6 @@ from oracles import (
     pair_product,
     schur_table,
     series_count,
-    truncated_product,
 )
 
 
@@ -80,29 +78,8 @@ def test_arithmetic_results_are_canonical():
         assert (a * b).order == (a + b).order == min(m, n), (a, b)
 
 
-def _coefficients(rng, kind, length, zeros):
-    """``length`` coefficients of type ``kind``, the first ``zeros`` zero;
-    the rest drawn by ``_coefficient``, truncated for ``int``."""
-    return [kind(0)] * zeros + [kind(_coefficient(rng)) for _ in range(length - zeros)]
-
-
-def test_truncated_product_matches_the_antidiagonal_oracle():
-    # the oracle is the product the zero-skipping loop replaced; every pair
-    # of lengths 1..6, left operands with each count of leading zeros up to
-    # all zero, and int or Fraction coefficients, whose type the product keeps
-    rng = random.Random(34)
-    for kind in (int, Fraction):
-        for m, n in itertools.product(range(1, 7), repeat=2):
-            for zeros in range(m + 1):
-                left = _coefficients(rng, kind, m, zeros)
-                right = _coefficients(rng, kind, n, rng.randint(0, n))
-                got = qseries._truncated_product(left, right)
-                assert got == truncated_product(left, right), (left, right)
-                assert all(type(c) is kind for c in got), (left, right, got)
-
-
 def test_negative_orders_are_refused_before_any_product(bindings):
-    calls = bindings.record(qseries, "_truncated_product")
+    calls = bindings.record(qseries, "cut_product")
     for build in (sqrt_one_minus_4q, power_3_2, partial(schur_q, 3),
                   partial(catalan_power_series, 3)):
         with pytest.raises(DomainError, match="^truncation order must be >= 0, got -1$"):
@@ -181,7 +158,7 @@ def test_catalan_power_series_matches_the_convolution_oracle():
 def test_catalan_power_series_squares(bindings):
     # one square per bit of t after the leading one, one product per set bit,
     # all on integer coefficient lists
-    calls = bindings.record(qseries, "_truncated_product")
+    calls = bindings.record(qseries, "cut_product")
     series = bindings.record(TruncatedSeries, "__mul__")
     for t in range(1, 9):
         catalan_power_series(t, 19)

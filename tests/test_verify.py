@@ -3,7 +3,7 @@ must catch, and the text each failure reports."""
 
 import pytest
 
-from pencils import degeneration, genus1, grassmann, qseries, verify
+from pencils import degeneration, exactmath, genus1, grassmann, verify
 from pencils.degeneration import RamificationProblem
 from pencils.errors import CrossCheckError
 from pencils.genus1 import count_series
@@ -93,8 +93,8 @@ def _pieri_missing_its_last_term(c, k):
     return SchubertClass(c.ambient, out)
 
 
-def _product_one_high_at_the_end(left, right):
-    out = qseries._truncated_product(left, right)
+def _product_one_high_at_the_end(left, right, n):
+    out = exactmath.cut_product(left, right, n)
     out[-1] += 1
     return out
 
@@ -129,7 +129,7 @@ def _product_one_high_at_the_end(left, right):
             # the gate's own integer products, with the Catalan powers left right
             verify.series_coefficient_identities,
             vars(verify),
-            "_truncated_product",
+            "cut_product",
             _product_one_high_at_the_end,
             "f_1 * f_1 != f_2",
         ),
