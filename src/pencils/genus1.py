@@ -86,6 +86,12 @@ class Genus1Tuple:
     def degree(self) -> int:
         return (self.d1 + self.d2 + self.d3 + self.d4 - 4) // 2
 
+    def sorted_pairs(self) -> tuple[tuple[int, int], tuple[int, int]]:
+        """(d1, d2) and (d3, d4), each sorted: the keys under which the
+        pipelines' pair memos hold each unordered pair of orders once."""
+        d1, d2, d3, d4 = self.orders()
+        return (min(d1, d2), max(d1, d2)), (min(d3, d4), max(d3, d4))
+
     def sorted_desc(self) -> tuple[int, int, int, int]:
         a, b, c, d = sorted(self.orders(), reverse=True)
         return (a, b, c, d)
@@ -122,16 +128,13 @@ MAX_ANSWER_DEGREE = 6000
 _ANSWER_SCOPE = "counts that grow as 4^degree"
 
 
-@lru_cache(maxsize=2048)
 def _weighted_unit(m: int) -> int:
     """12 C_(m-2)/m, the paper's weighted count at degree m >= 2 per unit of
     prod (d_i - 1); an integer, the q^m coefficient of (1-4q)^(3/2).
 
-    Only the weighted counts read it: ``qseries.power_3_2`` must not, or the
-    series pipeline would become the inversion.  Keyed by m; the bound holds
-    the units of degrees 2..d that an inversion at ``MAX_INVERSION_DEGREE``
-    reads.  An entry is 1.7 KB at the answer bound, m = 6000 (tracemalloc),
-    so 2048 entries hold at most ~3.5 MB.  Op-count groups: ``gate-weighted-tables``.
+    Only ``weighted_count`` reads it.  ``qseries.power_3_2`` and the
+    inversion's ``_inversion_units`` derive the same units apart, and the
+    gate compares the three.
     """
     return exact_div(12 * catalan(m - 2), m, "weighted unit")
 
@@ -227,12 +230,11 @@ def count_schubert(t: Genus1Tuple) -> int:
     """
     _require_degree("schubert", t)
     _require_in_domain(t, "count_schubert")
-    d1, d2, d3, d4 = t.orders()
+    left, right = t.sorted_pairs()
     ambient = t.degree + 1
     correction = SchubertClass(ambient, {(1, 1): 6, (2, 0): -2})
     return pairing(
-        mul(correction, _schubert_pair(min(d1, d2), max(d1, d2), ambient)),
-        _schubert_pair(min(d3, d4), max(d3, d4), ambient),
+        mul(correction, _schubert_pair(*left, ambient)), _schubert_pair(*right, ambient)
     )
 
 
@@ -260,11 +262,8 @@ def _block_pair(block, a: int, b: int) -> LaurentPolynomial:
 def _paired_blocks(block, t: Genus1Tuple) -> int:
     """CT(block(d1) block(d2) block(d3) block(d4)), as the pairing of two
     memoized pair products."""
-    d1, d2, d3, d4 = t.orders()
-    return laurent_pairing(
-        _block_pair(block, min(d1, d2), max(d1, d2)),
-        _block_pair(block, min(d3, d4), max(d3, d4)),
-    )
+    left, right = t.sorted_pairs()
+    return laurent_pairing(_block_pair(block, *left), _block_pair(block, *right))
 
 
 def count_laurent(t: Genus1Tuple) -> int:
@@ -420,26 +419,41 @@ def _inversion_pair(a: int, b: int) -> tuple[int, ...]:
     return tuple(cut_product(left, right, len(left) + len(right) - 1))
 
 
+def _inversion_units(d: int) -> list[int]:
+    """The weighted units 12 C_(m-2)/m for m = 2..d, in one pass over the
+    Catalan ratio C_(k+1) = C_k 2(2k+1)/(k+2), each division through
+    ``exact_div``.
+
+    Built from the ratio alone, never from ``qseries.power_3_2``, whose
+    coefficients are the same units: the series count must not become the
+    inversion.
+    """
+    units, c = [], 1
+    for k in range(d - 1):  # c = C_k, the unit's Catalan number at m = k + 2
+        units.append(exact_div(12 * c, k + 2, "weighted unit"))
+        c = exact_div(c * 2 * (2 * k + 1), k + 2, "Catalan ratio")
+    return units
+
+
 def unweighted_from_weighted(t: Genus1Tuple) -> int:
     """Invert the weight recursion by inclusion-exclusion, in closed form.
 
     Inverting W_d gives P_{d-1} = sum_j (-1)^j C(d-1-j, j) W_{d-2j}, so the
     weighted closed form gives N = sum_J [x^J](A_d1 A_d2 A_d3 A_d4) *
-    _weighted_unit(deg-J) with A_d(x) = sum_j (-1)^j C(d-1-j, j) (d-2j-1) x^j,
-    up to J = deg-2: a tuple shifted below degree 2 counts 0.  The products
-    H = A_d1 A_d2 and H' = A_d3 A_d4 come from the memo ``_inversion_pair``;
-    their product is formed cut to J <= deg-2, then met with the units in
+    u_(deg-J) with A_d(x) = sum_j (-1)^j C(d-1-j, j) (d-2j-1) x^j and the
+    weighted unit u_m = 12 C_(m-2)/m, up to J = deg-2: a tuple shifted below
+    degree 2 counts 0.  The products H = A_d1 A_d2 and H' = A_d3 A_d4 come
+    from the memo ``_inversion_pair``; their product is formed cut to
+    J <= deg-2, then met with the units of one ``_inversion_units`` pass in
     one sum.  Degrees above ``MAX_INVERSION_DEGREE`` are refused before any
     product.
     """
     require_within("unweighted_from_weighted", "degree", t.degree, MAX_INVERSION_DEGREE,
                    "the recursion")
     d = t.degree
-    d1, d2, d3, d4 = t.orders()
-    half = _inversion_pair(min(d1, d2), max(d1, d2))
-    other = _inversion_pair(min(d3, d4), max(d3, d4))
-    cut = cut_product(half, other, min(d - 1, len(half) + len(other) - 1))
-    return sum(c * _weighted_unit(d - j) for j, c in enumerate(cut))
+    left, right = t.sorted_pairs()
+    cut = cut_product(_inversion_pair(*left), _inversion_pair(*right), d - 1)
+    return sum(c * u for c, u in zip(cut, reversed(_inversion_units(d))))
 
 
 def on_shell_tuples(

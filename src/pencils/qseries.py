@@ -1,15 +1,16 @@
-"""Truncated power series in q with exact rational coefficients.
+"""Power series in q with exact coefficients.
 
 Hosts the half-integer-power expansions, the two-variable Schur
 polynomials specialized at root sum 1 and root product q, and the
 series-coefficient count pipeline.  Nothing here ever touches floating
-point: the half powers have integer coefficients, the square root's
-from Catalan numbers and the 3/2 power's from its binomial series.
-Every product runs ``exactmath.cut_product``, on the series' ``Fraction``
-coefficients and the Catalan powers' integer lists.  Each factor the
-pipeline repeats is built once, in a bounded memo, and the count pairs two
-pair products, as exact ints, against the ints of (1-4q)^(3/2), so its
-extraction never touches a ``Fraction``.
+point.  The series with integer coefficients, the square root's from
+Catalan numbers, the 3/2 power's from its binomial series and the
+Catalan powers, are tuples of ints.  Only the Schur convolution holds
+``TruncatedSeries`` of ``Fraction`` coefficients.  Every product runs
+``exactmath.cut_product``.  Each factor the pipeline repeats is built
+once, in a bounded memo, and the count pairs two pair products, as exact
+ints, against the ints of (1-4q)^(3/2), so its extraction never touches a
+``Fraction``.
 """
 
 from __future__ import annotations
@@ -34,6 +35,11 @@ __all__ = [
 ]
 
 
+def _require_order(order: int) -> None:
+    if order < 0:
+        raise DomainError(f"truncation order must be >= 0, got {order}")
+
+
 class TruncatedSeries:
     """Power series modulo q^(T+1): exactly T+1 rational coefficients.
 
@@ -46,8 +52,7 @@ class TruncatedSeries:
     def __init__(self, coeffs, order: int | None = None):
         cs = [Fraction(c) for c in coeffs]
         if order is not None:
-            if order < 0:
-                raise DomainError(f"truncation order must be >= 0, got {order}")
+            _require_order(order)
             cs = cs[: order + 1] + [Fraction(0)] * (order + 1 - len(cs))
         if not cs:
             raise DomainError("a truncated series needs at least the q^0 coefficient")
@@ -90,14 +95,13 @@ class TruncatedSeries:
         return "TruncatedSeries(%s)" % (list(self.coeffs),)
 
 
-def sqrt_one_minus_4q(order: int) -> TruncatedSeries:
+def sqrt_one_minus_4q(order: int) -> tuple[int, ...]:
     """(1 - 4q)^(1/2) to the given order: 1, then -2*catalan(n-1) at q^n."""
-    if order < 0:
-        raise DomainError(f"truncation order must be >= 0, got {order}")
-    return TruncatedSeries([1] + [-2 * catalan(n - 1) for n in range(1, order + 1)])
+    _require_order(order)
+    return (1, *(-2 * catalan(n - 1) for n in range(1, order + 1)))
 
 
-def power_3_2(order: int) -> TruncatedSeries:
+def power_3_2(order: int) -> tuple[int, ...]:
     """(1 - 4q)^(3/2) to the given order, from the binomial series:
     c_0 = 1 and c_n = c_(n-1) * 2(2n - 5)/n, each step an exact division.
 
@@ -105,15 +109,11 @@ def power_3_2(order: int) -> TruncatedSeries:
     12 C_(m-2)/m of ``genus1``, so the gate's check of the weighted
     generating function compares two derivations.
     """
-    return TruncatedSeries(_power_3_2_coefficients(order), order=order)
-
-
-def _power_3_2_coefficients(order: int) -> list[int]:
-    """c_0..c_order of (1 - 4q)^(3/2) as ints, from the recurrence above."""
+    _require_order(order)
     coeffs = [1]
     for n in range(1, order + 1):
         coeffs.append(exact_div(coeffs[-1] * 2 * (2 * n - 5), n, "power_3_2"))
-    return coeffs
+    return tuple(coeffs)
 
 
 _ZERO = Fraction(0)
@@ -128,8 +128,7 @@ def schur_q(j: int, order: int) -> TruncatedSeries:
     """
     if j < -1:
         raise DomainError(f"schur_q: index must be >= -1, got {j}")
-    if order < 0:
-        raise DomainError(f"truncation order must be >= 0, got {order}")
+    _require_order(order)
     coeffs = _schur_coefficients(j)
     return TruncatedSeries._of(coeffs[: order + 1] + (_ZERO,) * (order + 1 - len(coeffs)))
 
@@ -149,25 +148,23 @@ def _schur_coefficients(j: int) -> tuple[Fraction, ...]:
     return tuple(Fraction((-1) ** k * binomial(j - k, k)) for k in range(j // 2 + 1)) or (_ZERO,)
 
 
-def catalan_power_series(t: int, order: int) -> TruncatedSeries:
+def catalan_power_series(t: int, order: int) -> tuple[int, ...]:
     """t-th power of the Catalan generating function (1 - sqrt(1-4q))/(2q).
 
     The base is the Catalan numbers themselves, read from ``catalan``.
-    Powered by squaring on integer coefficient lists, reading the bits of
-    t from the top: one square per bit after the leading one and one
-    product by the base per set bit, so f_t takes at most
-    2*floor(log2(t)) products, and is wrapped as a series once.
+    Powered by squaring, reading the bits of t from the top: one square
+    per bit after the leading one and one product by the base per set
+    bit, so f_t takes at most 2*floor(log2(t)) products.
     """
     if t < 1:
         raise DomainError(f"catalan_power_series: power must be >= 1, got {t}")
-    if order < 0:
-        raise DomainError(f"truncation order must be >= 0, got {order}")
+    _require_order(order)
     out = base = [catalan(m) for m in range(order + 1)]
     for bit in bin(t)[3:]:
         out = cut_product(out, out, order + 1)
         if bit == "1":
             out = cut_product(out, base, order + 1)
-    return TruncatedSeries(out)
+    return tuple(out)
 
 
 @lru_cache(maxsize=512)
@@ -221,13 +218,12 @@ def n_via_series(t: Genus1Tuple) -> int:
     ``power_3_2``, never from the weighted units of ``genus1``, which the
     gate checks against that series.
     """
-    d1, d2, d3, d4 = orders = t.orders()
-    if 1 in orders:
+    if 1 in t.orders():
         return 0
     degree = t.degree
-    half = _pair(min(d1, d2), max(d1, d2), degree)
-    other = _pair(min(d3, d4), max(d3, d4), degree)
-    power = _power_3_2_coefficients(degree)
+    left, right = t.sorted_pairs()
+    half, other = _pair(*left, degree), _pair(*right, degree)
+    power = power_3_2(degree)
     return sum(
         h * c * power[degree - i - j]
         for i, h in enumerate(half) if h

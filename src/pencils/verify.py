@@ -49,13 +49,7 @@ from .grassmann import (
     unit,
 )
 from .laurent import constant_term, p_poly
-from .qseries import (
-    TruncatedSeries,
-    _convolution,
-    catalan_power_series,
-    power_3_2,
-    sqrt_one_minus_4q,
-)
+from .qseries import _convolution, catalan_power_series, power_3_2, sqrt_one_minus_4q
 
 __all__ = ["PropertyResult", "SUITES", "MAX_VERIFY_LEVEL", "run_property", "run_suite"]
 
@@ -239,42 +233,32 @@ def _inverse_coeffs(n: int) -> list[dict[int, int]]:
     return out
 
 
-def _integers(series: TruncatedSeries, name: str) -> list[int]:
-    """The coefficients of a series that must be integers, as ints; a
-    fractional one fails the check rather than being truncated."""
-    for m, c in enumerate(series.coeffs):
-        if c.denominator != 1:
-            raise CrossCheckError(f"{name} coefficient {m} is not an integer: {c}")
-    return [c.numerator for c in series.coeffs]
-
-
 def series_coefficient_identities(level: int) -> str:
-    # every series here has integer coefficients, so the products run on
-    # int lists through the package's one product loop
+    # every series here but the convolutions F_n is an int tuple, and the
+    # products run on them through the package's one product loop
     order = 2 * level + 1
     top = max(1, level - 1)
-    f = {t: _integers(catalan_power_series(t, order), f"f_{t}") for t in range(1, top + 1)}
+    f = {t: catalan_power_series(t, order) for t in range(1, top + 1)}
     for t in range(1, top + 1):
         for m in range(0, order + 1):
             if f[t][m] != syt_count(t + m - 1, m):
                 raise CrossCheckError(f"f_{t} coefficient {m}")
     for t in range(2, top + 1):
-        if cut_product(f[1], f[t - 1], order + 1) != f[t]:
+        if cut_product(f[1], f[t - 1], order + 1) != [*f[t]]:
             raise CrossCheckError(f"f_1 * f_{t - 1} != f_{t}")
-    s = _integers(sqrt_one_minus_4q(30), "sqrt(1-4q)")
+    s = sqrt_one_minus_4q(30)
     s_squared = cut_product(s, s, len(s))
     if s_squared != [1, -4] + [0] * 29:
         raise CrossCheckError("square root square")
-    if _integers(power_3_2(30), "(1-4q)^(3/2)") != cut_product(s_squared, s, len(s)):
+    if [*power_3_2(30)] != cut_product(s_squared, s, len(s)):
         raise CrossCheckError("3/2 power vs cube of square root")
-    lhs = TruncatedSeries((-1, 6), order=level + 4) + power_3_2(
-        level + 4
-    )
+    power = power_3_2(level + 4)  # (6q - 1) + (1-4q)^(3/2) generates 12 C_(m-2)/m
+    lhs = [power[0] - 1, power[1] + 6, *power[2:]]
     for m in (0, 1):
-        if lhs.coefficient(m):
+        if lhs[m]:
             raise CrossCheckError(f"weighted generating function coefficient {m}")
     for m in range(2, level + 5):
-        if m * lhs.coefficient(m) != 12 * catalan(m - 2):
+        if m * lhs[m] != 12 * catalan(m - 2):
             raise CrossCheckError(f"weighted generating function coefficient {m}")
     checked = 0
     # entries up to x^n do not depend on the cut, so one table serves every n
@@ -285,7 +269,7 @@ def series_coefficient_identities(level: int) -> str:
             for qi, ci in inv[i - 1].items():
                 for qj, cj in inv[n - i - 1].items():
                     square[qi + qj] = square.get(qi + qj, 0) + ci * cj
-        conv = _integers(_convolution(n, n), f"F_{n}")
+        conv = _convolution(n, n).coeffs  # Fractions: one off the integers fails too
         for m in range(0, n + 1):
             if conv[m] != square.get(m, 0):
                 raise CrossCheckError(f"x^{n} coefficient of the squared inverse at q^{m}")

@@ -161,7 +161,7 @@ def test_criterion_07_generating_function_identities():
     for t in range(1, 7):
         f = catalan_power_series(t, 16)
         for m in range(16):
-            assert f.coefficient(m) == syt_count(t + m - 1, m), (t, m)
+            assert f[m] == syt_count(t + m - 1, m), (t, m)
     for n in range(2, 17):
         rows = geometric_inverse(n)
         square = {}

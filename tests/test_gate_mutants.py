@@ -23,6 +23,7 @@ _schubert_pair = genus1._schubert_pair
 _cut_product = exactmath.cut_product
 _sqrt_one_minus_4q = qseries.sqrt_one_minus_4q
 _weighted_unit = genus1._weighted_unit
+_inversion_units = genus1._inversion_units
 _inversion_block = genus1._inversion_block
 _inversion_pair = genus1._inversion_pair
 
@@ -110,15 +111,22 @@ def _cut_product_one_high_at_the_end_on_ints(left, right, n):
 
 
 def _sqrt_one_minus_4q_half_off_at_q3(order):
-    # int() would truncate -9/2 back to the right -4: only an integrality check sees it
-    coeffs = list(_sqrt_one_minus_4q(order).coeffs)
+    # an int tuple with one Fraction in it: the square s^2 = 1 - 4q fixes
+    # every coefficient of s from s_0 = 1, so it fails the square identity
+    coeffs = list(_sqrt_one_minus_4q(order))
     if order >= 3:
         coeffs[3] -= Fraction(1, 2)
-    return qseries.TruncatedSeries(coeffs)
+    return tuple(coeffs)
 
 
 def _weighted_unit_one_high_at_degree_5(m):
     return _weighted_unit(m) + (m == 5)
+
+
+def _inversion_units_one_high_at_degree_5(d):
+    # the unit 12 C_3/5 = 12 read as 13 by the inversion alone
+    units = _inversion_units(d)
+    return [u + (m == 5) for m, u in enumerate(units, start=2)]
 
 
 def _inversion_block_one_high_at_order_6(di):
@@ -306,7 +314,7 @@ ROWS = [
         # int lists; the inversion's products run through the same loop, so its
         # first tuple now fails too
         exactmath, "cut_product", _cut_product_one_high_at_the_end_on_ints,
-        lambda: list(qseries.catalan_power_series(2, 3).coeffs), [1, 2, 5, 15],
+        lambda: qseries.catalan_power_series(2, 3), (1, 2, 5, 15),
         [
             ("series_coefficient_identities", "f_2 coefficient 19"),
             ("weighted_recursion_consistency", "inversion vs constant term on (2, 2, 2, 2)"),
@@ -316,12 +324,13 @@ ROWS = [
     pytest.param(
         # no count reads the square root; the gate reads it as integers
         qseries, "sqrt_one_minus_4q", _sqrt_one_minus_4q_half_off_at_q3,
-        lambda: qseries.sqrt_one_minus_4q(3).coefficient(3), Fraction(-9, 2),
-        [("series_coefficient_identities", "sqrt(1-4q) coefficient 3 is not an integer: -9/2")],
+        lambda: qseries.sqrt_one_minus_4q(3)[3], Fraction(-9, 2),
+        [("series_coefficient_identities", "square root square")],
         id="sqrt-one-minus-4q-fractional",
     ),
     pytest.param(
-        # a memoized unit is still compared with the assembly and the tails
+        # the weighted count's unit is still compared with the assembly and the
+        # tails; the inversion builds its own units
         genus1, "_weighted_unit", _weighted_unit_one_high_at_degree_5,
         lambda: genus1.weighted_count(Genus1Tuple(5, 3, 3, 3)), 13 * 4 * 2 * 2 * 2,
         [
@@ -332,7 +341,14 @@ ROWS = [
         id="weighted-unit",
     ),
     pytest.param(
-        # a memoized block is still compared with the constant term
+        # the inversion's unit pass is still compared with the constant term
+        genus1, "_inversion_units", _inversion_units_one_high_at_degree_5,
+        lambda: genus1.unweighted_from_weighted(Genus1Tuple(4, 4, 3, 3)), 208 + 36,
+        [("weighted_recursion_consistency", "inversion vs constant term on (4, 4, 3, 3)")],
+        id="inversion-units",
+    ),
+    pytest.param(
+        # a block, built afresh for each pair, is still compared with the constant term
         genus1, "_inversion_block", _inversion_block_one_high_at_order_6,
         lambda: genus1.unweighted_from_weighted(Genus1Tuple(6, 3, 3, 2)), 24,  # 0 by the others
         [("weighted_recursion_consistency", "inversion vs constant term on (6, 2, 2, 2)")],

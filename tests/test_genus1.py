@@ -279,6 +279,27 @@ def test_inversion_pairs_are_built_from_the_blocks_alone(bindings, fresh_memos):
     assert unweighted_from_weighted(Genus1Tuple(6, 6, 6, 6)) == genus1_constant_term((6, 6, 6, 6))
 
 
+def test_inversion_units_are_its_own(bindings, fresh_memos):
+    # the units are the q^m coefficients of (1-4q)^(3/2) and the weighted
+    # count's 12 C_(m-2)/m: an inversion that read either would check
+    # nothing; it builds them in one Catalan-ratio pass per call
+    def never(*args):
+        raise AssertionError("the inversion read another pipeline's units")
+
+    for name, obj in list(vars(qseries).items()):
+        if callable(obj) and getattr(obj, "__module__", None) == qseries.__name__:
+            bindings.replace(qseries, name, never, everywhere=True)
+    bindings.replace(genus1, "_weighted_unit", never, everywhere=True)
+    passes = bindings.record(genus1, "_inversion_units")
+    tuples = 0
+    for degree in range(2, 16):
+        for quad in rep_tuples(degree, max_order=2 * degree - 1):
+            assert unweighted_from_weighted(Genus1Tuple(*quad)) == inversion_count(quad), quad
+            assert passes[-1] == (degree,), quad
+            tuples += 1
+    assert len(passes) == tuples == 1418
+
+
 def test_count_laurent_matches_the_three_product_constant_term(fresh_memos):
     # every labeled tuple, with orders outside 1..degree: the degeneration
     # relies on the extension returning 0 there.  Labeled tuples reach each

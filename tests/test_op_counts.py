@@ -88,6 +88,15 @@ def _gate(bindings):
     bindings.replace(exactmath, "cut_product", counting, everywhere=True)
     schubert = bindings.record(grassmann, "mul", everywhere=True)
     read = bindings.record(genus1, "_tau")
+    units = bindings.record(genus1, "_weighted_unit")
+    unit_pass, passes = genus1._inversion_units, []
+
+    def counting_units(d):
+        made = unit_pass(d)
+        passes.append(len(made))
+        return made
+
+    bindings.replace(genus1, "_inversion_units", counting_units)
     powers = bindings.record(grassmann, "sigma1_power", everywhere=True)
     results = verify.run_suite("all", 9)
     assert [(r.name, r.passed, r.detail) for r in results] == [
@@ -111,7 +120,8 @@ def _gate(bindings):
         "_pair (misses, hits)": _traffic(qseries._pair),
         "_schur_coefficients (misses, hits)": _traffic(qseries._schur_coefficients),
         "_schubert_pair (misses, hits)": _traffic(genus1._schubert_pair),
-        "_weighted_unit (misses, hits)": _traffic(genus1._weighted_unit),
+        "_weighted_unit calls": len(units),
+        "_inversion_units (passes, units computed)": (len(passes), sum(passes)),
         "_inversion_pair (misses, hits)": _traffic(genus1._inversion_pair),
         "_convolution (misses, hits)": _traffic(qseries._convolution),
         "sigma1_power (misses, hits)": _traffic(sigma1),
@@ -361,8 +371,13 @@ TABLE = {
         "163 pair products, each factor cut to the floor((a+b)/2) - 1 coefficients it "
         "keeps; 3,160 when they multiplied out to q^degree"))}),
     "gate-weighted-tables": (_gate, {
-        "_weighted_unit (misses, hits)": ((9, 3024), (
-            "371 weighted counts and the inversions' 2,662 units read degrees 2..10")),
+        "_weighted_unit calls": (419, (
+            "one per weighted count: the recursion sweep's 371 and genus1_reduction's 48; "
+            "a memo (9, 3,024) before, whose 3,033 reads were these 419 and the "
+            "inversions' 2,614 units")),
+        "_inversion_units (passes, units computed)": ((371, 2_614), (
+            "one pass per inversion, the d - 1 units of degrees 2..d, each read once: "
+            "the cut product always has d - 1 coefficients")),
         "_inversion_pair (misses, hits)": ((106, 636), (
             "371 inversions read two pairs each, 106 order pairs; _inversion_block (19, "
             "1,465) before, four blocks each")),

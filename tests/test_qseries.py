@@ -10,8 +10,14 @@ import pytest
 
 from pencils import qseries
 from pencils.errors import DomainError
-from pencils.exactmath import catalan, syt_count
-from pencils.genus1 import Genus1Tuple, _weighted_unit, on_shell_tuples
+from pencils.exactmath import catalan, cut_product, syt_count
+from pencils.genus1 import (
+    MAX_INVERSION_DEGREE,
+    Genus1Tuple,
+    _inversion_units,
+    _weighted_unit,
+    on_shell_tuples,
+)
 from pencils.qseries import (
     TruncatedSeries,
     _convolution,
@@ -87,17 +93,26 @@ def test_negative_orders_are_refused_before_any_product(bindings):
     assert calls == []
 
 
+def test_integer_series_are_tuples_of_ints():
+    # only the Schur convolution holds Fractions; the series with integer
+    # coefficients are plain int tuples of order + 1 coefficients
+    for order in (0, 1, 12, 40):
+        for series in (sqrt_one_minus_4q(order), power_3_2(order),
+                       *(catalan_power_series(t, order) for t in (1, 2, 5))):
+            assert type(series) is tuple and len(series) == order + 1, (order, series)
+            assert all(type(c) is int for c in series), (order, series)
+
+
 def test_sqrt_series_coefficients():
     s = sqrt_one_minus_4q(6)
-    assert [s.coefficient(n) for n in range(7)] == [1, -2, -2, -4, -10, -28, -84]
+    assert s == (1, -2, -2, -4, -10, -28, -84)
     for n in range(1, 7):
-        assert s.coefficient(n) == -2 * catalan(n - 1)
+        assert s[n] == -2 * catalan(n - 1)
 
 
 def test_sqrt_square_recovers_polynomial():
     s = sqrt_one_minus_4q(30)
-    want = TruncatedSeries((1, -4), order=30)
-    assert s * s == want
+    assert cut_product(s, s, 31) == [1, -4] + [0] * 29
 
 
 def test_fractional_powers_match_binomial_expansion():
@@ -105,12 +120,12 @@ def test_fractional_powers_match_binomial_expansion():
                           (Fraction(3, 2), power_3_2(25))):
         want = binomial_series(alpha, 25)
         for n in range(26):
-            assert series.coefficient(n) == want[n], (alpha, n)
+            assert series[n] == want[n], (alpha, n)
 
 
 def test_power_3_2_is_cube_of_sqrt():
     s = sqrt_one_minus_4q(20)
-    assert power_3_2(20) == s * s * s
+    assert [*power_3_2(20)] == cut_product(cut_product(s, s, 21), s, 21)
 
 
 def test_schur_polynomials():
@@ -141,7 +156,7 @@ def test_catalan_power_series_coefficients():
     for t in range(1, 17):
         f_t = catalan_power_series(t, 40)
         for m in range(41):
-            assert f_t.coefficient(m) == syt_count(t + m - 1, m), (t, m)
+            assert f_t[m] == syt_count(t + m - 1, m), (t, m)
     for t in (0, -1):
         with pytest.raises(DomainError):
             catalan_power_series(t, 5)
@@ -150,9 +165,7 @@ def test_catalan_power_series_coefficients():
 def test_catalan_power_series_matches_the_convolution_oracle():
     for order in (0, 1, 7, 25):
         for t in range(1, 20):
-            assert catalan_power_series(t, order) == TruncatedSeries(
-                catalan_power(t, order)
-            ), (t, order)
+            assert catalan_power_series(t, order) == tuple(catalan_power(t, order)), (t, order)
 
 
 def test_catalan_power_series_squares(bindings):
@@ -169,15 +182,16 @@ def test_catalan_power_series_squares(bindings):
 def test_catalan_power_series_multiplicative():
     f1 = catalan_power_series(1, 15)
     for t in range(2, 7):
-        assert f1 * catalan_power_series(t - 1, 15) == catalan_power_series(t, 15)
+        assert cut_product(f1, catalan_power_series(t - 1, 15), 16) == [
+            *catalan_power_series(t, 15)], t
 
 
 def test_weighted_generating_function_coefficients():
     # (6q - 1) + (1-4q)^{3/2} generates the weighted-count prefactors
-    lhs = TruncatedSeries((-1, 6), order=10) + power_3_2(10)
-    assert lhs.coefficient(0) == lhs.coefficient(1) == 0
+    power = power_3_2(10)
+    assert (power[0] - 1, power[1] + 6) == (0, 0)
     for d in range(2, 11):
-        assert lhs.coefficient(d) == Fraction(12 * catalan(d - 2), d)
+        assert power[d] == Fraction(12 * catalan(d - 2), d)
 
 
 def test_series_factors_equal_the_inversion_factors_built_apart():
@@ -189,7 +203,19 @@ def test_series_factors_equal_the_inversion_factors_built_apart():
         assert _convolution(d, d) == TruncatedSeries(a_d, order=d), d
     power = power_3_2(60)
     for m in range(2, 61):
-        assert power.coefficient(m) == _weighted_unit(m), m
+        assert power[m] == _weighted_unit(m), m
+
+
+def test_inversion_unit_pass_equals_the_binomial_series():
+    # the inversion's one Catalan-ratio pass and the series' binomial
+    # recurrence are two derivations of the same units; the package never
+    # reads one for the other, a test may compare them
+    power = power_3_2(MAX_INVERSION_DEGREE)
+    units = _inversion_units(MAX_INVERSION_DEGREE)
+    assert len(units) == MAX_INVERSION_DEGREE - 1
+    for m in range(2, MAX_INVERSION_DEGREE + 1):
+        assert units[m - 2] == power[m], m
+    assert _inversion_units(2) == [6]
 
 
 def test_inverse_square_matches_schur_convolution():
@@ -272,5 +298,5 @@ def test_product_commutes_across_sparsity_and_orders():
     assert (shorter * sparse).order == 3
     for d, degree in ((8, 9), (13, 6), (2, 4)):
         f = _convolution(d, degree)
-        acc = power_3_2(degree + 3)
+        acc = TruncatedSeries(power_3_2(degree + 3))
         assert f * acc == acc * f, (d, degree)
